@@ -20,6 +20,8 @@
 //! paper's §6 future-work scheme: partition the graph, pre-process within
 //! clusters, and keep an all-pairs table only over border nodes.
 
+#![deny(unsafe_code)]
+
 mod dense;
 mod keyword_reach;
 mod landmark;

@@ -20,6 +20,8 @@
 //! cargo run --release -p kor-bench --bin experiments -- --paper
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod context;
 pub mod experiments;
 pub mod profile;

@@ -39,6 +39,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod brute;
 mod bucket;

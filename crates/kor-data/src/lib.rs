@@ -36,6 +36,8 @@
 //!
 //! Every generator is deterministic under an explicit `u64` seed.
 
+#![deny(unsafe_code)]
+
 pub mod faultpoint;
 pub mod flickr;
 pub mod gen;

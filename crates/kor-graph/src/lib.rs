@@ -31,6 +31,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod builder;
 mod error;

@@ -13,6 +13,8 @@
 //!
 //! Both forms return identical postings; tests cross-validate them.
 
+#![deny(unsafe_code)]
+
 pub mod bptree;
 mod disk;
 mod error;

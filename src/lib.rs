@@ -76,6 +76,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use kor_apsp as apsp;
 pub use kor_core as core;

@@ -15,12 +15,16 @@
 //! past that the reactor simply stops reading the socket, so TCP
 //! backpressure does the throttling).
 //!
-//! Everything is `std`-only. With no `poll(2)` binding available, the
-//! reactor's wait primitive is a condition variable that workers signal
-//! on completion, bounded by a short timeout ([`ACTIVE_WAIT`]) that
-//! doubles as the socket-readiness poll interval; an iteration that
-//! made progress loops again immediately, so a busy server never
-//! sleeps.
+//! The reactor sleeps in POSIX `poll(2)` (declared in the private `sys`
+//! module, the crate's only `unsafe`) on exactly what it waits for: the
+//! listener, every socket it would read or has unflushed bytes for, and
+//! the read end of a wake channel. Workers write one byte to that
+//! channel when the completion list turns non-empty, and
+//! [`crate::serve::ServerHandle::shutdown`] writes one too, so a
+//! request, a finished response and a shutdown each wake the reactor
+//! the moment they happen. The wait has no timeout unless one is due:
+//! the rest of [`DRAIN_GRACE`] while draining, or [`RETRY_PAUSE`] after
+//! a failed `accept` or `poll`.
 //!
 //! Overload is per *request* here, not per connection: when the job
 //! queue is full the reactor answers that line with an `overloaded`
@@ -31,6 +35,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -48,19 +54,87 @@ pub(crate) const MAX_PIPELINE: usize = 64;
 /// Bytes read from one socket per reactor visit.
 const SCRATCH: usize = 16 * 1024;
 
-/// Reactor wait when connections are open but nothing was ready: long
-/// enough not to burn a core on an idle connection, short enough that
-/// socket-readiness polling adds at most a fraction of a millisecond
-/// to request latency. Worker completions interrupt the wait.
-const ACTIVE_WAIT: Duration = Duration::from_micros(200);
-
-/// Reactor wait when no connection is open (only accepts and the
-/// shutdown latch need polling).
-const IDLE_WAIT: Duration = Duration::from_millis(2);
-
 /// After shutdown, connections that cannot flush their remaining
 /// responses within this grace period are dropped.
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
+
+/// Pause before retrying after a failed `accept` (e.g. EMFILE) or a
+/// failed `poll`. A listener with a backlog stays readable, so without
+/// the pause a persistent error would spin the reactor.
+const RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// The `poll(2)` binding. `std` already links libc, so one declaration
+/// is all it takes.
+#[allow(unsafe_code)]
+mod sys {
+    use std::io;
+    use std::os::fd::RawFd;
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
+
+    /// Readable (or, on a listener, a connection to accept).
+    pub(super) const POLLIN: c_short = 0x001;
+    /// Writable without blocking.
+    pub(super) const POLLOUT: c_short = 0x004;
+
+    #[cfg(target_os = "linux")]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::os::raw::c_uint;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: RawFd, events: c_short) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+
+        /// The events the last [`poll`] reported for this descriptor.
+        #[cfg(test)]
+        pub(super) fn revents(&self) -> c_short {
+            self.revents
+        }
+    }
+
+    extern "C" {
+        #[link_name = "poll"]
+        fn c_poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until a descriptor in `fds` is ready or `timeout` passes
+    /// (`None` waits indefinitely); returns how many are ready. The
+    /// timeout rounds up to whole milliseconds, so a due deadline is
+    /// never missed by waking a little early. `EINTR` is retried.
+    pub(super) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+        let ms = timeout.map_or(-1, |t| {
+            c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+        });
+        loop {
+            // SAFETY: the pointer and length describe `fds`, an
+            // exclusively borrowed slice of `#[repr(C)]` pollfd structs
+            // that outlives the call; poll(2) writes only their
+            // `revents` fields.
+            let ready = unsafe { c_poll(fds.as_mut_ptr(), fds.len() as NFds, ms) };
+            if ready >= 0 {
+                return Ok(ready as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+    }
+}
 
 /// One complete request line travelling to the worker pool.
 pub(crate) struct Job {
@@ -142,36 +216,58 @@ impl JobQueue {
     }
 }
 
-/// Completed responses flowing back to the reactor. Pushing signals the
-/// condition variable the reactor waits on, so a finished request wakes
-/// the reactor immediately instead of waiting out the poll interval.
-#[derive(Default)]
+/// Completed responses flowing back to the reactor, plus the wake
+/// channel the reactor polls. A push that makes the list non-empty
+/// writes one byte to the channel, so a finished request wakes the
+/// reactor at once; later pushes find the reactor already due to wake.
 pub(crate) struct CompletionBus {
     done: Mutex<Vec<Completion>>,
-    signal: Condvar,
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
 }
 
 impl CompletionBus {
-    /// An empty bus.
-    pub(crate) fn new() -> CompletionBus {
-        CompletionBus::default()
+    /// An empty bus with a fresh non-blocking wake channel.
+    pub(crate) fn new() -> io::Result<CompletionBus> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(CompletionBus {
+            done: Mutex::new(Vec::new()),
+            wake_rx,
+            wake_tx,
+        })
     }
 
     fn push(&self, completion: Completion) {
-        self.done.lock().unwrap().push(completion);
-        self.signal.notify_one();
+        let mut done = self.done.lock().expect("completion list lock poisoned");
+        let was_empty = done.is_empty();
+        done.push(completion);
+        drop(done);
+        if was_empty {
+            self.wake();
+        }
     }
 
-    /// Takes every pending completion. With `wait`, blocks up to that
-    /// long for the first one when none are pending.
-    fn drain(&self, wait: Option<Duration>) -> Vec<Completion> {
-        let mut guard = self.done.lock().unwrap();
-        if guard.is_empty() {
-            if let Some(timeout) = wait {
-                guard = self.signal.wait_timeout(guard, timeout).unwrap().0;
-            }
-        }
-        std::mem::take(&mut *guard)
+    /// Makes the reactor's next (or current) poll return. A full
+    /// channel (`WouldBlock`) already guarantees that, so errors are
+    /// ignored.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Consumes pending wake bytes. The reactor calls this after each
+    /// poll and *before* [`CompletionBus::drain`]: a push landing
+    /// between the two then finds its byte unconsumed, so no wake-up
+    /// is lost.
+    fn clear_wake(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+    }
+
+    /// Takes every pending completion, in push order.
+    fn drain(&self) -> Vec<Completion> {
+        std::mem::take(&mut *self.done.lock().expect("completion list lock poisoned"))
     }
 }
 
@@ -260,10 +356,36 @@ impl Conn {
         }
     }
 
+    /// Whether the reactor reads this socket. Both the poll set and
+    /// [`service_conn`] ask this one predicate, so a socket is never
+    /// polled for bytes the reactor would then refuse to read (which
+    /// would spin) nor read without being polled.
+    fn wants_read(&self) -> bool {
+        !self.dead && !self.closing && !self.eof && self.in_flight < MAX_PIPELINE
+    }
+
+    /// Whether response bytes are waiting for the socket to drain.
+    fn wants_write(&self) -> bool {
+        self.write_pos < self.write_buf.len()
+    }
+
+    /// The poll events this connection waits for; `0` leaves it out of
+    /// the poll set.
+    fn interest(&self) -> std::os::raw::c_short {
+        let mut events = 0;
+        if self.wants_read() {
+            events |= sys::POLLIN;
+        }
+        if self.wants_write() {
+            events |= sys::POLLOUT;
+        }
+        events
+    }
+
     /// Whether any accepted request still awaits its response bytes on
     /// the wire.
     fn outstanding(&self) -> bool {
-        self.next_write < self.next_seq || self.write_pos < self.write_buf.len()
+        self.next_write < self.next_seq || self.wants_write()
     }
 
     /// Moves completed in-order responses into the write buffer.
@@ -329,11 +451,13 @@ pub(crate) fn run(
         generation: 0,
     };
     let mut draining_since: Option<Instant> = None;
+    // Set after a failed accept: the listener leaves the poll set until
+    // this instant.
+    let mut accept_retry: Option<Instant> = None;
+    let mut fds = Vec::new();
     loop {
-        let mut progress = false;
-        for completion in reactor.bus.drain(None) {
+        for completion in reactor.bus.drain() {
             reactor.apply(completion);
-            progress = true;
         }
         if draining_since.is_none() && reactor.ctx.shutdown.load(Ordering::SeqCst) {
             draining_since = Some(Instant::now());
@@ -343,30 +467,29 @@ pub(crate) fn run(
                 conn.closing = true;
             }
         }
-        if draining_since.is_none() {
-            progress |= reactor.accept_new();
+        if draining_since.is_none() && accept_retry.is_none_or(|at| Instant::now() >= at) {
+            accept_retry = reactor
+                .accept_new()
+                .err()
+                .map(|_| Instant::now() + RETRY_PAUSE);
         }
-        progress |= reactor.service_conns();
+        reactor.service_conns();
         reactor.reap();
-        if let Some(since) = draining_since {
-            if reactor.open_count() == 0 {
-                break;
+        let timeout = match draining_since {
+            Some(since) => {
+                if reactor.open_count() == 0 {
+                    break;
+                }
+                let Some(left) = DRAIN_GRACE.checked_sub(since.elapsed()) else {
+                    reactor.drop_all();
+                    break;
+                };
+                Some(left)
             }
-            if since.elapsed() > DRAIN_GRACE {
-                reactor.drop_all();
-                break;
-            }
-        }
-        if !progress {
-            let timeout = if reactor.open_count() > 0 {
-                ACTIVE_WAIT
-            } else {
-                IDLE_WAIT
-            };
-            for completion in reactor.bus.drain(Some(timeout)) {
-                reactor.apply(completion);
-            }
-        }
+            None => accept_retry.map(|at| at.saturating_duration_since(Instant::now())),
+        };
+        let listen = draining_since.is_none() && accept_retry.is_none();
+        reactor.wait(&mut fds, listen, timeout);
     }
     reactor.queue.close();
 }
@@ -376,9 +499,35 @@ impl Reactor {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Accepts every pending connection; non-blocking.
-    fn accept_new(&mut self) -> bool {
-        let mut any = false;
+    /// Blocks in `poll(2)` until the wake channel, the listener (when
+    /// `listen`) or a connection the reactor waits on is ready, or
+    /// `timeout` passes, then consumes the wake bytes. `fds` is scratch
+    /// space reused across calls.
+    fn wait(&mut self, fds: &mut Vec<sys::PollFd>, listen: bool, timeout: Option<Duration>) {
+        fds.clear();
+        fds.push(sys::PollFd::new(self.bus.wake_rx.as_raw_fd(), sys::POLLIN));
+        if listen {
+            fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+        }
+        for conn in self.conns.iter().flatten() {
+            let events = conn.interest();
+            if events != 0 {
+                fds.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+            }
+        }
+        if sys::poll(fds, timeout).is_err() {
+            // Readiness is unknowable (e.g. ENOMEM): pace the loop so it
+            // degrades to periodic re-scans instead of spinning.
+            std::thread::sleep(RETRY_PAUSE);
+        }
+        self.bus.clear_wake();
+    }
+
+    /// Accepts every pending connection; non-blocking. An error other
+    /// than `WouldBlock` (e.g. EMFILE under fd exhaustion) is returned
+    /// so the caller can pause accepting instead of hot-spinning on a
+    /// listener that stays readable.
+    fn accept_new(&mut self) -> io::Result<()> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -392,16 +541,12 @@ impl Reactor {
                         Some(slot) => self.conns[slot] = Some(conn),
                         None => self.conns.push(Some(conn)),
                     }
-                    any = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // Persistent accept failures (e.g. EMFILE under an fd
-                // exhaustion) must not hot-spin; the outer wait paces
-                // retries.
-                Err(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
-        any
     }
 
     /// Delivers one worker completion to its connection, unless the
@@ -418,16 +563,12 @@ impl Reactor {
     }
 
     /// Flush + read + parse every connection once.
-    fn service_conns(&mut self) -> bool {
-        let mut progress = false;
-        for slot in 0..self.conns.len() {
-            let Some(mut conn) = self.conns[slot].take() else {
-                continue;
-            };
-            progress |= service_conn(&self.ctx, &self.queue, &mut conn, slot);
-            self.conns[slot] = Some(conn);
+    fn service_conns(&mut self) {
+        for (slot, conn) in self.conns.iter_mut().enumerate() {
+            if let Some(conn) = conn {
+                service_conn(&self.ctx, &self.queue, conn, slot);
+            }
         }
-        progress
     }
 
     /// Drops connections that are dead or fully drained.
@@ -461,8 +602,7 @@ impl Reactor {
 
 /// One reactor visit to one connection: promote completed responses,
 /// flush, read, parse lines, dispatch jobs.
-fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: usize) -> bool {
-    let mut progress = false;
+fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: usize) {
     conn.promote();
 
     // Flush as much of the write buffer as the socket accepts.
@@ -472,10 +612,7 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
                 conn.dead = true;
                 break;
             }
-            Ok(n) => {
-                conn.write_pos += n;
-                progress = true;
-            }
+            Ok(n) => conn.write_pos += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -491,17 +628,11 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
 
     // Read once; backpressure by simply not reading when the pipeline
     // is full.
-    if !conn.dead && !conn.closing && !conn.eof && conn.in_flight < MAX_PIPELINE {
+    if conn.wants_read() {
         let mut scratch = [0u8; SCRATCH];
         match conn.stream.read(&mut scratch) {
-            Ok(0) => {
-                conn.eof = true;
-                progress = true;
-            }
-            Ok(n) => {
-                conn.read_buf.extend_from_slice(&scratch[..n]);
-                progress = true;
-            }
+            Ok(0) => conn.eof = true,
+            Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -554,10 +685,7 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         // read an underflowed counter).
         ctx.queued_requests.fetch_add(1, Ordering::Relaxed);
         match queue.push(job) {
-            Ok(()) => {
-                conn.in_flight += 1;
-                progress = true;
-            }
+            Ok(()) => conn.in_flight += 1,
             Err(_refused) => {
                 // Backpressure is per request: answer `overloaded` in
                 // this request's pipeline slot and keep the connection.
@@ -567,13 +695,11 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
                     WireError::new(ErrorCode::Overloaded, "request queue is full; retry later");
                 conn.pending
                     .insert(seq, error_response(&JsonValue::Null, &err));
-                progress = true;
             }
         }
     }
 
     conn.promote();
-    progress
 }
 
 #[cfg(test)]
@@ -608,19 +734,34 @@ mod tests {
 
     #[test]
     fn completion_bus_wakes_a_waiter() {
-        let bus = Arc::new(CompletionBus::new());
+        let bus = Arc::new(CompletionBus::new().unwrap());
         let b2 = Arc::clone(&bus);
-        let waiter = std::thread::spawn(move || b2.drain(Some(Duration::from_secs(10))));
-        std::thread::sleep(Duration::from_millis(20));
-        bus.push(Completion {
-            conn: 3,
-            generation: 1,
-            seq: 7,
-            response: "x".into(),
+        let pusher = std::thread::spawn(move || {
+            // Usually lands while the main thread blocks in poll; every
+            // assertion below holds in either order.
+            std::thread::sleep(Duration::from_millis(20));
+            for seq in [7, 3, 9] {
+                b2.push(Completion {
+                    conn: 3,
+                    generation: 1,
+                    seq,
+                    response: "x".into(),
+                });
+            }
         });
-        let got = waiter.join().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].seq, 7);
+        let mut fds = [sys::PollFd::new(bus.wake_rx.as_raw_fd(), sys::POLLIN)];
+        let ready = sys::poll(&mut fds, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(ready, 1, "a push must make the wake fd readable");
+        assert_ne!(fds[0].revents() & sys::POLLIN, 0);
+        pusher.join().unwrap();
+        bus.clear_wake();
+        let seqs: Vec<u64> = bus.drain().iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, [7, 3, 9], "drain keeps push order");
+        assert_eq!(
+            sys::poll(&mut fds, Some(Duration::ZERO)).unwrap(),
+            0,
+            "one wake byte per empty-to-non-empty push, all consumed"
+        );
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! `greedy`, with top-k variants), `load_dataset`, `stats`, `health`,
 //! and `shutdown`, with per-request deadlines and structured error
 //! responses. The full contract, including a live transcript, is in
-//! `docs/PROTOCOL.md`; everything here is `std`-only (the environment
-//! vendors no async runtime, and this workload — CPU-bound searches on
-//! a bounded pool — does not miss one).
+//! `docs/PROTOCOL.md`. Everything here is `std` plus one libc
+//! declaration, `poll(2)`, which the event reactor blocks in (the
+//! environment vendors no async runtime, and this workload — CPU-bound
+//! searches on a bounded pool — does not miss one).
 //!
 //! # Example
 //!
@@ -80,6 +81,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use event::CompletionBus;
 use handler::ServerContext;
 use pool::{ConnQueue, PushRefused, QUEUE_DEPTH_PER_WORKER};
 use registry::Registry;
@@ -182,6 +184,10 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     ctx: Arc<ServerContext>,
+    /// The event layer's completion bus, created at bind so that failing
+    /// to open its wake channel is a bind error, not a panic in
+    /// [`Server::start`].
+    bus: Arc<CompletionBus>,
 }
 
 impl Server {
@@ -213,6 +219,7 @@ impl Server {
             listener,
             addr,
             ctx: Arc::new(ctx),
+            bus: Arc::new(CompletionBus::new()?),
         })
     }
 
@@ -275,22 +282,25 @@ impl Server {
     /// execute individual requests from a bounded job queue.
     fn start_event(self) -> ServerHandle {
         let queue = Arc::new(event::JobQueue::new(self.ctx.queue_capacity));
-        let bus = Arc::new(event::CompletionBus::new());
         let mut workers = Vec::with_capacity(self.ctx.threads);
-        for _ in 0..self.ctx.threads {
+        for i in 0..self.ctx.threads {
             let queue = Arc::clone(&queue);
-            let bus = Arc::clone(&bus);
+            let bus = Arc::clone(&self.bus);
             let ctx = Arc::clone(&self.ctx);
-            workers.push(std::thread::spawn(move || {
+            workers.push(spawn_named(format!("kor-worker-{i}"), move || {
                 event::worker_loop(&queue, &bus, &ctx)
             }));
         }
         let ctx = Arc::clone(&self.ctx);
         let listener = self.listener;
-        let reactor_thread = std::thread::spawn(move || event::run(listener, ctx, queue, bus));
+        let bus = Arc::clone(&self.bus);
+        let reactor_thread = spawn_named("kor-reactor".to_string(), move || {
+            event::run(listener, ctx, queue, bus)
+        });
         ServerHandle {
             addr: self.addr,
             ctx: self.ctx,
+            bus: self.bus,
             workers,
             listener_thread: reactor_thread,
         }
@@ -301,15 +311,17 @@ impl Server {
     fn start_blocking(self) -> ServerHandle {
         let queue = Arc::new(ConnQueue::new(self.ctx.queue_capacity));
         let mut workers = Vec::with_capacity(self.ctx.threads);
-        for _ in 0..self.ctx.threads {
+        for i in 0..self.ctx.threads {
             let queue = Arc::clone(&queue);
             let ctx = Arc::clone(&self.ctx);
-            workers.push(std::thread::spawn(move || pool::worker_loop(&queue, &ctx)));
+            workers.push(spawn_named(format!("kor-worker-{i}"), move || {
+                pool::worker_loop(&queue, &ctx)
+            }));
         }
         let ctx = Arc::clone(&self.ctx);
         let listener = self.listener;
         let accept_queue = Arc::clone(&queue);
-        let listener_thread = std::thread::spawn(move || {
+        let listener_thread = spawn_named("kor-listener".to_string(), move || {
             // Non-blocking accept with a short poll keeps the loop
             // responsive to the shutdown latch without a self-connect
             // dance; pending connections are drained before sleeping.
@@ -400,6 +412,7 @@ impl Server {
         ServerHandle {
             addr: self.addr,
             ctx: self.ctx,
+            bus: self.bus,
             workers,
             listener_thread,
         }
@@ -412,10 +425,22 @@ impl Server {
     }
 }
 
+/// Spawns a server thread under `name`, so panic messages and
+/// per-thread tools such as `top -H` say which thread it was. Like
+/// `std::thread::spawn`, panics if the OS cannot create the thread.
+fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("failed to spawn server thread")
+}
+
 /// Handle to a running server.
 pub struct ServerHandle {
     addr: SocketAddr,
     ctx: Arc<ServerContext>,
+    /// Its wake channel interrupts the event reactor's `poll(2)`.
+    bus: Arc<CompletionBus>,
     workers: Vec<JoinHandle<()>>,
     listener_thread: JoinHandle<()>,
 }
@@ -431,6 +456,9 @@ impl ServerHandle {
     /// (their clients must close for workers to finish).
     pub fn shutdown(self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
+        // The event reactor may be blocked in an untimed poll; wake it
+        // to see the latch.
+        self.bus.wake();
         self.join();
     }
 
@@ -632,6 +660,101 @@ mod tests {
         drop(queued);
         drop(busy);
         handle.shutdown();
+    }
+
+    /// Opens `n` keep-alive connections, each proven accepted by one
+    /// answered request, and leaves them idle.
+    fn idle_connections(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+        (0..n)
+            .map(|_| {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
+                let mut resp = String::new();
+                BufReader::new(conn.try_clone().unwrap())
+                    .read_line(&mut resp)
+                    .unwrap();
+                assert!(resp.contains("\"ok\":true"), "{resp}");
+                conn
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shutdown_wakes_a_reactor_idle_on_keep_alive_connections() {
+        let (addr, handle) = fixture_server(2);
+        let idle = idle_connections(addr, 16);
+        // Shut down on a helper thread, so a reactor that never wakes
+        // fails this test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            handle.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown() did not return within 1 s"
+        );
+        stopper.join().unwrap();
+        drop(idle);
+    }
+
+    /// The `kor-reactor` threads of this process, by thread id.
+    #[cfg(target_os = "linux")]
+    fn reactor_tids() -> std::collections::HashSet<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|entry| {
+                let tid = entry.ok()?.file_name().into_string().ok()?;
+                let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).ok()?;
+                (comm.trim_end() == "kor-reactor").then_some(tid)
+            })
+            .collect()
+    }
+
+    /// User plus system CPU time of thread `tid`, in clock ticks.
+    #[cfg(target_os = "linux")]
+    fn cpu_ticks(tid: &str) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).unwrap();
+        // Fields after the parenthesised command name start at field 3
+        // (state); utime and stime are fields 14 and 15.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..]
+            .split_whitespace()
+            .collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_reactor_burns_no_cpu() {
+        // Other tests start servers in this process concurrently, so
+        // retry until exactly one reactor thread appeared around this
+        // server's start: then it is this server's.
+        for _ in 0..50 {
+            let before = reactor_tids();
+            let (addr, handle) = fixture_server(2);
+            // The round trips also guarantee the reactor has run and
+            // named itself.
+            let idle = idle_connections(addr, 16);
+            let fresh: Vec<String> = reactor_tids().difference(&before).cloned().collect();
+            let [tid] = fresh.as_slice() else {
+                handle.shutdown();
+                continue;
+            };
+            let start = cpu_ticks(tid);
+            std::thread::sleep(Duration::from_secs(1));
+            let used = cpu_ticks(tid) - start;
+            handle.shutdown();
+            drop(idle);
+            // USER_HZ is 100 on Linux: one tick is 10 ms.
+            assert!(
+                used * 10 < 20,
+                "idle reactor used {used} ticks of CPU in 1 s"
+            );
+            return;
+        }
+        panic!("could not single out this server's reactor thread");
     }
 
     #[test]
