@@ -19,7 +19,7 @@ use kor_core::{BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingPa
 use kor_data::{generate_roadnet, generate_workload, QuerySpec, RoadNetConfig, WorkloadConfig};
 use kor_graph::fixtures::figure1;
 use kor_graph::Graph;
-use kor_index::{DiskInvertedIndex, InvertedIndex};
+use kor_index::InvertedIndex;
 
 /// Minimal stand-in for a Criterion benchmark group: times closures and
 /// prints one aligned row per benchmark.
@@ -232,7 +232,7 @@ fn optimization_ablation(h: &Harness) {
     });
 }
 
-/// Substrate benchmarks: pre-processing and index lookups (§3.1).
+/// Substrate benchmarks: pre-processing and index construction (§3.1).
 fn substrates(h: &Harness) {
     let graph = bench_graph();
     let target = kor_graph::NodeId(0);
@@ -241,22 +241,6 @@ fn substrates(h: &Harness) {
     });
     h.bench("substrates", "inverted_index_build", || {
         InvertedIndex::build(&graph)
-    });
-    let dir = std::env::temp_dir().join("kor-bench-idx");
-    std::fs::create_dir_all(&dir).unwrap();
-    let disk = DiskInvertedIndex::build(&graph, &dir.join("bench.idx")).unwrap();
-    let mem = InvertedIndex::build(&graph);
-    let terms: Vec<String> = graph
-        .vocab()
-        .iter()
-        .filter(|(k, _)| mem.doc_frequency(*k) > 0)
-        .take(64)
-        .map(|(_, t)| t.to_string())
-        .collect();
-    h.bench("substrates", "bptree_lookup_64_terms", || {
-        for t in &terms {
-            let _ = disk.postings(t).unwrap();
-        }
     });
     // Floyd–Warshall is cubic: measure it on the Figure-1 fixture where a
     // single iteration is cheap, and Dijkstra-APSP on the big graph.

@@ -71,16 +71,6 @@ impl InvertedIndex {
             .collect()
     }
 
-    /// Number of distinct keywords with at least one posting.
-    pub fn term_count(&self) -> usize {
-        self.postings.iter().filter(|p| !p.is_empty()).count()
-    }
-
-    /// Total number of `(keyword, node)` pairs.
-    pub fn posting_count(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
-    }
-
     /// Number of nodes in the indexed graph.
     pub fn node_count(&self) -> usize {
         self.node_count
@@ -113,8 +103,7 @@ mod tests {
         assert_eq!(idx.postings(t(4)), &[v(4)]);
         assert_eq!(idx.postings(t(5)), &[v(1)]);
         assert_eq!(idx.doc_frequency(t(2)), 2);
-        assert_eq!(idx.term_count(), 5);
-        assert_eq!(idx.posting_count(), 8);
+        assert_eq!(idx.iter().count(), 5);
         assert_eq!(idx.node_count(), 8);
     }
 
@@ -172,8 +161,7 @@ mod tests {
     fn empty_graph_index() {
         let g = GraphBuilder::new().build().unwrap();
         let idx = InvertedIndex::build(&g);
-        assert_eq!(idx.term_count(), 0);
-        assert_eq!(idx.posting_count(), 0);
+        assert_eq!(idx.iter().count(), 0);
         assert_eq!(idx.doc_fraction(KeywordId(0)), 0.0);
     }
 }

@@ -167,11 +167,8 @@ impl LatencyStats {
         if us.is_empty() {
             return None;
         }
-        us.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            let rank = (p * (us.len() - 1) as f64).round() as usize;
-            us[rank.min(us.len() - 1)]
-        };
+        crate::percentile::sort_samples(&mut us);
+        let pct = |p: f64| crate::percentile::percentile_sorted(&us, p);
         Some(LatencyStats {
             min_us: us[0],
             mean_us: us.iter().sum::<f64>() / us.len() as f64,

@@ -4,7 +4,6 @@
 //! kor generate flickr --out city.korg --seed 7
 //! kor generate road --nodes 2000 --out road.korg
 //! kor stats city.korg
-//! kor index city.korg --out city.idx
 //! kor query city.korg --from 12 --to 99 --keywords jazz,imax --budget 9 \
 //!       --algo bucket-bound --k 3
 //! ```
@@ -24,7 +23,6 @@
 //! * `ingest` — convert between the text `.korg` and binary `.korbin`
 //!   formats (optionally canning a query workload along the way);
 //! * `stats` — print graph statistics;
-//! * `index` — build the disk-resident B+-tree inverted file;
 //! * `query` — answer a KOR/KkR query with any of the paper's
 //!   algorithms;
 //! * `shard` — split a snapshot into N shards: compute the node
@@ -86,7 +84,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("gen") => gen(&args[1..]),
         Some("ingest") => ingest(&args[1..]),
         Some("stats") => stats(&args[1..]),
-        Some("index") => index(&args[1..]),
         Some("query") => query(&args[1..]),
         Some("batch") => batch(&args[1..]),
         Some("shard") => shard(&args[1..]),
@@ -106,8 +103,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Every subcommand, for the usage screen and error messages.
-const SUBCOMMANDS: &str = "generate, gen, ingest, stats, index, query, batch, shard, mutate, \
-     bench, serve, loadtest, recover, help";
+const SUBCOMMANDS: &str = "generate, gen, ingest, stats, query, batch, shard, mutate, bench, \
+     serve, loadtest, recover, help";
 
 fn usage() -> &'static str {
     "kor — keyword-aware optimal route search (Cao et al., VLDB 2012)\n\
@@ -122,7 +119,6 @@ fn usage() -> &'static str {
      \x20 kor ingest FILE [--out FILE] [--per-set N] [--keywords 2,4]\n\
      \x20         [--budget X] [--seed N]\n\
      \x20 kor stats FILE\n\
-     \x20 kor index FILE [--out FILE.idx]\n\
      \x20 kor query FILE --from ID --to ID --keywords a,b,c --budget X\n\
      \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--k N]\n\
      \x20           [--epsilon E] [--beta B] [--alpha A] [--beam N]\n\
@@ -141,12 +137,12 @@ fn usage() -> &'static str {
      \x20           [--per-target Q] [--budget X] [--seed N]\n\
      \x20           [--algos a,b,c] [--smoke]\n\
      \x20           [--compare BASELINE.json] [--tolerance F]\n\
-     \x20 kor serve [--addr HOST:PORT] [--threads N] [--io event|blocking]\n\
-     \x20           [--queue N] [--dataset [NAME=]FILE]... [--deadline-ms N]\n\
+     \x20 kor serve [--addr HOST:PORT] [--threads N] [--queue N]\n\
+     \x20           [--dataset [NAME=]FILE]... [--deadline-ms N]\n\
      \x20           [--max-request-bytes N] [--journal DIR]\n\
      \x20 kor loadtest FILE.korbin [--out BENCH_serve.json] [--threads N]\n\
      \x20           [--clients N] [--duration-ms N] [--warmup-ms N]\n\
-     \x20           [--think-ms N] [--mode event|blocking|both] [--smoke]\n\
+     \x20           [--think-ms N] [--smoke]\n\
      \x20 kor recover FILE --journal DIR [--name NAME] [--verify] [--compact]\n\
      \x20           [--algo os-scaling|bucket-bound|greedy] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE]\n\
@@ -168,12 +164,18 @@ fn usage() -> &'static str {
 type ParsedArgs = (Vec<String>, Vec<(String, String)>);
 
 /// Minimal `--flag value` parser: returns (positional args, flag map).
-fn parse_flags(args: &[String]) -> Result<ParsedArgs, String> {
+/// `accepted` names, space-separated, every flag the subcommand reads;
+/// any other flag is an error, so a misspelled option fails instead of
+/// being ignored.
+fn parse_flags(args: &[String], accepted: &str) -> Result<ParsedArgs, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.split_whitespace().any(|a| a == name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             if matches!(
                 name,
                 "small" | "quiet" | "smoke" | "canned" | "verify" | "no-reopen" | "compact"
@@ -224,7 +226,7 @@ fn parse_num<T: std::str::FromStr>(
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "seed out small nodes")?;
     let kind = positional
         .first()
         .ok_or("generate needs a dataset kind: flickr or road")?;
@@ -296,7 +298,11 @@ fn parse_keyword_counts(
 /// Seed contract: the output is a pure function of every flag below —
 /// identical flags (including `--seed`) produce a byte-identical file.
 fn gen(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "seed topology width height nodes chords vocab zipf max-tags \
+         jitter keywords per-set tightness out",
+    )?;
     if let Some(stray) = positional.first() {
         return Err(format!("gen takes no positional arguments (saw {stray:?})"));
     }
@@ -351,7 +357,7 @@ fn gen(args: &[String]) -> Result<(), String> {
 /// generated workload (`--keywords`, `--budget`, `--seed`) so the
 /// artifact replays identically everywhere.
 fn ingest(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "out per-set budget keywords seed")?;
     let input = positional.first().ok_or("ingest needs an input file")?;
     let default_out = {
         let p = Path::new(input);
@@ -438,34 +444,18 @@ fn ingest(args: &[String]) -> Result<(), String> {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse_flags(args)?;
+    let (positional, _) = parse_flags(args, "")?;
     let path = positional.first().ok_or("stats needs a graph file")?;
     let graph = load(path)?;
     println!("{}", graph.stats());
     Ok(())
 }
 
-fn index(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
-    let path = positional.first().ok_or("index needs a graph file")?;
-    let graph = load(path)?;
-    let out = PathBuf::from(
-        flag(&flags, "out")
-            .map(String::from)
-            .unwrap_or_else(|| format!("{path}.idx")),
-    );
-    let disk = DiskInvertedIndex::build(&graph, &out).map_err(|e| e.to_string())?;
-    println!(
-        "built B+-tree inverted file: {} terms, height {}, at {}",
-        disk.term_count(),
-        disk.height(),
-        out.display()
-    );
-    Ok(())
-}
-
 fn query(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "from to budget keywords algo k epsilon beta alpha beam",
+    )?;
     let path = positional.first().ok_or("query needs a graph file")?;
     let graph = load(path)?;
     let from: u32 = parse_num(&flags, "from", u32::MAX)?;
@@ -586,7 +576,11 @@ fn query(args: &[String]) -> Result<(), String> {
 /// `kor batch`: generate a workload over a dataset and answer it in
 /// parallel over one shared engine.
 fn batch(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "canned budget keywords per-set threads seed epsilon beta alpha \
+         beam quiet algo json-out",
+    )?;
     let path = positional.first().ok_or("batch needs a graph file")?;
 
     // `--canned` replays the query sets stored in a `.korbin` snapshot
@@ -694,7 +688,7 @@ fn batch(args: &[String]) -> Result<(), String> {
 /// untouched, `SHRD`/`BNDR` sections are appended. Deterministic: the
 /// same input and `--shards` always produce a byte-identical output.
 fn shard(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(args, "shards out")?;
     let input = positional
         .first()
         .ok_or("shard needs a dataset file (.korbin or .korg)")?;
@@ -753,7 +747,12 @@ fn shard(args: &[String]) -> Result<(), String> {
 /// byte-identity contract. `--emit-script` saves the script JSON so the
 /// exact same incidents replay offline or over `update_edges`.
 fn mutate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "out script traffic-seed phases closures slowdowns multiplier-lo \
+         multiplier-hi no-reopen verify emit-script algo epsilon beta \
+         alpha beam json-out quiet",
+    )?;
     let input = positional
         .first()
         .ok_or("mutate needs a dataset file (.korbin or .korg)")?;
@@ -896,7 +895,11 @@ fn mutate(args: &[String]) -> Result<(), String> {
 /// `kor bench`: run the warm-vs-cold repeated-target benchmark and
 /// write `BENCH_kor.json`.
 fn bench(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "smoke nodes targets per-target budget seed out algos compare \
+         tolerance",
+    )?;
     let mut cfg = if flag(&flags, "smoke").is_some() {
         BenchConfig::smoke()
     } else {
@@ -980,7 +983,10 @@ fn bench(args: &[String]) -> Result<(), String> {
 
 /// `kor serve`: run the TCP query service until a `shutdown` request.
 fn serve(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "addr threads queue deadline-ms max-request-bytes journal dataset",
+    )?;
     if let Some(stray) = positional.first() {
         return Err(format!(
             "serve takes no positional arguments (saw {stray:?}); use --dataset [NAME=]FILE"
@@ -989,7 +995,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let config = ServeConfig {
         addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7878").to_string(),
         threads: parse_num(&flags, "threads", 0)?,
-        io: flag(&flags, "io").unwrap_or("event").parse()?,
         queue_capacity: parse_num(&flags, "queue", 0)?,
         default_deadline_ms: parse_num(&flags, "deadline-ms", 0)?,
         max_request_bytes: parse_num(&flags, "max-request-bytes", 1 << 20)?,
@@ -1042,7 +1047,11 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// `kor recover`: replay a mutation journal over its base world,
 /// optionally verify against a never-crashed twin, optionally compact.
 fn recover(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "journal algo epsilon beta alpha beam name verify compact \
+         json-out",
+    )?;
     let dataset = positional
         .first()
         .ok_or("recover needs the dataset file the journal was created for")?;
@@ -1097,10 +1106,13 @@ fn recover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `kor loadtest`: measure `kor serve` throughput per I/O mode against
-/// a snapshot's canned queries and write `BENCH_serve.json`.
+/// `kor loadtest`: measure `kor serve` throughput against a snapshot's
+/// canned queries and write `BENCH_serve.json`.
 fn loadtest(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        "smoke threads clients duration-ms warmup-ms think-ms out",
+    )?;
     let path = positional
         .first()
         .ok_or("loadtest needs a .korbin snapshot with canned queries")?;
@@ -1129,40 +1141,22 @@ fn loadtest(args: &[String]) -> Result<(), String> {
     if cfg.threads == 0 || cfg.clients == 0 || cfg.duration.is_zero() {
         return Err("--threads, --clients, and --duration-ms must be ≥ 1".into());
     }
-    cfg.modes = match flag(&flags, "mode").unwrap_or("both") {
-        "both" => vec![kor::serve::IoMode::Event, kor::serve::IoMode::Blocking],
-        other => vec![other.parse()?],
-    };
     if let Some(out) = flag(&flags, "out") {
         cfg.out = PathBuf::from(out);
     }
     let report = run_loadtest_to_file(Path::new(path), &cfg)?;
-    for io in ["event", "blocking"] {
-        if let Some(mode) = report.get("modes").and_then(|m| m.get(io)) {
-            let qps = mode.get("qps").and_then(kor::json::JsonValue::as_f64);
-            let p50 = mode
-                .get("latency_ms")
-                .and_then(|l| l.get("p50"))
-                .and_then(kor::json::JsonValue::as_f64);
-            eprintln!(
-                "loadtest [{io}]: {:.0} qps, p50 {:.2} ms, {} overloaded, {} io errors",
-                qps.unwrap_or(f64::NAN),
-                p50.unwrap_or(f64::NAN),
-                mode.get("overloaded")
-                    .and_then(kor::json::JsonValue::as_u64)
-                    .unwrap_or(0),
-                mode.get("io_errors")
-                    .and_then(kor::json::JsonValue::as_u64)
-                    .unwrap_or(0),
-            );
-        }
-    }
-    if let Some(speedup) = report
-        .get("speedup_event_over_blocking")
-        .and_then(kor::json::JsonValue::as_f64)
-    {
-        eprintln!("loadtest: event is ×{speedup:.2} the blocking QPS");
-    }
+    let num = |name: &str| report.get(name).and_then(kor::json::JsonValue::as_f64);
+    let p50 = report
+        .get("latency_ms")
+        .and_then(|l| l.get("p50"))
+        .and_then(kor::json::JsonValue::as_f64);
+    eprintln!(
+        "loadtest: {:.0} qps, p50 {:.2} ms, {} overloaded, {} io errors",
+        num("qps").unwrap_or(f64::NAN),
+        p50.unwrap_or(f64::NAN),
+        num("overloaded").unwrap_or(0.0),
+        num("io_errors").unwrap_or(0.0),
+    );
     eprintln!("wrote {}", cfg.out.display());
     Ok(())
 }
@@ -1177,7 +1171,8 @@ mod tests {
 
     #[test]
     fn parse_flags_splits_positional_and_flags() {
-        let (pos, flags) = parse_flags(&s(&["file.korg", "--from", "3", "--to", "7"])).unwrap();
+        let (pos, flags) =
+            parse_flags(&s(&["file.korg", "--from", "3", "--to", "7"]), "from to").unwrap();
         assert_eq!(pos, vec!["file.korg"]);
         assert_eq!(flag(&flags, "from"), Some("3"));
         assert_eq!(flag(&flags, "to"), Some("7"));
@@ -1186,19 +1181,29 @@ mod tests {
 
     #[test]
     fn parse_flags_rejects_dangling_flag() {
-        assert!(parse_flags(&s(&["--from"])).is_err());
+        assert!(parse_flags(&s(&["--from"]), "from").is_err());
+    }
+
+    #[test]
+    fn parse_flags_rejects_unknown_flags() {
+        let err = parse_flags(&s(&["--epsilonn", "0.9"]), "epsilon").unwrap_err();
+        assert_eq!(err, "unknown flag --epsilonn");
+        // Switches are checked too, before they could be taken as set.
+        let err = parse_flags(&s(&["--smoke"]), "out").unwrap_err();
+        assert_eq!(err, "unknown flag --smoke");
     }
 
     #[test]
     fn boolean_small_flag() {
-        let (_, flags) = parse_flags(&s(&["flickr", "--small", "--seed", "3"])).unwrap();
+        let (_, flags) =
+            parse_flags(&s(&["flickr", "--small", "--seed", "3"]), "small seed").unwrap();
         assert_eq!(flag(&flags, "small"), Some("true"));
         assert_eq!(flag(&flags, "seed"), Some("3"));
     }
 
     #[test]
     fn parse_num_defaults_and_errors() {
-        let (_, flags) = parse_flags(&s(&["--k", "4", "--epsilon", "zzz"])).unwrap();
+        let (_, flags) = parse_flags(&s(&["--k", "4", "--epsilon", "zzz"]), "k epsilon").unwrap();
         assert_eq!(parse_num::<usize>(&flags, "k", 1).unwrap(), 4);
         assert_eq!(parse_num::<usize>(&flags, "absent", 9).unwrap(), 9);
         assert!(parse_num::<f64>(&flags, "epsilon", 0.5).is_err());
@@ -1209,8 +1214,8 @@ mod tests {
         let err = run(&s(&["frobnicate"])).unwrap_err();
         assert!(err.contains("frobnicate"), "{err}");
         for sub in [
-            "generate", "gen", "ingest", "stats", "index", "query", "batch", "shard", "mutate",
-            "bench", "serve", "loadtest", "recover",
+            "generate", "gen", "ingest", "stats", "query", "batch", "shard", "mutate", "bench",
+            "serve", "loadtest", "recover",
         ] {
             assert!(err.contains(sub), "error must mention {sub}: {err}");
         }
@@ -1224,7 +1229,6 @@ mod tests {
             "kor gen ",
             "kor ingest",
             "kor stats",
-            "kor index",
             "kor query",
             "kor batch",
             "kor shard",
@@ -1255,14 +1259,17 @@ mod tests {
 
     #[test]
     fn flag_all_collects_repeats_in_order() {
-        let (_, flags) =
-            parse_flags(&s(&["--dataset", "a=1.korg", "--dataset", "b=2.korg"])).unwrap();
+        let (_, flags) = parse_flags(
+            &s(&["--dataset", "a=1.korg", "--dataset", "b=2.korg"]),
+            "dataset",
+        )
+        .unwrap();
         assert_eq!(flag_all(&flags, "dataset"), vec!["a=1.korg", "b=2.korg"]);
         assert!(flag_all(&flags, "absent").is_empty());
     }
 
     #[test]
-    fn end_to_end_generate_stats_index_query() {
+    fn end_to_end_generate_stats_query() {
         let dir = std::env::temp_dir().join("kor-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let graph_path = dir.join("cli.korg");
@@ -1272,8 +1279,6 @@ mod tests {
         ]))
         .unwrap();
         run(&s(&["stats", &graph_str])).unwrap();
-        let idx_str = dir.join("cli.idx").to_str().unwrap().to_string();
-        run(&s(&["index", &graph_str, "--out", &idx_str])).unwrap();
 
         // Query with a keyword that certainly exists: read it back from
         // the saved graph.

@@ -14,7 +14,7 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`graph`] — the two-weight keyword graph substrate;
-//! * [`index`] — inverted file (in-memory and disk B+-tree);
+//! * [`index`] — the in-memory inverted file;
 //! * [`apsp`] — pre-processing: `τ`/`σ` shortest-path structures;
 //! * [`core`] — the algorithms: `OSScaling`, `BucketBound`, `Greedy`,
 //!   exact/brute-force baselines, and KkR top-k;
@@ -28,13 +28,12 @@
 //! * [`mod@bench`] — the tracked warm-vs-cold performance baseline
 //!   (`kor bench` on the CLI, emitting `BENCH_kor.json`);
 //! * [`serve`] — a TCP query service with warm per-dataset engines, a
-//!   newline-delimited JSON protocol, and two selectable I/O layers: a
-//!   readiness-driven event reactor (default) and the blocking
-//!   one-worker-per-connection baseline (`kor serve` on the CLI; wire
-//!   contract in `docs/PROTOCOL.md`);
+//!   newline-delimited JSON protocol, and a readiness-driven event
+//!   reactor (`kor serve` on the CLI; wire contract in
+//!   `docs/PROTOCOL.md`);
 //! * [`loadtest`] — a closed-loop client fleet that measures `serve`
-//!   throughput and latency per I/O mode (`kor loadtest` on the CLI,
-//!   emitting `BENCH_serve.json`);
+//!   throughput and latency (`kor loadtest` on the CLI, emitting
+//!   `BENCH_serve.json`);
 //! * [`recover`] — offline crash recovery: replay a mutation journal
 //!   over its base world, verify the recovered engine against a
 //!   never-crashed twin, and compact the journal into a checkpoint
@@ -116,5 +115,5 @@ pub mod prelude {
         EdgeMutation, Graph, GraphBuilder, GraphError, KeywordId, MutationError, MutationKind,
         NodeId, QueryKeywords, Route, Vocab,
     };
-    pub use kor_index::{DiskInvertedIndex, InvertedIndex};
+    pub use kor_index::InvertedIndex;
 }

@@ -1,29 +1,25 @@
 //! `kor loadtest` — closed-loop throughput measurement of `kor serve`.
 //!
-//! Spawns an in-process server per [`crate::serve::IoMode`], loads it
-//! with a `.korbin` snapshot, and hammers it with the snapshot's canned
-//! queries from a fleet of closed-loop keep-alive clients: each client
-//! holds one connection, sends a request, waits for the response,
-//! thinks for a few milliseconds, repeats. The think time is what makes
-//! the comparison honest — it is exactly the regime the event rewrite
-//! targets: mostly-idle keep-alive connections pin a blocking worker
-//! for their whole lifetime, so the blocking layer serves at most
-//! `threads` clients no matter how many connect, while the event layer
-//! multiplexes all of them and keeps the workers busy with actual
+//! Spawns an in-process server, loads it with a `.korbin` snapshot, and
+//! hammers it with the snapshot's canned queries from a fleet of
+//! closed-loop keep-alive clients: each client holds one connection,
+//! sends a request, waits for the response, thinks for a few
+//! milliseconds, repeats. The think time keeps most connections idle
+//! most of the time — the regime the event reactor is built for: it
+//! multiplexes every client and keeps the workers busy with actual
 //! requests.
 //!
 //! Clients are robust to a server under pressure: a refused connect or
 //! an `overloaded` response is retried with deterministic jittered
 //! exponential backoff (bounded attempts, then the client gives up on
 //! that request and moves on); the report counts `retries` and
-//! `gave_up` per mode so saturation is visible rather than silently
-//! smoothed over.
+//! `gave_up` so saturation is visible rather than silently smoothed
+//! over.
 //!
 //! The report is written to `BENCH_serve.json` (schema documented in
-//! `docs/ARCHITECTURE.md`): per-mode QPS, p50/p95/p99/max latency,
-//! error, `overloaded`, `retries`, and `gave_up` counts, connection
-//! counts, and the server's own `stats.server` section, plus the
-//! event-over-blocking speedup.
+//! `docs/ARCHITECTURE.md`): QPS, p50/p95/p99/max latency, error,
+//! `overloaded`, `retries`, and `gave_up` counts, connection counts,
+//! and the server's own `stats.server` section.
 //! Any response that is neither `ok` nor an `overloaded` error fails
 //! the run — under a well-formed canned workload the server has no
 //! excuse for one, so CI treats it as a protocol regression.
@@ -39,19 +35,16 @@ use kor_data::snapshot::Snapshot;
 
 use crate::json::JsonValue;
 use crate::serve::registry::Dataset;
-use crate::serve::{IoMode, ServeConfig, Server};
+use crate::serve::{ServeConfig, Server};
 
 /// Configuration for [`run_loadtest`].
 #[derive(Debug, Clone)]
 pub struct LoadtestConfig {
-    /// I/O modes to measure, in order.
-    pub modes: Vec<IoMode>,
-    /// Server worker threads (identical across modes, so the comparison
-    /// is at equal worker count).
+    /// Server worker threads.
     pub threads: usize,
     /// Concurrent closed-loop clients.
     pub clients: usize,
-    /// Measurement window per mode (after warmup).
+    /// Measurement window (after warmup).
     pub duration: Duration,
     /// Ramp-up excluded from the counts: connections settle and caches
     /// warm.
@@ -63,11 +56,10 @@ pub struct LoadtestConfig {
 }
 
 impl Default for LoadtestConfig {
-    /// Both modes, 2 server threads, 16 clients, 4 s measured after
-    /// 500 ms warmup, 5 ms think time, report to `BENCH_serve.json`.
+    /// 2 server threads, 16 clients, 4 s measured after 500 ms warmup,
+    /// 5 ms think time, report to `BENCH_serve.json`.
     fn default() -> Self {
         Self {
-            modes: vec![IoMode::Event, IoMode::Blocking],
             threads: 2,
             clients: 16,
             duration: Duration::from_secs(4),
@@ -257,8 +249,7 @@ fn client_loop(spec: &ClientSpec, lines: &[String], stop: &AtomicBool) -> Client
         })();
         match outcome {
             Err(()) => {
-                // Timeout, reset, or orderly close (the blocking layer
-                // hangs up after answering `overloaded`): reconnect.
+                // Timeout, reset, or orderly close: reconnect.
                 tally.io_errors += 1;
                 cursor += 1;
                 conn = None;
@@ -390,17 +381,13 @@ fn fetch_server_stats(addr: SocketAddr) -> Option<JsonValue> {
         .cloned()
 }
 
-/// Measures one I/O mode: boots a server on an ephemeral port, runs the
-/// client fleet, returns (report, merged tally).
-fn run_mode(
-    world: &Snapshot,
-    cfg: &LoadtestConfig,
-    io: IoMode,
-) -> Result<(JsonValue, ClientTally), String> {
+/// Boots a server on an ephemeral port, runs the client fleet against
+/// it, and returns the merged tally plus the server's `stats.server`
+/// section.
+fn run_clients(world: &Snapshot, cfg: &LoadtestConfig) -> Result<(ClientTally, JsonValue), String> {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: cfg.threads,
-        io,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("bind: {e}"))?;
@@ -414,9 +401,9 @@ fn run_mode(
     let stop = Arc::new(AtomicBool::new(false));
     let start = Instant::now();
     let measure_from = start + cfg.warmup;
-    // Generous enough that a queued blocking-mode connection times out
-    // and retries rather than hanging to the end of the run; short
-    // enough that several retries fit in the window.
+    // Generous enough that a stalled request times out and retries
+    // rather than hanging to the end of the run; short enough that
+    // several retries fit in the window.
     let read_timeout = Duration::from_millis(750);
     let mut clients = Vec::with_capacity(cfg.clients);
     for c in 0..cfg.clients {
@@ -443,22 +430,7 @@ fn run_mode(
     }
     let server_stats = fetch_server_stats(addr).unwrap_or(JsonValue::Null);
     handle.shutdown();
-
-    let qps = tally.ok as f64 / cfg.duration.as_secs_f64();
-    let report = JsonValue::obj([
-        ("io", io.as_str().into()),
-        ("qps", qps.into()),
-        ("requests_ok", tally.ok.into()),
-        ("overloaded", tally.overloaded.into()),
-        ("other_errors", tally.other_errors.into()),
-        ("io_errors", tally.io_errors.into()),
-        ("retries", tally.retries.into()),
-        ("gave_up", tally.gave_up.into()),
-        ("connections", tally.connections.into()),
-        ("latency_ms", latency_json(tally.latencies_ms.clone())),
-        ("server", server_stats),
-    ]);
-    Ok((report, tally))
+    Ok((tally, server_stats))
 }
 
 /// Runs the full loadtest over an in-memory snapshot and returns the
@@ -466,8 +438,8 @@ fn run_mode(
 /// tests share.
 ///
 /// Fails if the snapshot cans no queries, if any client saw a response
-/// that was neither `ok` nor `overloaded`, or if a measured mode
-/// completed zero requests.
+/// that was neither `ok` nor `overloaded`, or if the run completed zero
+/// requests.
 pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue, String> {
     if world.query_count() == 0 {
         return Err(
@@ -476,34 +448,22 @@ pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue,
                 .into(),
         );
     }
-    if cfg.modes.is_empty() {
-        return Err("no io modes selected".into());
+    let (tally, server_stats) = run_clients(world, cfg)?;
+    if tally.other_errors > 0 {
+        return Err(format!(
+            "{} non-overloaded error responses, e.g.: {}",
+            tally.other_errors,
+            tally.sample_error.as_deref().unwrap_or("<lost>")
+        ));
     }
-    let mut mode_reports: Vec<(&'static str, JsonValue)> = Vec::new();
-    let mut qps_by_mode: Vec<(IoMode, f64)> = Vec::new();
-    for &io in &cfg.modes {
-        let (report, tally) = run_mode(world, cfg, io)?;
-        if tally.other_errors > 0 {
-            return Err(format!(
-                "{} non-overloaded error responses in {} mode, e.g.: {}",
-                tally.other_errors,
-                io.as_str(),
-                tally.sample_error.as_deref().unwrap_or("<lost>")
-            ));
-        }
-        if tally.ok == 0 {
-            return Err(format!(
-                "no successful responses in {} mode ({} io errors)",
-                io.as_str(),
-                tally.io_errors
-            ));
-        }
-        let qps = report.get("qps").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        qps_by_mode.push((io, qps));
-        mode_reports.push((io.as_str(), report));
+    if tally.ok == 0 {
+        return Err(format!(
+            "no successful responses ({} io errors)",
+            tally.io_errors
+        ));
     }
-
-    let mut fields: Vec<(&'static str, JsonValue)> = vec![
+    let qps = tally.ok as f64 / cfg.duration.as_secs_f64();
+    Ok(JsonValue::obj([
         ("created_by", "kor loadtest".into()),
         (
             "dataset",
@@ -524,22 +484,17 @@ pub fn run_loadtest(world: &Snapshot, cfg: &LoadtestConfig) -> Result<JsonValue,
                 ("think_ms", (cfg.think.as_millis() as u64).into()),
             ]),
         ),
-        ("modes", JsonValue::obj(mode_reports)),
-    ];
-    let event = qps_by_mode
-        .iter()
-        .find(|(io, _)| *io == IoMode::Event)
-        .map(|&(_, q)| q);
-    let blocking = qps_by_mode
-        .iter()
-        .find(|(io, _)| *io == IoMode::Blocking)
-        .map(|&(_, q)| q);
-    if let (Some(e), Some(b)) = (event, blocking) {
-        if b > 0.0 {
-            fields.push(("speedup_event_over_blocking", (e / b).into()));
-        }
-    }
-    Ok(JsonValue::obj(fields))
+        ("qps", qps.into()),
+        ("requests_ok", tally.ok.into()),
+        ("overloaded", tally.overloaded.into()),
+        ("other_errors", tally.other_errors.into()),
+        ("io_errors", tally.io_errors.into()),
+        ("retries", tally.retries.into()),
+        ("gave_up", tally.gave_up.into()),
+        ("connections", tally.connections.into()),
+        ("latency_ms", latency_json(tally.latencies_ms)),
+        ("server", server_stats),
+    ]))
 }
 
 /// CLI entry point: loads the snapshot from `path`, runs the loadtest,
@@ -618,7 +573,6 @@ mod tests {
     fn quick_event_run_produces_a_report() {
         let world = tiny_world();
         let cfg = LoadtestConfig {
-            modes: vec![IoMode::Event],
             threads: 1,
             clients: 4,
             duration: Duration::from_millis(400),
@@ -627,18 +581,19 @@ mod tests {
             ..LoadtestConfig::default()
         };
         let report = run_loadtest(&world, &cfg).unwrap();
-        let event = report.get("modes").unwrap().get("event").unwrap();
-        assert!(event.get("qps").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        assert!(report.get("qps").and_then(JsonValue::as_f64).unwrap() > 0.0);
         assert_eq!(
-            event.get("other_errors").and_then(JsonValue::as_u64),
+            report.get("other_errors").and_then(JsonValue::as_u64),
             Some(0)
         );
         // The retry counters are always reported, zero on a calm run.
-        assert!(event.get("retries").and_then(JsonValue::as_u64).is_some());
-        assert!(event.get("gave_up").and_then(JsonValue::as_u64).is_some());
-        let lat = event.get("latency_ms").unwrap();
+        assert!(report.get("retries").and_then(JsonValue::as_u64).is_some());
+        assert!(report.get("gave_up").and_then(JsonValue::as_u64).is_some());
+        let lat = report.get("latency_ms").unwrap();
         assert!(lat.get("p50").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        // Single-mode runs have no speedup field.
-        assert!(report.get("speedup_event_over_blocking").is_none());
+        assert!(
+            report.get("modes").is_none(),
+            "one run, fields at top level"
+        );
     }
 }

@@ -1,7 +1,7 @@
-//! Percentile extraction over latency samples, shared by `kor bench`
-//! and `kor loadtest`.
+//! Percentile extraction over latency samples, shared by `kor bench`,
+//! `kor batch` and `kor loadtest`.
 //!
-//! Both harnesses previously inlined the same nearest-rank closure; the
+//! The harnesses previously inlined the same nearest-rank closure; the
 //! copies drifted on the degenerate inputs a smoke run can produce (a
 //! pass aborted after 0–3 samples). This helper pins the behaviour:
 //! never panic, and stay monotone in `p` so `p50 ≤ p95 ≤ p99` holds for

@@ -1,19 +1,18 @@
 //! The readiness-driven I/O layer: one multiplexing reactor thread
 //! feeding the worker pool through a bounded request queue.
 //!
-//! The blocking layer in [`crate::serve::pool`] parks one worker per
-//! connection, so the worker count caps the number of *connections*
-//! the server can hold open — the wrong shape for many mostly-idle
-//! keep-alive clients. This layer decouples the two: a single reactor
-//! thread owns every socket in non-blocking mode, assembles complete
-//! newline-delimited request lines, and hands each line to the worker
-//! pool as an independent job. Workers never touch a socket; they
-//! return the rendered response to the reactor, which writes responses
-//! back **in request order per connection** no matter which worker
-//! finished first. Connections are kept alive across requests and may
-//! pipeline freely (up to [`MAX_PIPELINE`] requests in flight each —
-//! past that the reactor simply stops reading the socket, so TCP
-//! backpressure does the throttling).
+//! Parking one worker per connection would let the worker count cap
+//! the number of *connections* the server can hold open — the wrong
+//! shape for many mostly-idle keep-alive clients. This layer decouples
+//! the two: a single reactor thread owns every socket in non-blocking
+//! mode, assembles complete newline-delimited request lines, and hands
+//! each line to the worker pool as an independent job. Workers never
+//! touch a socket; they return the rendered response to the reactor,
+//! which writes responses back **in request order per connection** no
+//! matter which worker finished first. Connections are kept alive
+//! across requests and may pipeline freely (up to [`MAX_PIPELINE`]
+//! requests in flight each — past that the reactor simply stops reading
+//! the socket, so TCP backpressure does the throttling).
 //!
 //! The reactor sleeps in POSIX `poll(2)` (declared in the private `sys`
 //! module, the crate's only `unsafe`) on exactly what it waits for: the
@@ -29,8 +28,8 @@
 //! Overload is per *request* here, not per connection: when the job
 //! queue is full the reactor answers that line with an `overloaded`
 //! error in its proper pipeline position and keeps the connection —
-//! clients see a well-formed response they can retry, instead of the
-//! blocking layer's answer-and-hang-up at accept time.
+//! clients see a well-formed response they can retry, and are never
+//! turned away at accept time.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -285,11 +284,9 @@ pub(crate) fn worker_loop(queue: &JobQueue, bus: &CompletionBus, ctx: &ServerCon
     }
 }
 
-/// Parses and routes one request line — the same pipeline as the
-/// blocking layer's per-connection loop, so responses are byte-identical
-/// between the two I/O modes. A handler panic is confined to the
-/// request that caused it: parsing happens outside the unwind guard so
-/// the client's `id` survives into the `internal_error` response.
+/// Parses and routes one request line. A handler panic is confined to
+/// the request that caused it: parsing happens outside the unwind guard
+/// so the client's `id` survives into the `internal_error` response.
 fn respond(ctx: &ServerContext, job: &Job) -> String {
     let text = String::from_utf8_lossy(&job.line);
     match parse_request(text.trim()) {
@@ -398,8 +395,8 @@ impl Conn {
     }
 
     /// Queues a `request_too_large` response in pipeline order and
-    /// stops reading — same contract as the blocking layer: the error
-    /// is answered, then the connection closes.
+    /// stops reading: the error is answered, then the connection
+    /// closes.
     fn reject_too_large(&mut self, max: usize) {
         let err = WireError::new(
             ErrorCode::RequestTooLarge,
@@ -643,8 +640,8 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
     }
 
     // Parse complete lines. A line is "committed" only once its newline
-    // arrived — identical to the blocking reader — so segment
-    // boundaries can never change how a request parses.
+    // arrived, so segment boundaries can never change how a request
+    // parses.
     while !conn.dead && !conn.closing && conn.in_flight < MAX_PIPELINE {
         let Some(rel) = conn.read_buf[conn.scanned..]
             .iter()
@@ -665,7 +662,7 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         conn.read_buf.drain(..=pos);
         conn.scanned = 0;
         // Blank lines keep interactive nc sessions pleasant (and get no
-        // response — same as the blocking layer).
+        // response).
         if String::from_utf8_lossy(&line).trim().is_empty() {
             continue;
         }

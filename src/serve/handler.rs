@@ -20,7 +20,6 @@ use crate::json::JsonValue;
 use crate::serve::protocol::{ErrorCode, Request, WireError};
 use crate::serve::recovery::{self, JournalState};
 use crate::serve::registry::{Dataset, Registry, ResolveError};
-use crate::serve::IoMode;
 use crate::shard::{ShardPlan, ShardRouter};
 
 use std::sync::Arc;
@@ -41,10 +40,7 @@ pub struct ServerContext {
     pub started: Instant,
     /// Worker pool size (reported by `stats`).
     pub threads: usize,
-    /// Which I/O layer is serving (reported by `stats`).
-    pub io: IoMode,
-    /// Resolved backpressure-queue capacity: waiting request lines
-    /// (event mode) or waiting connections (blocking mode).
+    /// Resolved backpressure-queue capacity: waiting request lines.
     pub queue_capacity: usize,
     /// Deadline applied to queries that do not carry their own
     /// `deadline_ms`; `0` means unlimited.
@@ -57,17 +53,16 @@ pub struct ServerContext {
     pub open_connections: AtomicU64,
     /// Total request lines processed (including failures).
     pub requests: AtomicU64,
-    /// Requests (event mode) or connections (blocking mode) sitting in
-    /// the backpressure queue right now, not yet picked up by a worker.
+    /// Requests sitting in the backpressure queue right now, not yet
+    /// picked up by a worker.
     pub queued_requests: AtomicU64,
-    /// Total requests/connections answered `overloaded` because that
-    /// queue was full.
+    /// Total requests answered `overloaded` because that queue was full.
     pub overloaded: AtomicU64,
     /// Request handlers that panicked and were answered with
     /// `internal_error` instead of killing the worker or connection.
     pub panics: AtomicU64,
     /// Set by the `shutdown` method (and by [`crate::serve::ServerHandle`]);
-    /// the listener stops accepting once it observes this.
+    /// the reactor stops accepting once it observes this.
     pub shutdown: AtomicBool,
 }
 
@@ -80,7 +75,6 @@ impl ServerContext {
             journals: Mutex::new(HashMap::new()),
             started: Instant::now(),
             threads,
-            io: IoMode::Event,
             queue_capacity: 0,
             default_deadline_ms,
             max_request_bytes: 1 << 20,
@@ -233,7 +227,6 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
         (
             "server",
             JsonValue::obj([
-                ("io", ctx.io.as_str().into()),
                 (
                     "open_connections",
                     ctx.open_connections.load(Ordering::Relaxed).into(),

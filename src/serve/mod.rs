@@ -8,13 +8,9 @@
 //! [`kor_core::KorEngine`], and a fixed pool of worker threads answers
 //! requests against them over plain TCP.
 //!
-//! Two I/O layers speak the same protocol (selectable via
-//! [`ServeConfig::io`]): the default [`IoMode::Event`] layer
-//! multiplexes every connection through one readiness-driven reactor
-//! thread (`event`), supporting keep-alive and pipelining with
-//! per-request overload backpressure, while [`IoMode::Blocking`]
-//! (`pool`) parks one worker per connection — kept as the comparison
-//! baseline `kor loadtest` measures against.
+//! One readiness-driven reactor thread (`event`) multiplexes every
+//! connection, supporting keep-alive and pipelining with per-request
+//! overload backpressure; workers only ever run individual requests.
 //!
 //! The wire protocol is newline-delimited JSON — one request object per
 //! line, one response per line, in order. Supported methods: `query`
@@ -68,7 +64,6 @@
 
 mod event;
 mod handler;
-mod pool;
 pub mod protocol;
 pub mod recovery;
 pub mod registry;
@@ -79,55 +74,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use event::CompletionBus;
 use handler::ServerContext;
-use pool::{ConnQueue, PushRefused, QUEUE_DEPTH_PER_WORKER};
 use registry::Registry;
-
-/// Which I/O layer carries bytes between sockets and the worker pool.
-///
-/// Both layers speak the identical wire protocol — the e2e suites prove
-/// responses byte-identical between them — but they scale differently:
-/// [`IoMode::Event`] multiplexes every connection through one reactor
-/// thread, so workers only ever run requests and idle keep-alive
-/// connections cost nothing; [`IoMode::Blocking`] parks one worker per
-/// connection for its whole lifetime. Blocking is kept as the
-/// comparison baseline `kor loadtest` measures against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Readiness-driven: one non-blocking reactor thread owns all
-    /// sockets; workers handle individual requests. The default.
-    Event,
-    /// One worker thread per in-flight connection (the pre-event
-    /// implementation); excess connections wait in an accept queue.
-    Blocking,
-}
-
-impl IoMode {
-    /// The CLI / stats spelling: `event` or `blocking`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoMode::Event => "event",
-            IoMode::Blocking => "blocking",
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "event" => Ok(IoMode::Event),
-            "blocking" => Ok(IoMode::Blocking),
-            other => Err(format!(
-                "unknown io mode {other:?} (expected event or blocking)"
-            )),
-        }
-    }
-}
 
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone, PartialEq)]
@@ -135,17 +85,11 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878`; port `0` picks an
     /// ephemeral port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker pool size; `0` means one worker per available core. In
-    /// blocking mode this also bounds the number of concurrently
-    /// served connections; in event mode it bounds concurrently
-    /// *executing* requests only.
+    /// Worker pool size; `0` means one worker per available core. It
+    /// bounds concurrently *executing* requests, not open connections.
     pub threads: usize,
-    /// I/O layer; see [`IoMode`].
-    pub io: IoMode,
-    /// Backpressure-queue capacity — waiting request lines (event
-    /// mode) or waiting connections (blocking mode) past which the
-    /// server answers `overloaded`. `0` means auto: `threads × 16` in
-    /// event mode, `threads × 4` in blocking mode.
+    /// Backpressure-queue capacity — waiting request lines past which
+    /// the server answers `overloaded`. `0` means auto: `threads × 16`.
     pub queue_capacity: usize,
     /// Deadline in milliseconds applied to `query` requests that carry
     /// no `deadline_ms` of their own; `0` means unlimited.
@@ -162,13 +106,12 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Localhost port 7878, event I/O, auto-sized pool and queue, no
-    /// default deadline, 1 MiB request cap.
+    /// Localhost port 7878, auto-sized pool and queue, no default
+    /// deadline, 1 MiB request cap.
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             threads: 0,
-            io: IoMode::Event,
             queue_capacity: 0,
             default_deadline_ms: 0,
             max_request_bytes: 1 << 20,
@@ -202,18 +145,14 @@ impl Server {
         };
         let mut ctx = ServerContext::new(threads, config.default_deadline_ms);
         ctx.max_request_bytes = config.max_request_bytes;
-        ctx.io = config.io;
         ctx.journal_dir = config.journal;
         ctx.queue_capacity = if config.queue_capacity > 0 {
             config.queue_capacity
         } else {
-            match config.io {
-                // Event workers turn over per request, not per
-                // connection, so the queue can afford to be deeper
-                // before a queued request waits unreasonably long.
-                IoMode::Event => threads * 16,
-                IoMode::Blocking => threads * QUEUE_DEPTH_PER_WORKER,
-            }
+            // Workers turn over per request, not per connection, so the
+            // queue can afford to be deep before a queued request waits
+            // unreasonably long.
+            threads * 16
         };
         Ok(Server {
             listener,
@@ -269,18 +208,10 @@ impl Server {
         }
     }
 
-    /// Spawns the I/O and worker threads and returns a handle for
-    /// shutdown/join.
+    /// Spawns the reactor and worker threads and returns a handle for
+    /// shutdown/join. One reactor thread multiplexes every socket;
+    /// workers execute individual requests from a bounded job queue.
     pub fn start(self) -> ServerHandle {
-        match self.ctx.io {
-            IoMode::Event => self.start_event(),
-            IoMode::Blocking => self.start_blocking(),
-        }
-    }
-
-    /// Event mode: one reactor thread multiplexes every socket; workers
-    /// execute individual requests from a bounded job queue.
-    fn start_event(self) -> ServerHandle {
         let queue = Arc::new(event::JobQueue::new(self.ctx.queue_capacity));
         let mut workers = Vec::with_capacity(self.ctx.threads);
         for i in 0..self.ctx.threads {
@@ -294,7 +225,7 @@ impl Server {
         let ctx = Arc::clone(&self.ctx);
         let listener = self.listener;
         let bus = Arc::clone(&self.bus);
-        let reactor_thread = spawn_named("kor-reactor".to_string(), move || {
+        let reactor = spawn_named("kor-reactor".to_string(), move || {
             event::run(listener, ctx, queue, bus)
         });
         ServerHandle {
@@ -302,119 +233,7 @@ impl Server {
             ctx: self.ctx,
             bus: self.bus,
             workers,
-            listener_thread: reactor_thread,
-        }
-    }
-
-    /// Blocking mode: the listener queues whole connections; each
-    /// worker serves one connection to completion.
-    fn start_blocking(self) -> ServerHandle {
-        let queue = Arc::new(ConnQueue::new(self.ctx.queue_capacity));
-        let mut workers = Vec::with_capacity(self.ctx.threads);
-        for i in 0..self.ctx.threads {
-            let queue = Arc::clone(&queue);
-            let ctx = Arc::clone(&self.ctx);
-            workers.push(spawn_named(format!("kor-worker-{i}"), move || {
-                pool::worker_loop(&queue, &ctx)
-            }));
-        }
-        let ctx = Arc::clone(&self.ctx);
-        let listener = self.listener;
-        let accept_queue = Arc::clone(&queue);
-        let listener_thread = spawn_named("kor-listener".to_string(), move || {
-            // Non-blocking accept with a short poll keeps the loop
-            // responsive to the shutdown latch without a self-connect
-            // dance; pending connections are drained before sleeping.
-            let _ = listener.set_nonblocking(true);
-            loop {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        ctx.connections.fetch_add(1, Ordering::Relaxed);
-                        // Count before the push: the push wakes a
-                        // worker whose matching decrement must not be
-                        // able to outrun this increment.
-                        ctx.open_connections.fetch_add(1, Ordering::Relaxed);
-                        ctx.queued_requests.fetch_add(1, Ordering::Relaxed);
-                        match accept_queue.push(stream) {
-                            Ok(()) => {}
-                            // Backpressure: every worker is busy and
-                            // the wait queue is at capacity. Tell the
-                            // client and hang up instead of letting
-                            // open fds (and client patience) grow
-                            // without bound.
-                            Err(PushRefused::Full(mut stream)) => {
-                                ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-                                ctx.queued_requests.fetch_sub(1, Ordering::Relaxed);
-                                ctx.overloaded.fetch_add(1, Ordering::Relaxed);
-                                let err = protocol::WireError::new(
-                                    protocol::ErrorCode::Overloaded,
-                                    "all workers busy and the connection queue is full; \
-                                     retry later",
-                                );
-                                let line =
-                                    protocol::error_response(&crate::json::JsonValue::Null, &err);
-                                // Dropping a socket with unread client
-                                // data pending turns the close into an
-                                // RST, which would discard this
-                                // response before the client reads it.
-                                // Half-close, then briefly drain what
-                                // the client already sent (typically
-                                // one pipelined request line) so the
-                                // line is delivered over an orderly
-                                // FIN. Delivery is best-effort: the
-                                // drain is hard-bounded because it runs
-                                // on the listener thread, so a peer
-                                // that trickles bytes stalls accepts
-                                // ~100 ms at most, and one that
-                                // pipelines more than the drain budget
-                                // may still see a reset — acceptable
-                                // for a path that only exists when the
-                                // server is already saturated (slower
-                                // accepts ARE the backpressure).
-                                if pool::write_line(&mut stream, &line).is_ok() {
-                                    use std::io::Read;
-                                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                                    let _ =
-                                        stream.set_read_timeout(Some(Duration::from_millis(25)));
-                                    let mut sink = [0u8; 4096];
-                                    for _ in 0..4 {
-                                        match stream.read(&mut sink) {
-                                            Ok(0) | Err(_) => break,
-                                            Ok(_) => {}
-                                        }
-                                    }
-                                }
-                            }
-                            Err(PushRefused::Closed) => {
-                                ctx.open_connections.fetch_sub(1, Ordering::Relaxed);
-                                ctx.queued_requests.fetch_sub(1, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    // Back off on any error: WouldBlock is the idle
-                    // case, but persistent failures (e.g. EMFILE when
-                    // the fd limit is hit under a connection burst)
-                    // must not hot-spin the listener against the
-                    // workers it is feeding.
-                    Err(_) => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-            accept_queue.close();
-        });
-        ServerHandle {
-            addr: self.addr,
-            ctx: self.ctx,
-            bus: self.bus,
-            workers,
-            listener_thread,
+            reactor,
         }
     }
 
@@ -442,7 +261,7 @@ pub struct ServerHandle {
     /// Its wake channel interrupts the event reactor's `poll(2)`.
     bus: Arc<CompletionBus>,
     workers: Vec<JoinHandle<()>>,
-    listener_thread: JoinHandle<()>,
+    reactor: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -451,13 +270,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests shutdown and waits for the listener and every worker to
-    /// finish. Connections already being served run to completion
-    /// (their clients must close for workers to finish).
+    /// Requests shutdown and waits for the reactor and every worker to
+    /// finish. Responses to requests already accepted are flushed
+    /// first, within the reactor's drain grace period.
     pub fn shutdown(self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
-        // The event reactor may be blocked in an untimed poll; wake it
-        // to see the latch.
+        // The reactor may be blocked in an untimed poll; wake it to see
+        // the latch.
         self.bus.wake();
         self.join();
     }
@@ -466,7 +285,7 @@ impl ServerHandle {
     /// another thread: [`ServerHandle::shutdown`]) or a `shutdown`
     /// request over the wire.
     pub fn join(self) {
-        let _ = self.listener_thread.join();
+        let _ = self.reactor.join();
         for w in self.workers {
             let _ = w.join();
         }
@@ -486,12 +305,12 @@ mod tests {
     use kor_graph::fixtures::figure1;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::time::Duration;
 
-    fn fixture_server_mode(threads: usize, io: IoMode) -> (SocketAddr, ServerHandle) {
+    fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads,
-            io,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -500,10 +319,6 @@ mod tests {
             .insert(Dataset::from_graph("fig1", figure1()));
         let addr = server.local_addr();
         (addr, server.start())
-    }
-
-    fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
-        fixture_server_mode(threads, IoMode::Event)
     }
 
     fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
@@ -524,49 +339,40 @@ mod tests {
 
     #[test]
     fn concurrent_identical_queries_get_identical_bytes() {
-        // Across threads AND across I/O modes: the event rewrite must
-        // not change a single response byte.
-        let mut per_mode = Vec::new();
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(3, io);
-            let line = r#"{"id":9,"method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
-            let mut threads = Vec::new();
-            for _ in 0..8 {
-                threads.push(std::thread::spawn(move || {
-                    roundtrip(addr, &[line]).remove(0)
-                }));
-            }
-            let responses: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-            for r in &responses {
-                assert_eq!(r, &responses[0], "responses must be byte-identical");
-            }
-            let parsed = JsonValue::parse(&responses[0]).unwrap();
-            assert_eq!(parsed.get("ok").and_then(JsonValue::as_bool), Some(true));
-            handle.shutdown();
-            per_mode.push(responses[0].clone());
+        let (addr, handle) = fixture_server(3);
+        let line = r#"{"id":9,"method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+        let mut threads = Vec::new();
+        for _ in 0..8 {
+            threads.push(std::thread::spawn(move || {
+                roundtrip(addr, &[line]).remove(0)
+            }));
         }
-        assert_eq!(per_mode[0], per_mode[1], "event vs blocking bytes");
+        let responses: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        for r in &responses {
+            assert_eq!(r, &responses[0], "responses must be byte-identical");
+        }
+        let parsed = JsonValue::parse(&responses[0]).unwrap();
+        assert_eq!(parsed.get("ok").and_then(JsonValue::as_bool), Some(true));
+        handle.shutdown();
     }
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(1, io);
-            let responses = roundtrip(
-                addr,
-                &[
-                    r#"{"id":1,"method":"health"}"#,
-                    r#"{"id":2,"method":"stats"}"#,
-                    "garbage",
-                    r#"{"id":4,"method":"query","params":{"from":0,"to":7,"budget":10}}"#,
-                ],
-            );
-            assert!(responses[0].starts_with(r#"{"id":1,"ok":true"#));
-            assert!(responses[1].starts_with(r#"{"id":2,"ok":true"#));
-            assert!(responses[2].contains("parse_error"));
-            assert!(responses[3].starts_with(r#"{"id":4,"ok":true"#));
-            handle.shutdown();
-        }
+        let (addr, handle) = fixture_server(1);
+        let responses = roundtrip(
+            addr,
+            &[
+                r#"{"id":1,"method":"health"}"#,
+                r#"{"id":2,"method":"stats"}"#,
+                "garbage",
+                r#"{"id":4,"method":"query","params":{"from":0,"to":7,"budget":10}}"#,
+            ],
+        );
+        assert!(responses[0].starts_with(r#"{"id":1,"ok":true"#));
+        assert!(responses[1].starts_with(r#"{"id":2,"ok":true"#));
+        assert!(responses[2].contains("parse_error"));
+        assert!(responses[3].starts_with(r#"{"id":4,"ok":true"#));
+        handle.shutdown();
     }
 
     #[test]
@@ -591,74 +397,28 @@ mod tests {
 
     #[test]
     fn oversized_request_is_rejected_and_connection_closed() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let server = Server::bind(ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                threads: 1,
-                io,
-                max_request_bytes: 64,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let addr = server.local_addr();
-            let handle = server.start();
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            max_request_bytes: 64,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.start();
 
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            let big = format!("{{\"method\":\"health\",\"id\":\"{}\"}}\n", "x".repeat(200));
-            conn.write_all(big.as_bytes()).unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            assert!(resp.contains("request_too_large"), "{resp}");
-            // The server hangs up after the error.
-            let mut next = String::new();
-            assert_eq!(reader.read_line(&mut next).unwrap(), 0);
-            handle.shutdown();
-        }
-    }
-
-    #[test]
-    fn connection_burst_past_queue_capacity_gets_overloaded() {
-        // Connection-level overload is the *blocking* layer's contract;
-        // the event layer keeps connections and answers per-request
-        // `overloaded` instead (tests/serve_overload.rs).
-        let (addr, handle) = fixture_server_mode(1, IoMode::Blocking);
-        // Occupy the single worker: a completed round trip proves it
-        // has popped this connection and is now serving it.
-        let busy = TcpStream::connect(addr).unwrap();
-        {
-            let mut conn = busy.try_clone().unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
-            let mut resp = String::new();
-            BufReader::new(conn).read_line(&mut resp).unwrap();
-            assert!(resp.contains("\"ok\":true"), "{resp}");
-        }
-        // Fill the wait queue (QUEUE_DEPTH_PER_WORKER per worker)...
-        let queued: Vec<TcpStream> = (0..QUEUE_DEPTH_PER_WORKER)
-            .map(|_| TcpStream::connect(addr).unwrap())
-            .collect();
-        // ...then one more: the listener must answer `overloaded` and
-        // hang up rather than queue it indefinitely. This client uses
-        // the realistic write-then-read pattern: its unread request
-        // must not turn the server's close into an RST that discards
-        // the overloaded response.
-        let mut extra = TcpStream::connect(addr).unwrap();
-        extra
-            .set_read_timeout(Some(Duration::from_secs(30)))
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
-        extra.write_all(b"{\"method\":\"health\"}\n").unwrap();
-        let mut reader = BufReader::new(extra);
+        let big = format!("{{\"method\":\"health\",\"id\":\"{}\"}}\n", "x".repeat(200));
+        conn.write_all(big.as_bytes()).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
-        assert!(resp.contains("\"overloaded\""), "{resp}");
+        assert!(resp.contains("request_too_large"), "{resp}");
+        // The server hangs up after the error.
         let mut next = String::new();
-        assert_eq!(reader.read_line(&mut next).unwrap(), 0, "then hangs up");
-        drop(queued);
-        drop(busy);
+        assert_eq!(reader.read_line(&mut next).unwrap(), 0);
         handle.shutdown();
     }
 
@@ -759,49 +519,42 @@ mod tests {
 
     #[test]
     fn shutdown_request_terminates_join() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(2, io);
-            let responses = roundtrip(addr, &[r#"{"id":"bye","method":"shutdown"}"#]);
-            assert!(
-                responses[0].contains("\"stopping\":true"),
-                "{}",
-                responses[0]
-            );
-            // join() returns because the wire request tripped the latch.
-            handle.join();
-        }
+        let (addr, handle) = fixture_server(2);
+        let responses = roundtrip(addr, &[r#"{"id":"bye","method":"shutdown"}"#]);
+        assert!(
+            responses[0].contains("\"stopping\":true"),
+            "{}",
+            responses[0]
+        );
+        // join() returns because the wire request tripped the latch.
+        handle.join();
     }
 
     #[test]
     fn stats_reports_server_io_section() {
-        for io in [IoMode::Event, IoMode::Blocking] {
-            let (addr, handle) = fixture_server_mode(2, io);
-            let responses = roundtrip(addr, &[r#"{"id":1,"method":"stats"}"#]);
-            let parsed = JsonValue::parse(&responses[0]).unwrap();
-            let server = parsed
-                .get("result")
-                .and_then(|r| r.get("server"))
-                .expect("server section");
-            assert_eq!(
-                server.get("io").and_then(JsonValue::as_str),
-                Some(io.as_str())
-            );
-            // This connection is open and its stats request is being
-            // handled right now (not queued).
-            assert_eq!(
-                server.get("open_connections").and_then(JsonValue::as_u64),
-                Some(1)
-            );
-            assert_eq!(
-                server.get("queued_requests").and_then(JsonValue::as_u64),
-                Some(0)
-            );
-            assert_eq!(
-                server.get("overloaded").and_then(JsonValue::as_u64),
-                Some(0)
-            );
-            assert!(server.get("queue_capacity").and_then(JsonValue::as_u64) > Some(0));
-            handle.shutdown();
-        }
+        let (addr, handle) = fixture_server(2);
+        let responses = roundtrip(addr, &[r#"{"id":1,"method":"stats"}"#]);
+        let parsed = JsonValue::parse(&responses[0]).unwrap();
+        let server = parsed
+            .get("result")
+            .and_then(|r| r.get("server"))
+            .expect("server section");
+        assert!(server.get("io").is_none(), "one I/O layer, no mode field");
+        // This connection is open and its stats request is being
+        // handled right now (not queued).
+        assert_eq!(
+            server.get("open_connections").and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        assert_eq!(
+            server.get("queued_requests").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            server.get("overloaded").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert!(server.get("queue_capacity").and_then(JsonValue::as_u64) > Some(0));
+        handle.shutdown();
     }
 }

@@ -136,3 +136,51 @@ fn generated_snapshot_feeds_every_front_end() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn misspelled_query_flags_fail_instead_of_being_ignored() {
+    let dir = std::env::temp_dir().join(format!("kor-flags-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("r.korg");
+    let graph = graph.to_str().unwrap();
+    kor_ok(&["generate", "road", "--nodes", "200", "--out", graph]);
+
+    // `--keyword` and `--epsilonn` are typos of `--keywords` and
+    // `--epsilon`; ignoring them would answer a different query.
+    let out = kor(&[
+        "query",
+        graph,
+        "--from",
+        "0",
+        "--to",
+        "100",
+        "--budget",
+        "1000",
+        "--keyword",
+        "nosuchword",
+        "--epsilonn",
+        "0.9",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --keyword"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no route may be printed");
+
+    // The removed subcommands and options fail the same way.
+    for (args, why) in [
+        (&["index", graph][..], "unknown subcommand"),
+        (
+            &["loadtest", graph, "--mode", "both"],
+            "unknown flag --mode",
+        ),
+    ] {
+        let out = kor(args);
+        assert_eq!(out.status.code(), Some(1), "kor {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "kor {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -49,10 +49,8 @@ fn loadtest_smoke_writes_schema_complete_report() {
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "loadtest failed: {stderr}");
-    // The human summary names both I/O layers and the speedup.
-    assert!(stderr.contains("loadtest [event]"), "stderr: {stderr}");
-    assert!(stderr.contains("loadtest [blocking]"), "stderr: {stderr}");
-    assert!(stderr.contains("the blocking QPS"), "stderr: {stderr}");
+    assert!(stderr.contains("loadtest: "), "stderr: {stderr}");
+    assert!(stderr.contains(" qps, p50 "), "stderr: {stderr}");
 
     let raw = std::fs::read_to_string(&out_path).expect("report written");
     let report = JsonValue::parse(raw.trim()).expect("report parses");
@@ -69,38 +67,27 @@ fn loadtest_smoke_writes_schema_complete_report() {
     assert_eq!(config.get("threads").and_then(JsonValue::as_u64), Some(2));
     assert_eq!(config.get("clients").and_then(JsonValue::as_u64), Some(8));
 
-    let modes = report.get("modes").expect("modes section");
-    for io in ["event", "blocking"] {
-        let mode = modes.get(io).unwrap_or_else(|| panic!("modes.{io}"));
-        assert_eq!(mode.get("io").and_then(JsonValue::as_str), Some(io));
-        assert!(
-            mode.get("qps").and_then(JsonValue::as_f64) > Some(0.0),
-            "{io} must serve requests"
-        );
-        assert!(mode.get("requests_ok").and_then(JsonValue::as_u64) > Some(0));
-        assert_eq!(
-            mode.get("other_errors").and_then(JsonValue::as_u64),
-            Some(0),
-            "{io}: only `overloaded` errors are acceptable under load"
-        );
-        let latency = mode
-            .get("latency_ms")
-            .unwrap_or_else(|| panic!("{io} latency"));
-        let p50 = latency.get("p50").and_then(JsonValue::as_f64).unwrap();
-        let p99 = latency.get("p99").and_then(JsonValue::as_f64).unwrap();
-        let max = latency.get("max").and_then(JsonValue::as_f64).unwrap();
-        assert!(p50 <= p99 && p99 <= max, "{io}: {p50} {p99} {max}");
-        // The report snapshots the server's own view of the run.
-        let server = mode.get("server").unwrap_or_else(|| panic!("{io} server"));
-        assert_eq!(server.get("io").and_then(JsonValue::as_str), Some(io));
-    }
+    // One run: its fields sit at the top level.
+    assert!(report.get("modes").is_none(), "no per-mode sections");
     assert!(
-        report
-            .get("speedup_event_over_blocking")
-            .and_then(JsonValue::as_f64)
-            > Some(0.0),
-        "speedup must be present when both modes run"
+        report.get("qps").and_then(JsonValue::as_f64) > Some(0.0),
+        "the server must serve requests"
     );
+    assert!(report.get("requests_ok").and_then(JsonValue::as_u64) > Some(0));
+    assert_eq!(
+        report.get("other_errors").and_then(JsonValue::as_u64),
+        Some(0),
+        "only `overloaded` errors are acceptable under load"
+    );
+    let latency = report.get("latency_ms").expect("latency section");
+    let p50 = latency.get("p50").and_then(JsonValue::as_f64).unwrap();
+    let p99 = latency.get("p99").and_then(JsonValue::as_f64).unwrap();
+    let max = latency.get("max").and_then(JsonValue::as_f64).unwrap();
+    assert!(p50 <= p99 && p99 <= max, "{p50} {p99} {max}");
+    // The report snapshots the server's own view of the run.
+    let server = report.get("server").expect("server section");
+    assert!(server.get("queue_capacity").and_then(JsonValue::as_u64) > Some(0));
+    assert!(server.get("io").is_none(), "one I/O layer, no mode field");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -224,24 +224,19 @@ fn greedy_output_is_always_a_valid_route() {
 
 #[test]
 fn inverted_indexes_agree() {
+    // The index against a direct scan of every node's keyword set.
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x6000 + case);
         let graph = random_graph(&mut rng, 12);
-        let mem = InvertedIndex::build(&graph);
-        let dir = std::env::temp_dir().join("kor-proptest");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("idx-{}-{case}.bin", std::process::id()));
-        let disk = DiskInvertedIndex::build(&graph, &path).unwrap();
-        for (kw, postings) in mem.iter() {
-            let term = graph.vocab().resolve(kw).unwrap();
-            assert_eq!(
-                disk.postings(term).unwrap().unwrap(),
-                postings.to_vec(),
-                "case {case}"
-            );
+        let index = InvertedIndex::build(&graph);
+        for (kw, _) in graph.vocab().iter() {
+            let scan: Vec<NodeId> = graph
+                .nodes()
+                .filter(|&n| graph.node_has_keyword(n, kw))
+                .collect();
+            assert_eq!(index.postings(kw), scan.as_slice(), "case {case}");
+            assert_eq!(index.doc_frequency(kw), scan.len(), "case {case}");
         }
-        assert_eq!(disk.term_count() as usize, mem.term_count(), "case {case}");
-        let _ = std::fs::remove_file(&path);
     }
 }
 

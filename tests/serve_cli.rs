@@ -476,78 +476,15 @@ fn serve_loads_generated_korbin_snapshots() {
 }
 
 #[test]
-fn blocking_io_flag_serves_byte_identical_responses() {
-    let dir = std::env::temp_dir().join(format!("kor-serve-io-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let world_path = dir.join("world.korbin");
-    let gen = kor(&[
-        "gen",
-        "--topology",
-        "grid",
-        "--width",
-        "6",
-        "--height",
-        "5",
-        "--seed",
-        "33",
-        "--out",
-        world_path.to_str().unwrap(),
-    ]);
-    assert!(gen.status.success(), "gen failed");
-
-    let load_line = format!(
-        r#"{{"id":0,"method":"load_dataset","params":{{"path":{}}}}}"#,
-        JsonValue::from(world_path.to_str().unwrap()).render()
-    );
-    // Deterministic lines only: no health/stats (whose uptime varies).
-    let lines = [
-        r#"{"id":1,"method":"query","params":{"dataset":"world","from":0,"to":29,"keywords":[],"budget":100,"algo":"os-scaling"}}"#,
-        r#"{"id":2,"method":"query","params":{"dataset":"world","from":0,"to":29,"keywords":[],"budget":100,"algo":"exact"}}"#,
-        "garbage in",
-        r#"{"id":4,"method":"teleport"}"#,
-        r#"{"id":5,"method":"query","params":{"dataset":"mars","from":0,"to":1,"budget":5}}"#,
-    ];
-
-    let mut per_mode = Vec::new();
-    for io in ["event", "blocking"] {
-        let server = spawn_server(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--threads",
-            "2",
-            "--io",
-            io,
-        ]);
-        let addr = server.addr.clone();
-        parse_ok(&roundtrip(&addr, &[&load_line])[0]);
-
-        // The stats section reports the layer actually in use.
-        let stats = parse_ok(&roundtrip(&addr, &[r#"{"method":"stats"}"#])[0]);
-        assert_eq!(
-            stats
-                .get("server")
-                .and_then(|s| s.get("io"))
-                .and_then(JsonValue::as_str),
-            Some(io)
-        );
-
-        per_mode.push(roundtrip(&addr, &lines));
-    }
-    assert_eq!(
-        per_mode[0], per_mode[1],
-        "event and blocking I/O must produce byte-identical responses"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn serve_rejects_unknown_io_mode() {
-    let out = kor(&["serve", "--addr", "127.0.0.1:0", "--io", "fibers"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("io mode"), "stderr: {stderr}");
+    // `--io` is not a serve flag: naming any mode must fail, not start
+    // the server with the option silently ignored.
+    for mode in ["event", "blocking"] {
+        let out = kor(&["serve", "--addr", "127.0.0.1:0", "--io", mode]);
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --io"), "stderr: {stderr}");
+    }
 }
 
 #[test]

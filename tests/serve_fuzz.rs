@@ -1,10 +1,10 @@
-//! Seeded protocol fuzzer for `kor serve`, run against both I/O
-//! layers: deterministic per seed, it throws split/merged frames,
-//! mid-line disconnects, oversized lines, interleaved blank lines, and
-//! binary garbage at a live server and asserts the server never dies,
-//! every well-formed request line gets exactly one well-formed JSON
-//! reply (with its id echoed), and malformed input yields `parse_error`
-//! — not silence, not a dropped connection.
+//! Seeded protocol fuzzer for `kor serve`: deterministic per seed, it
+//! throws split/merged frames, mid-line disconnects, oversized lines,
+//! interleaved blank lines, and binary garbage at a live server and
+//! asserts the server never dies, every well-formed request line gets
+//! exactly one well-formed JSON reply (with its id echoed), and
+//! malformed input yields `parse_error` — not silence, not a dropped
+//! connection.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,13 +16,12 @@ use rand::{Rng, SeedableRng};
 use kor::graph::fixtures::figure1;
 use kor::json::JsonValue;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn fixture_server(io: IoMode) -> (SocketAddr, ServerHandle) {
+fn fixture_server() -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         // Deep queue: this suite pins framing/parsing behavior, so no
         // fuzzed line may be answered `overloaded` (that would change
         // the expected reply).
@@ -206,8 +205,8 @@ fn fuzz_connection(rng: &mut StdRng, addr: SocketAddr, next_id: &mut u64) -> usi
     checked
 }
 
-fn run_fuzz(io: IoMode, seed: u64, connections: usize) {
-    let (addr, handle) = fixture_server(io);
+fn run_fuzz(seed: u64, connections: usize) {
+    let (addr, handle) = fixture_server();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u64;
     let mut checked = 0;
@@ -232,17 +231,12 @@ fn run_fuzz(io: IoMode, seed: u64, connections: usize) {
 
 #[test]
 fn fuzz_event_io() {
-    run_fuzz(IoMode::Event, 0x6b07, 30);
+    run_fuzz(0x6b07, 30);
 }
 
 #[test]
 fn fuzz_event_io_alternate_seed() {
-    run_fuzz(IoMode::Event, 20120807, 30);
-}
-
-#[test]
-fn fuzz_blocking_io() {
-    run_fuzz(IoMode::Blocking, 7, 20);
+    run_fuzz(20120807, 30);
 }
 
 /// One seeded malformed `update_edges` line. Every variant is invalid
@@ -291,9 +285,10 @@ fn malformed_update_edges(rng: &mut StdRng, id: u64) -> Vec<u8> {
 /// with valid queries) must produce one structured `bad_request` per
 /// line, leave the dataset at epoch 0 — no partial batch may ever
 /// apply — and leave the server serving.
-fn run_update_edges_fuzz(io: IoMode, seed: u64) {
-    let (addr, handle) = fixture_server(io);
-    let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn fuzz_update_edges_event_io() {
+    let (addr, handle) = fixture_server();
+    let mut rng = StdRng::seed_from_u64(0xED6E5);
 
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(30)))
@@ -358,76 +353,55 @@ fn run_update_edges_fuzz(io: IoMode, seed: u64) {
     handle.shutdown();
 }
 
-#[test]
-fn fuzz_update_edges_event_io() {
-    run_update_edges_fuzz(IoMode::Event, 0xED6E5);
-}
-
-#[test]
-fn fuzz_update_edges_blocking_io() {
-    run_update_edges_fuzz(IoMode::Blocking, 0x5107);
-}
-
 /// Oversized lines are their own terminal case: the server must answer
 /// `request_too_large` and close — even when the oversized line never
 /// ends (no newline arrives before the cap trips).
 #[test]
 fn oversized_lines_are_rejected_not_buffered() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let server = Server::bind(ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 1,
-            io,
-            max_request_bytes: 256,
-            ..ServeConfig::default()
-        })
-        .expect("bind");
-        server
-            .registry()
-            .insert(Dataset::from_graph("fig1", figure1()));
-        let addr = server.local_addr();
-        let handle = server.start();
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        max_request_bytes: 256,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    server
+        .registry()
+        .insert(Dataset::from_graph("fig1", figure1()));
+    let addr = server.local_addr();
+    let handle = server.start();
 
-        // Terminated oversized line.
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        conn.write_all(&vec![b'x'; 600]).unwrap();
-        conn.write_all(b"\n").unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        assert!(
-            resp.contains("request_too_large"),
-            "[{}] {resp}",
-            io.as_str()
-        );
-        let mut next = String::new();
-        assert_eq!(reader.read_line(&mut next).unwrap(), 0, "then hangs up");
+    // Terminated oversized line.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    conn.write_all(&vec![b'x'; 600]).unwrap();
+    conn.write_all(b"\n").unwrap();
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(resp.contains("request_too_large"), "{resp}",);
+    let mut next = String::new();
+    assert_eq!(reader.read_line(&mut next).unwrap(), 0, "then hangs up");
 
-        // Unterminated oversized line: the cap must trip on buffered
-        // bytes alone, not wait forever for a newline.
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        conn.write_all(&vec![b'y'; 2048]).unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        assert!(
-            resp.contains("request_too_large"),
-            "[{}] {resp}",
-            io.as_str()
-        );
+    // Unterminated oversized line: the cap must trip on buffered
+    // bytes alone, not wait forever for a newline.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    conn.write_all(&vec![b'y'; 2048]).unwrap();
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(resp.contains("request_too_large"), "{resp}",);
 
-        // The server is unharmed.
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
-        let mut resp = String::new();
-        BufReader::new(conn).read_line(&mut resp).unwrap();
-        assert!(resp.contains("\"ok\":true"), "{resp}");
-        handle.shutdown();
-    }
+    // The server is unharmed.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(b"{\"method\":\"health\"}\n").unwrap();
+    let mut resp = String::new();
+    BufReader::new(conn).read_line(&mut resp).unwrap();
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    handle.shutdown();
 }

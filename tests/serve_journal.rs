@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use kor::json::JsonValue;
 use kor::prelude::*;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kor-serve-journal-{tag}-{}", std::process::id()));
@@ -30,11 +30,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_journaled(io: IoMode, journal: &Path, world_path: &Path) -> (SocketAddr, ServerHandle) {
+fn start_journaled(journal: &Path, world_path: &Path) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 256,
         journal: Some(journal.to_path_buf()),
         ..ServeConfig::default()
@@ -107,14 +106,15 @@ fn query_line(world: &Snapshot, i: usize) -> String {
     )
 }
 
-fn restart_battery(io: IoMode, tag: &str) {
-    let dir = temp_dir(tag);
+#[test]
+fn journaled_mutations_survive_a_restart_event_io() {
+    let dir = temp_dir("restart-event");
     let world = generate_world(&GenConfig::grid(6, 5, 3));
     let world_path = dir.join("world.korbin");
     write_snapshot(&world_path, &world).unwrap();
     let jdir = dir.join("journal");
 
-    let (addr, handle) = start_journaled(io, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
     let (mut conn, mut reader) = connect(addr);
 
     // Three acknowledged, journaled batches.
@@ -161,7 +161,7 @@ fn restart_battery(io: IoMode, tag: &str) {
 
     // A cold server on the same journal directory: recovery replays the
     // three batches and every answer is byte-identical.
-    let (addr, handle) = start_journaled(io, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
     let (mut conn, mut reader) = connect(addr);
     let stats = roundtrip(&mut conn, &mut reader, r#"{"id":"s","method":"stats"}"#);
     let ds = &stats
@@ -191,16 +191,6 @@ fn restart_battery(io: IoMode, tag: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn journaled_mutations_survive_a_restart_event_io() {
-    restart_battery(IoMode::Event, "restart-event");
-}
-
-#[test]
-fn journaled_mutations_survive_a_restart_blocking_io() {
-    restart_battery(IoMode::Blocking, "restart-blocking");
-}
-
 /// `update_edges` racing `load_dataset` on the same name, under
 /// concurrent query load: no torn state, epochs monotone, and the
 /// journal ends at exactly the acknowledged batch count.
@@ -212,7 +202,7 @@ fn update_edges_racing_load_dataset_keeps_epochs_monotone() {
     write_snapshot(&world_path, &world).unwrap();
     let jdir = dir.join("journal");
 
-    let (addr, handle) = start_journaled(IoMode::Event, &jdir, &world_path);
+    let (addr, handle) = start_journaled(&jdir, &world_path);
 
     const BATCHES: u64 = 12;
     let done = std::sync::atomic::AtomicBool::new(false);

@@ -1,4 +1,4 @@
-//! `update_edges` over real sockets, in both I/O modes.
+//! `update_edges` over real sockets.
 //!
 //! The dynamic-world serve battery: a live dataset is mutated
 //! mid-stream on an open pipelined connection, while concurrent
@@ -20,13 +20,12 @@ use std::time::Duration;
 use kor::json::JsonValue;
 use kor::prelude::*;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn start_server(io: IoMode, dataset: Dataset) -> (SocketAddr, ServerHandle) {
+fn start_server(dataset: Dataset) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 256,
         ..ServeConfig::default()
     })
@@ -109,11 +108,9 @@ fn wire_answer(resp: &JsonValue) -> Option<(Vec<u64>, u64, u64)> {
     ))
 }
 
-fn mutate_battery(io: IoMode) {
-    let (addr, handle) = start_server(
-        io,
-        Dataset::from_graph("fig1", kor::graph::fixtures::figure1()),
-    );
+#[test]
+fn update_edges_is_atomic_midstream_event_io() {
+    let (addr, handle) = start_server(Dataset::from_graph("fig1", kor::graph::fixtures::figure1()));
     let (mut conn, mut reader) = connect(addr);
 
     // Pipeline three requests in one write: query, mutation, query. The
@@ -184,16 +181,6 @@ fn mutate_battery(io: IoMode) {
     handle.shutdown();
 }
 
-#[test]
-fn update_edges_is_atomic_midstream_event_io() {
-    mutate_battery(IoMode::Event);
-}
-
-#[test]
-fn update_edges_is_atomic_midstream_blocking_io() {
-    mutate_battery(IoMode::Blocking);
-}
-
 /// Concurrent clients hammer queries while the main thread flips an
 /// edge weight back and forth. Every response must be internally
 /// consistent: the answer bit-matches the cold engine for the exact
@@ -201,10 +188,7 @@ fn update_edges_is_atomic_midstream_blocking_io() {
 /// any mix) cannot produce that.
 #[test]
 fn concurrent_queries_never_observe_a_torn_graph() {
-    let (addr, handle) = start_server(
-        IoMode::Event,
-        Dataset::from_graph("fig1", kor::graph::fixtures::figure1()),
-    );
+    let (addr, handle) = start_server(Dataset::from_graph("fig1", kor::graph::fixtures::figure1()));
 
     // One expected answer per epoch, from cold engines on the exact
     // cumulative mutation sequence the server will apply. Alternating
@@ -294,7 +278,7 @@ fn sharded_dataset_degrades_to_fused_only_over_the_wire() {
     let assignment = info.assignment.clone();
     world.sharding = Some(info);
     let graph = world.graph.clone();
-    let (addr, handle) = start_server(IoMode::Event, Dataset::from_snapshot("world", world));
+    let (addr, handle) = start_server(Dataset::from_snapshot("world", world));
     let (mut conn, mut reader) = connect(addr);
 
     let fused_only = |conn: &mut TcpStream, reader: &mut BufReader<TcpStream>| -> bool {

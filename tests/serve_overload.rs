@@ -13,7 +13,7 @@ use kor::graph::fixtures::figure1;
 use kor::graph::KeywordId;
 use kor::json::JsonValue;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server};
+use kor::serve::{ServeConfig, Server};
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let conn = TcpStream::connect(addr).expect("connect");
@@ -63,7 +63,6 @@ fn saturated_queue_answers_overloaded_and_recovers() {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 1,
-        io: IoMode::Event,
         queue_capacity: 1,
         ..ServeConfig::default()
     })
@@ -169,7 +168,6 @@ fn connection_churn_does_not_leak_fds() {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io: IoMode::Event,
         ..ServeConfig::default()
     })
     .expect("bind");

@@ -1,4 +1,4 @@
-//! Per-request panic isolation over real sockets, in both I/O modes.
+//! Per-request panic isolation over real sockets.
 //!
 //! The `serve-request` fault point injects a panic into the handler for
 //! exactly one request. The contract: the poisoned request gets a
@@ -7,9 +7,8 @@
 //! `stats.server.panics` counts the event.
 //!
 //! The fault-point registry is process-global, so this battery lives in
-//! its own integration-test binary (own process) and runs both I/O
-//! modes inside one `#[test]` — each armed spec fires exactly once, and
-//! the second mode arms its own.
+//! its own integration-test binary (own process) and arms its spec, which
+//! fires exactly once, inside one `#[test]`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -17,13 +16,12 @@ use std::time::Duration;
 
 use kor::json::JsonValue;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn start_server(io: IoMode) -> (SocketAddr, ServerHandle) {
+fn start_server() -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 64,
         ..ServeConfig::default()
     })
@@ -52,8 +50,9 @@ fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str
     JsonValue::parse(resp.trim_end()).expect("response is valid JSON")
 }
 
-fn panic_battery(io: IoMode) {
-    let (addr, handle) = start_server(io);
+#[test]
+fn a_panicking_request_costs_one_response_not_the_connection() {
+    let (addr, handle) = start_server();
     let (mut conn, mut reader) = connect(addr);
 
     // Arm a one-shot panic for the NEXT handled request, then pipeline
@@ -73,12 +72,12 @@ fn panic_battery(io: IoMode) {
     assert_eq!(
         poisoned.get("ok").and_then(JsonValue::as_bool),
         Some(false),
-        "{io:?}: poisoned request must fail structurally: {poisoned:?}"
+        "poisoned request must fail structurally: {poisoned:?}"
     );
     assert_eq!(
         poisoned.get("id").and_then(JsonValue::as_str),
         Some("victim"),
-        "{io:?}: the id survives the panic"
+        "the id survives the panic"
     );
     assert_eq!(
         poisoned
@@ -86,7 +85,7 @@ fn panic_battery(io: IoMode) {
             .and_then(|e| e.get("code"))
             .and_then(JsonValue::as_str),
         Some("internal_error"),
-        "{io:?}: {poisoned:?}"
+        "{poisoned:?}"
     );
 
     for _ in 0..2 {
@@ -96,7 +95,7 @@ fn panic_battery(io: IoMode) {
         assert_eq!(
             v.get("ok").and_then(JsonValue::as_bool),
             Some(true),
-            "{io:?}: the connection must survive the panic: {v:?}"
+            "the connection must survive the panic: {v:?}"
         );
         assert_eq!(v.get("id").and_then(JsonValue::as_str), Some("alive"));
     }
@@ -113,15 +112,9 @@ fn panic_battery(io: IoMode) {
             .and_then(|s| s.get("panics"))
             .and_then(JsonValue::as_u64),
         Some(1),
-        "{io:?}: {stats:?}"
+        "{stats:?}"
     );
 
     drop(conn);
     handle.shutdown();
-}
-
-#[test]
-fn a_panicking_request_costs_one_response_not_the_connection() {
-    panic_battery(IoMode::Event);
-    panic_battery(IoMode::Blocking);
 }

@@ -1,9 +1,9 @@
-//! Pipelining and framing tests for `kor serve`, run against both I/O
-//! layers: N requests written in one burst must return N in-order
-//! responses byte-identical to the same requests sent
-//! one-connection-each, and a request line arriving in many TCP
-//! segments (including segments straddling the reactor's read-buffer
-//! boundary) must parse identically to a single-segment arrival.
+//! Pipelining and framing tests for `kor serve`: N requests written in
+//! one burst must return N in-order responses byte-identical to the
+//! same requests sent one-connection-each, and a request line arriving
+//! in many TCP segments (including segments straddling the reactor's
+//! read-buffer boundary) must parse identically to a single-segment
+//! arrival.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -11,13 +11,12 @@ use std::time::Duration;
 
 use kor::graph::fixtures::figure1;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
-fn fixture_server(io: IoMode, threads: usize) -> (SocketAddr, ServerHandle) {
+fn fixture_server(threads: usize) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads,
-        io,
         // Deep queue: these tests pin ordering and byte-equivalence,
         // not backpressure (tests/serve_overload.rs covers that), so
         // no burst here may ever be answered `overloaded`.
@@ -104,43 +103,32 @@ fn one_burst(addr: SocketAddr, lines: &[String]) -> Vec<String> {
 
 #[test]
 fn pipelined_burst_equals_one_connection_each() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 4);
-        let lines = canned_lines();
-        let reference = one_each(addr, &lines);
-        let burst = one_burst(addr, &lines);
-        assert_eq!(
-            burst,
-            reference,
-            "[{}] pipelined burst must be byte-identical to one-connection-each",
-            io.as_str()
-        );
-        handle.shutdown();
-    }
+    let (addr, handle) = fixture_server(4);
+    let lines = canned_lines();
+    let reference = one_each(addr, &lines);
+    let burst = one_burst(addr, &lines);
+    assert_eq!(
+        burst, reference,
+        "pipelined burst must be byte-identical to one-connection-each",
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn eight_concurrent_pipelined_clients_agree() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 4);
-        let lines = canned_lines();
-        let reference = one_each(addr, &lines);
-        let mut clients = Vec::new();
-        for _ in 0..8 {
-            let lines = lines.clone();
-            clients.push(std::thread::spawn(move || one_burst(addr, &lines)));
-        }
-        for client in clients {
-            let got = client.join().expect("client thread");
-            assert_eq!(
-                got,
-                reference,
-                "[{}] concurrent pipelined client diverged",
-                io.as_str()
-            );
-        }
-        handle.shutdown();
+    let (addr, handle) = fixture_server(4);
+    let lines = canned_lines();
+    let reference = one_each(addr, &lines);
+    let mut clients = Vec::new();
+    for _ in 0..8 {
+        let lines = lines.clone();
+        clients.push(std::thread::spawn(move || one_burst(addr, &lines)));
     }
+    for client in clients {
+        let got = client.join().expect("client thread");
+        assert_eq!(got, reference, "concurrent pipelined client diverged",);
+    }
+    handle.shutdown();
 }
 
 /// Graceful drain: a query pipelined IN FRONT of `shutdown` — both in
@@ -150,49 +138,32 @@ fn eight_concurrent_pipelined_clients_agree() {
 /// graceful stop.
 #[test]
 fn pipelined_query_in_flight_at_shutdown_is_still_answered() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        let query = r#"{"id":"last-query","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
-        // The reference answer, from a calm server.
-        let reference = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(query.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-
+    let (addr, handle) = fixture_server(2);
+    let query = r#"{"id":"last-query","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+    // The reference answer, from a calm server.
+    let reference = {
         let (mut conn, mut reader) = connect(addr);
-        conn.write_all(format!("{query}\n{{\"id\":\"bye\",\"method\":\"shutdown\"}}\n").as_bytes())
-            .unwrap();
-        let answered = read_response(&mut reader);
-        assert_eq!(
-            answered,
-            reference,
-            "[{}] the in-flight query must drain with its full answer",
-            io.as_str()
-        );
-        let bye = read_response(&mut reader);
-        assert!(
-            bye.contains("\"stopping\":true"),
-            "[{}] shutdown acknowledged after the drain: {bye}",
-            io.as_str()
-        );
-        drop(conn);
-        // The server actually stops — join() returns instead of hanging.
-        handle.join();
-    }
-}
+        conn.write_all(query.as_bytes()).unwrap();
+        conn.write_all(b"\n").unwrap();
+        read_response(&mut reader)
+    };
 
-#[test]
-fn cross_mode_responses_are_byte_identical() {
-    let (event_addr, event_handle) = fixture_server(IoMode::Event, 3);
-    let (blocking_addr, blocking_handle) = fixture_server(IoMode::Blocking, 3);
-    let lines = canned_lines();
-    let event = one_each(event_addr, &lines);
-    let blocking = one_each(blocking_addr, &lines);
-    assert_eq!(event, blocking, "event vs blocking response bytes");
-    event_handle.shutdown();
-    blocking_handle.shutdown();
+    let (mut conn, mut reader) = connect(addr);
+    conn.write_all(format!("{query}\n{{\"id\":\"bye\",\"method\":\"shutdown\"}}\n").as_bytes())
+        .unwrap();
+    let answered = read_response(&mut reader);
+    assert_eq!(
+        answered, reference,
+        "the in-flight query must drain with its full answer",
+    );
+    let bye = read_response(&mut reader);
+    assert!(
+        bye.contains("\"stopping\":true"),
+        "shutdown acknowledged after the drain: {bye}",
+    );
+    drop(conn);
+    // The server actually stops — join() returns instead of hanging.
+    handle.join();
 }
 
 /// Regression: a request line trickled in many small TCP segments —
@@ -200,38 +171,31 @@ fn cross_mode_responses_are_byte_identical() {
 /// identically to the same line arriving whole.
 #[test]
 fn segmented_request_parses_like_single_segment() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        let line = r#"{"id":"seg","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+    let (addr, handle) = fixture_server(2);
+    let line = r#"{"id":"seg","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
 
-        let whole = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(line.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-
+    let whole = {
         let (mut conn, mut reader) = connect(addr);
-        for (i, chunk) in line.as_bytes().chunks(3).enumerate() {
-            conn.write_all(chunk).unwrap();
-            conn.flush().unwrap();
-            if i % 8 == 0 {
-                // Long enough that the reactor is guaranteed to have
-                // polled the socket mid-line several times.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
+        conn.write_all(line.as_bytes()).unwrap();
         conn.write_all(b"\n").unwrap();
-        let segmented = read_response(&mut reader);
-        assert_eq!(
-            segmented,
-            whole,
-            "[{}] segmented arrival changed the response",
-            io.as_str()
-        );
-        handle.shutdown();
+        read_response(&mut reader)
+    };
+
+    let (mut conn, mut reader) = connect(addr);
+    for (i, chunk) in line.as_bytes().chunks(3).enumerate() {
+        conn.write_all(chunk).unwrap();
+        conn.flush().unwrap();
+        if i % 8 == 0 {
+            // Long enough that the reactor is guaranteed to have
+            // polled the socket mid-line several times.
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
+    std::thread::sleep(Duration::from_millis(5));
+    conn.write_all(b"\n").unwrap();
+    let segmented = read_response(&mut reader);
+    assert_eq!(segmented, whole, "segmented arrival changed the response",);
+    handle.shutdown();
 }
 
 /// Regression: a single request line larger than the reactor's 16 KiB
@@ -240,40 +204,36 @@ fn segmented_request_parses_like_single_segment() {
 /// id — however large — must round-trip.
 #[test]
 fn line_straddling_read_buffer_boundary_parses_identically() {
-    for io in [IoMode::Event, IoMode::Blocking] {
-        let (addr, handle) = fixture_server(io, 2);
-        // ~40 KB id: the line cannot fit in one 16 KiB reactor read.
-        let big_id = "x".repeat(40_000);
-        let line = format!(
-            r#"{{"id":"{big_id}","method":"query","params":{{"from":0,"to":7,"keywords":["t1"],"budget":10}}}}"#
-        );
+    let (addr, handle) = fixture_server(2);
+    // ~40 KB id: the line cannot fit in one 16 KiB reactor read.
+    let big_id = "x".repeat(40_000);
+    let line = format!(
+        r#"{{"id":"{big_id}","method":"query","params":{{"from":0,"to":7,"keywords":["t1"],"budget":10}}}}"#
+    );
 
-        let whole = {
-            let (mut conn, mut reader) = connect(addr);
-            conn.write_all(line.as_bytes()).unwrap();
-            conn.write_all(b"\n").unwrap();
-            read_response(&mut reader)
-        };
-        assert!(whole.contains(&big_id), "id must round-trip");
-        assert!(whole.contains("\"ok\":true"), "{}", &whole[..120]);
-
-        // The same line dribbled in 1000-byte segments with pauses at
-        // scratch-buffer-sized strides.
+    let whole = {
         let (mut conn, mut reader) = connect(addr);
-        for (i, chunk) in line.as_bytes().chunks(1000).enumerate() {
-            conn.write_all(chunk).unwrap();
-            if i % 16 == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+        conn.write_all(line.as_bytes()).unwrap();
         conn.write_all(b"\n").unwrap();
-        let segmented = read_response(&mut reader);
-        assert_eq!(
-            segmented,
-            whole,
-            "[{}] buffer-straddling arrival changed the response",
-            io.as_str()
-        );
-        handle.shutdown();
+        read_response(&mut reader)
+    };
+    assert!(whole.contains(&big_id), "id must round-trip");
+    assert!(whole.contains("\"ok\":true"), "{}", &whole[..120]);
+
+    // The same line dribbled in 1000-byte segments with pauses at
+    // scratch-buffer-sized strides.
+    let (mut conn, mut reader) = connect(addr);
+    for (i, chunk) in line.as_bytes().chunks(1000).enumerate() {
+        conn.write_all(chunk).unwrap();
+        if i % 16 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
+    conn.write_all(b"\n").unwrap();
+    let segmented = read_response(&mut reader);
+    assert_eq!(
+        segmented, whole,
+        "buffer-straddling arrival changed the response",
+    );
+    handle.shutdown();
 }

@@ -1,12 +1,11 @@
-//! Shard fault injection over real sockets, in both I/O modes.
+//! Shard fault injection over real sockets.
 //!
 //! A sharded dataset is served, then one shard is poisoned mid-stream:
 //! queries owned by the poisoned shard (or crossing into it) must fail
 //! with the structured `shard_unavailable` error while the connection
 //! stays open and queries wholly owned by healthy shards keep
 //! answering. `stats` must account the poisoned flag and the rejected
-//! counter; `revive_shard` must restore service. The same battery runs
-//! against the event reactor and the blocking I/O layer.
+//! counter; `revive_shard` must restore service.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +14,7 @@ use std::time::Duration;
 use kor::json::JsonValue;
 use kor::prelude::*;
 use kor::serve::registry::Dataset;
-use kor::serve::{IoMode, ServeConfig, Server, ServerHandle};
+use kor::serve::{ServeConfig, Server, ServerHandle};
 
 /// A deterministic sharded world, plus one node pair per shard and one
 /// cross-shard pair (all picked from the same layout the server uses).
@@ -36,11 +35,10 @@ fn pair_in_shard(graph: &Graph, info: &ShardingInfo, shard: u32) -> (u32, u32) {
     (a, b)
 }
 
-fn start_server(io: IoMode, world: Snapshot) -> (SocketAddr, ServerHandle) {
+fn start_server(world: Snapshot) -> (SocketAddr, ServerHandle) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        io,
         queue_capacity: 256,
         ..ServeConfig::default()
     })
@@ -88,13 +86,14 @@ fn assert_ok(resp: &JsonValue, what: &str) {
     );
 }
 
-fn poison_battery(io: IoMode) {
+#[test]
+fn poisoned_shard_yields_typed_errors_event_io() {
     let (world, info) = sharded_world();
     let graph_nodes = world.graph.node_count();
     let (s0a, s0b) = pair_in_shard(&world.graph, &info, 0);
     let (s1a, s1b) = pair_in_shard(&world.graph, &info, 1);
     assert!(graph_nodes >= 4, "world too small to pick pairs");
-    let (addr, handle) = start_server(io, world);
+    let (addr, handle) = start_server(world);
     let (mut conn, mut reader) = connect(addr);
 
     // Healthy: both shards answer; a cross-shard query fans out fine.
@@ -192,16 +191,6 @@ fn poison_battery(io: IoMode) {
     handle.shutdown();
 }
 
-#[test]
-fn poisoned_shard_yields_typed_errors_event_io() {
-    poison_battery(IoMode::Event);
-}
-
-#[test]
-fn poisoned_shard_yields_typed_errors_blocking_io() {
-    poison_battery(IoMode::Blocking);
-}
-
 /// `poison_shard` against an unsharded dataset is a `bad_request`, and
 /// sharded snapshots round-trip through the wire-level `load_dataset`
 /// (the response reports the shard count).
@@ -216,7 +205,6 @@ fn load_dataset_reports_shards_and_unsharded_poison_is_rejected() {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 1,
-        io: IoMode::Event,
         ..ServeConfig::default()
     })
     .expect("bind");
