@@ -15,7 +15,9 @@
 use std::time::{Duration, Instant};
 
 use kor_apsp::{CachedPairCosts, DenseApsp, PairCosts, QueryContext};
-use kor_core::{BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams};
+use kor_core::{
+    Algo, BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams, SearchRequest,
+};
 use kor_data::{generate_roadnet, generate_workload, QuerySpec, RoadNetConfig, WorkloadConfig};
 use kor_graph::fixtures::figure1;
 use kor_graph::Graph;
@@ -107,38 +109,39 @@ fn query(graph: &Graph, spec: &QuerySpec, delta: f64) -> KorQuery {
     .unwrap()
 }
 
+/// Runs `algo` with `k` on every query: one benchmark iteration.
+fn search_all(engine: &KorEngine<&Graph>, queries: &[KorQuery], algo: &Algo, k: usize) {
+    let request = SearchRequest {
+        k,
+        ..SearchRequest::new(algo.clone())
+    };
+    for q in queries {
+        let _ = engine.search(q, &request).unwrap();
+    }
+}
+
 /// Figure 4/18 analogue: per-algorithm runtime as keyword count grows.
 fn algorithms_vs_keywords(h: &Harness) {
     let graph = bench_graph();
     let engine = KorEngine::new(&graph);
     let sets = specs(&graph, &[2, 6, 10], 4);
     let delta = 25.0;
+    let algos = [
+        ("os_scaling", Algo::OsScaling(OsScalingParams::default())),
+        (
+            "bucket_bound",
+            Algo::BucketBound(BucketBoundParams::default()),
+        ),
+        ("greedy1", Algo::Greedy(GreedyParams::with_beam(1))),
+        ("greedy2", Algo::Greedy(GreedyParams::with_beam(2))),
+    ];
     for (set, &m) in sets.iter().zip(&[2usize, 6, 10]) {
         let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, delta)).collect();
-        h.bench("runtime_vs_keywords", &format!("os_scaling/{m}"), || {
-            let params = OsScalingParams::default();
-            for q in &queries {
-                let _ = engine.os_scaling(q, &params).unwrap();
-            }
-        });
-        h.bench("runtime_vs_keywords", &format!("bucket_bound/{m}"), || {
-            let params = BucketBoundParams::default();
-            for q in &queries {
-                let _ = engine.bucket_bound(q, &params).unwrap();
-            }
-        });
-        h.bench("runtime_vs_keywords", &format!("greedy1/{m}"), || {
-            let params = GreedyParams::with_beam(1);
-            for q in &queries {
-                let _ = engine.greedy(q, &params).unwrap();
-            }
-        });
-        h.bench("runtime_vs_keywords", &format!("greedy2/{m}"), || {
-            let params = GreedyParams::with_beam(2);
-            for q in &queries {
-                let _ = engine.greedy(q, &params).unwrap();
-            }
-        });
+        for (name, algo) in &algos {
+            h.bench("runtime_vs_keywords", &format!("{name}/{m}"), || {
+                search_all(&engine, &queries, algo, 1)
+            });
+        }
     }
 }
 
@@ -149,11 +152,9 @@ fn epsilon_sweep(h: &Harness) {
     let set = &specs(&graph, &[6], 4)[0];
     let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, 25.0)).collect();
     for eps in [0.1, 0.5, 0.9] {
+        let algo = Algo::OsScaling(OsScalingParams::with_epsilon(eps));
         h.bench("epsilon_sweep", &format!("{eps}"), || {
-            let params = OsScalingParams::with_epsilon(eps);
-            for q in &queries {
-                let _ = engine.os_scaling(q, &params).unwrap();
-            }
+            search_all(&engine, &queries, &algo, 1)
         });
     }
 }
@@ -165,11 +166,9 @@ fn beta_sweep(h: &Harness) {
     let set = &specs(&graph, &[6], 4)[0];
     let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, 25.0)).collect();
     for beta in [1.2, 1.6, 2.0] {
+        let algo = Algo::BucketBound(BucketBoundParams::with(0.5, beta));
         h.bench("beta_sweep", &format!("{beta}"), || {
-            let params = BucketBoundParams::with(0.5, beta);
-            for q in &queries {
-                let _ = engine.bucket_bound(q, &params).unwrap();
-            }
+            search_all(&engine, &queries, &algo, 1)
         });
     }
 }
@@ -180,34 +179,32 @@ fn topk_sweep(h: &Harness) {
     let engine = KorEngine::new(&graph);
     let set = &specs(&graph, &[4], 3)[0];
     let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, 25.0)).collect();
+    let algos = [
+        ("os_scaling", Algo::OsScaling(OsScalingParams::default())),
+        (
+            "bucket_bound",
+            Algo::BucketBound(BucketBoundParams::default()),
+        ),
+    ];
     for k in [1usize, 3, 5] {
-        h.bench("topk", &format!("os_scaling/{k}"), || {
-            let params = OsScalingParams::default();
-            for q in &queries {
-                let _ = engine.top_k_os_scaling(q, &params, k).unwrap();
-            }
-        });
-        h.bench("topk", &format!("bucket_bound/{k}"), || {
-            let params = BucketBoundParams::default();
-            for q in &queries {
-                let _ = engine.top_k_bucket_bound(q, &params, k).unwrap();
-            }
-        });
+        for (name, algo) in &algos {
+            h.bench("topk", &format!("{name}/{k}"), || {
+                search_all(&engine, &queries, algo, k)
+            });
+        }
     }
 }
 
 /// Figure 17 analogue: scalability over graph size.
 fn scalability(h: &Harness) {
+    let algo = Algo::BucketBound(BucketBoundParams::default());
     for nodes in [500usize, 1_000, 2_000] {
         let graph = generate_roadnet(&RoadNetConfig::with_nodes(nodes));
         let engine = KorEngine::new(&graph);
         let set = &specs(&graph, &[6], 3)[0];
         let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, 30.0)).collect();
         h.bench("scalability", &format!("bucket_bound/{nodes}"), || {
-            let params = BucketBoundParams::default();
-            for q in &queries {
-                let _ = engine.bucket_bound(q, &params).unwrap();
-            }
+            search_all(&engine, &queries, &algo, 1)
         });
     }
 }
@@ -218,18 +215,15 @@ fn optimization_ablation(h: &Harness) {
     let engine = KorEngine::new(&graph);
     let set = &specs(&graph, &[6], 3)[0];
     let queries: Vec<KorQuery> = set.iter().map(|s| query(&graph, s, 25.0)).collect();
-    h.bench("opt_ablation", "os_scaling/with", || {
-        let params = OsScalingParams::default();
-        for q in &queries {
-            let _ = engine.os_scaling(q, &params).unwrap();
-        }
-    });
-    h.bench("opt_ablation", "os_scaling/without", || {
-        let params = OsScalingParams::without_optimizations(0.5);
-        for q in &queries {
-            let _ = engine.os_scaling(q, &params).unwrap();
-        }
-    });
+    for (name, params) in [
+        ("with", OsScalingParams::default()),
+        ("without", OsScalingParams::without_optimizations(0.5)),
+    ] {
+        let algo = Algo::OsScaling(params);
+        h.bench("opt_ablation", &format!("os_scaling/{name}"), || {
+            search_all(&engine, &queries, &algo, 1)
+        });
+    }
 }
 
 /// Substrate benchmarks: pre-processing and index construction (§3.1).

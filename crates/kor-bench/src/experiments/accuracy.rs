@@ -1,11 +1,11 @@
 //! Accuracy experiments: Figures 10–11 (relative ratio vs #keywords and
 //! vs Δ) and Figures 12–13 (greedy α sweep with failure rates).
 
-use kor_core::{BucketBoundParams, GreedyParams, KorEngine, OsScalingParams};
+use kor_core::{Algo, BucketBoundParams, GreedyParams, KorEngine, OsScalingParams, SearchRequest};
 
 use crate::context::Context;
 use crate::report::{fmt_pct, fmt_ratio, Table};
-use crate::runner::{failure_pct, relative_ratio, run_algo, to_query, Algo, QueryRun};
+use crate::runner::{failure_pct, label, relative_ratio, run_algo, to_query, QueryRun};
 
 /// Figures 10–11: relative ratio (base: `OSScaling` ε = 0.1) of
 /// `BucketBound` (ε = 0.5, β = 1.2), `Greedy-2` and `Greedy-1` — grouped
@@ -20,8 +20,9 @@ pub fn fig10_11(ctx: &Context) -> Vec<Table> {
         Algo::BucketBound(BucketBoundParams::default()),
         Algo::Greedy(GreedyParams::with_beam(2)),
         Algo::Greedy(GreedyParams::with_beam(1)),
-    ];
-    let base_algo = Algo::OsScaling(OsScalingParams::with_epsilon(0.1));
+    ]
+    .map(SearchRequest::new);
+    let base_algo = SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1)));
 
     // cell[mi][di] = (base runs, per-algo runs)
     let mut base_runs: Vec<Vec<Vec<QueryRun>>> = Vec::new();
@@ -57,7 +58,7 @@ pub fn fig10_11(ctx: &Context) -> Vec<Table> {
     }
 
     let mut headers = vec!["#keywords".to_string()];
-    headers.extend(algos.iter().map(|a| a.label()));
+    headers.extend(algos.iter().map(label));
     let mut by_m = Table::new(
         "fig10",
         "Relative ratio vs number of query keywords (base: OSScaling ε = 0.1)",
@@ -74,7 +75,7 @@ pub fn fig10_11(ctx: &Context) -> Vec<Table> {
     }
 
     let mut headers = vec!["Δ (km)".to_string()];
-    headers.extend(algos.iter().map(|a| a.label()));
+    headers.extend(algos.iter().map(label));
     let mut by_delta = Table::new(
         "fig11",
         "Relative ratio vs budget limit Δ (base: OSScaling ε = 0.1)",
@@ -118,7 +119,7 @@ pub fn fig12_13(ctx: &Context) -> Vec<Table> {
             run_algo(
                 &engine,
                 q,
-                &Algo::OsScaling(OsScalingParams::with_epsilon(0.1)),
+                &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1))),
             )
         })
         .collect();
@@ -144,7 +145,13 @@ pub fn fig12_13(ctx: &Context) -> Vec<Table> {
             };
             let runs: Vec<QueryRun> = queries
                 .iter()
-                .map(|q| run_algo(&engine, q, &Algo::Greedy(params.clone())))
+                .map(|q| {
+                    run_algo(
+                        &engine,
+                        q,
+                        &SearchRequest::new(Algo::Greedy(params.clone())),
+                    )
+                })
                 .collect();
             ratio_row.push(fmt_ratio(relative_ratio(&runs, &base)));
             fail_row.push(fmt_pct(failure_pct(&runs, &base)));

@@ -5,7 +5,8 @@
 use std::time::Instant;
 
 use kor_core::{
-    brute_force, BruteForceParams, BucketBoundParams, KorEngine, KorQuery, OsScalingParams,
+    brute_force, Algo, BruteForceParams, BucketBoundParams, KorEngine, KorQuery, OsScalingParams,
+    SearchRequest,
 };
 use kor_data::{generate_roadnet, RoadNetConfig};
 use kor_graph::fixtures::{figure1, t, v};
@@ -13,7 +14,7 @@ use kor_graph::QueryKeywords;
 
 use crate::context::Context;
 use crate::report::{fmt_ms, fmt_ratio, Table};
-use crate::runner::{mean_ms, run_algo, to_query, Algo, QueryRun};
+use crate::runner::{mean_ms, run_algo, to_query, QueryRun};
 
 /// Table 1 of the paper: the label contents generated by `OSScaling` on
 /// Example 2 (`Q = ⟨v0, v7, {t1, t2}, 10⟩`, ε = 0.5). The harness
@@ -176,7 +177,11 @@ pub fn ablation(ctx: &Context) -> Vec<Table> {
     );
     let mut times = Vec::new();
     for (label, algo) in &variants {
-        let runs: Vec<QueryRun> = queries.iter().map(|q| run_algo(&engine, q, algo)).collect();
+        let request = SearchRequest::new(algo.clone());
+        let runs: Vec<QueryRun> = queries
+            .iter()
+            .map(|q| run_algo(&engine, q, &request))
+            .collect();
         let ms = mean_ms(&runs);
         times.push(ms);
         table.push_row(vec![(*label).to_string(), fmt_ms(ms)]);
@@ -241,7 +246,7 @@ pub fn brute(ctx: &Context) -> Vec<Table> {
         let os_run = run_algo(
             &engine,
             &query,
-            &Algo::OsScaling(OsScalingParams::with_epsilon(0.1)),
+            &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1))),
         );
         if let Ok(bf) = bf {
             brute_total += bf_ms;

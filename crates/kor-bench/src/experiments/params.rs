@@ -1,11 +1,11 @@
 //! Parameter-sweep experiments: Figures 6–7 (ε), 8–9 (β), and 14–15
 //! (equal theoretical bounds).
 
-use kor_core::{BucketBoundParams, KorEngine, KorQuery, OsScalingParams};
+use kor_core::{Algo, BucketBoundParams, KorEngine, KorQuery, OsScalingParams, SearchRequest};
 
 use crate::context::Context;
 use crate::report::{fmt_ms, fmt_ratio, Table};
-use crate::runner::{mean_ms, relative_ratio, run_algo, to_query, Algo, QueryRun};
+use crate::runner::{mean_ms, relative_ratio, run_algo, to_query, QueryRun};
 
 /// The default single-cell workload: m = 6, Δ = 6 km on the Flickr-like
 /// graph — shared by the ε/β/equal-bound sweeps.
@@ -23,9 +23,12 @@ fn default_queries(ctx: &Context) -> (std::sync::Arc<kor_graph::Graph>, Vec<KorQ
 fn run_all<G: AsRef<kor_graph::Graph>>(
     engine: &KorEngine<G>,
     queries: &[KorQuery],
-    algo: &Algo,
+    request: &SearchRequest,
 ) -> Vec<QueryRun> {
-    queries.iter().map(|q| run_algo(engine, q, algo)).collect()
+    queries
+        .iter()
+        .map(|q| run_algo(engine, q, request))
+        .collect()
 }
 
 /// Figures 6–7: `OSScaling` runtime and relative ratio as ε grows.
@@ -36,7 +39,7 @@ pub fn fig6_7(ctx: &Context) -> Vec<Table> {
     let base = run_all(
         &engine,
         &queries,
-        &Algo::OsScaling(OsScalingParams::with_epsilon(0.1)),
+        &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1))),
     );
     let mut runtime = Table::new(
         "fig6",
@@ -55,7 +58,7 @@ pub fn fig6_7(ctx: &Context) -> Vec<Table> {
             run_all(
                 &engine,
                 &queries,
-                &Algo::OsScaling(OsScalingParams::with_epsilon(eps)),
+                &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(eps))),
             )
         };
         runtime.push_row(vec![format!("{eps}"), fmt_ms(mean_ms(&runs))]);
@@ -77,12 +80,12 @@ pub fn fig8_9(ctx: &Context) -> Vec<Table> {
     let base01 = run_all(
         &engine,
         &queries,
-        &Algo::OsScaling(OsScalingParams::with_epsilon(0.1)),
+        &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1))),
     );
     let base05 = run_all(
         &engine,
         &queries,
-        &Algo::OsScaling(OsScalingParams::with_epsilon(0.5)),
+        &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.5))),
     );
     let mut runtime = Table::new(
         "fig8",
@@ -98,7 +101,7 @@ pub fn fig8_9(ctx: &Context) -> Vec<Table> {
         let runs = run_all(
             &engine,
             &queries,
-            &Algo::BucketBound(BucketBoundParams::with(0.5, beta)),
+            &SearchRequest::new(Algo::BucketBound(BucketBoundParams::with(0.5, beta))),
         );
         runtime.push_row(vec![format!("{beta}"), fmt_ms(mean_ms(&runs))]);
         ratio.push_row(vec![
@@ -120,7 +123,7 @@ pub fn fig14_15(ctx: &Context) -> Vec<Table> {
     let base = run_all(
         &engine,
         &queries,
-        &Algo::OsScaling(OsScalingParams::with_epsilon(0.1)),
+        &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.1))),
     );
     let mut runtime = Table::new(
         "fig14",
@@ -138,12 +141,12 @@ pub fn fig14_15(ctx: &Context) -> Vec<Table> {
         let os_runs = run_all(
             &engine,
             &queries,
-            &Algo::OsScaling(OsScalingParams::with_epsilon(eps_os)),
+            &SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(eps_os))),
         );
         let bb_runs = run_all(
             &engine,
             &queries,
-            &Algo::BucketBound(BucketBoundParams::with(eps_bb, 1.2)),
+            &SearchRequest::new(Algo::BucketBound(BucketBoundParams::with(eps_bb, 1.2))),
         );
         runtime.push_row(vec![
             format!("{bound}"),

@@ -1,12 +1,12 @@
 //! Runtime experiments: Figures 4–5 (Flickr), 17 (scalability), and
 //! 18–19 (synthetic road dataset).
 
-use kor_core::KorEngine;
+use kor_core::{KorEngine, SearchRequest};
 use kor_graph::Graph;
 
 use crate::context::Context;
 use crate::report::{fmt_ms, Table};
-use crate::runner::{mean_ms, run_algo, to_query, Algo, QueryRun};
+use crate::runner::{default_algos, label, mean_ms, run_algo, to_query, QueryRun};
 
 /// Shared sweep: for every keyword set and every Δ, run all algorithms;
 /// returns `runs[algo][m_index][delta_index]`.
@@ -15,7 +15,7 @@ fn keyword_delta_grid(
     ctx: &Context,
     keyword_counts: &[usize],
     deltas: &[f64],
-    algos: &[Algo],
+    algos: &[SearchRequest],
     road: bool,
 ) -> Vec<Vec<Vec<Vec<QueryRun>>>> {
     let engine = KorEngine::new(graph);
@@ -51,12 +51,12 @@ fn runtime_tables(
     titles: (&str, &str),
     keyword_counts: &[usize],
     deltas: &[f64],
-    algos: &[Algo],
+    algos: &[SearchRequest],
     runs: &[Vec<Vec<Vec<QueryRun>>>],
 ) -> Vec<Table> {
     // First table: rows = keyword counts, averaged over all Δ.
     let mut headers = vec!["#keywords".to_string()];
-    headers.extend(algos.iter().map(|a| format!("{} (ms)", a.label())));
+    headers.extend(algos.iter().map(|a| format!("{} (ms)", label(a))));
     let mut by_m = Table::new(ids.0, titles.0, headers);
     for (mi, m) in keyword_counts.iter().enumerate() {
         let mut row = vec![m.to_string()];
@@ -68,7 +68,7 @@ fn runtime_tables(
     }
     // Second table: rows = Δ, averaged over all keyword counts.
     let mut headers = vec!["Δ (km)".to_string()];
-    headers.extend(algos.iter().map(|a| format!("{} (ms)", a.label())));
+    headers.extend(algos.iter().map(|a| format!("{} (ms)", label(a))));
     let mut by_delta = Table::new(ids.1, titles.1, headers);
     for (di, delta) in deltas.iter().enumerate() {
         let mut row = vec![format!("{delta}")];
@@ -90,7 +90,7 @@ fn runtime_tables(
 /// (averaged over m ∈ {2,…,10}).
 pub fn fig4_5(ctx: &Context) -> Vec<Table> {
     let graph = ctx.flickr();
-    let algos = Algo::defaults();
+    let algos = default_algos();
     let runs = keyword_delta_grid(
         &graph,
         ctx,
@@ -115,9 +115,9 @@ pub fn fig4_5(ctx: &Context) -> Vec<Table> {
 /// Figure 17: scalability — runtime of all algorithms over road networks
 /// of increasing size (m = 6, Δ = 30 km).
 pub fn fig17(ctx: &Context) -> Vec<Table> {
-    let algos = Algo::defaults();
+    let algos = default_algos();
     let mut headers = vec!["nodes".to_string()];
-    headers.extend(algos.iter().map(|a| format!("{} (ms)", a.label())));
+    headers.extend(algos.iter().map(|a| format!("{} (ms)", label(a))));
     let mut table = Table::new(
         "fig17",
         "Scalability: runtime vs road-network size (m = 6, Δ = 30 km)",
@@ -145,7 +145,7 @@ pub fn fig17(ctx: &Context) -> Vec<Table> {
 /// network (the paper's synthetic 5k-node dataset).
 pub fn fig18_19(ctx: &Context) -> Vec<Table> {
     let graph = ctx.road(ctx.profile.road_sizes[0]);
-    let algos = Algo::defaults();
+    let algos = default_algos();
     let runs = keyword_delta_grid(
         &graph,
         ctx,

@@ -1,10 +1,10 @@
 //! Figure 16: KkR (top-k) runtime as k grows.
 
-use kor_core::{BucketBoundParams, OsScalingParams};
+use kor_core::{Algo, BucketBoundParams, OsScalingParams, SearchRequest};
 
 use crate::context::Context;
 use crate::report::{fmt_ms, Table};
-use crate::runner::{mean_ms, run_algo, to_query, Algo, QueryRun};
+use crate::runner::{mean_ms, run_algo, to_query, QueryRun};
 
 /// Figure 16: runtime of the KkR variants of `OSScaling` and
 /// `BucketBound` for k = 1…5 (ε = 0.5, β = 1.2, Δ = 6 km, averaged over
@@ -25,26 +25,18 @@ pub fn fig16(ctx: &Context) -> Vec<Table> {
         vec!["k", "OSScaling (ms)", "BucketBound (ms)"],
     );
     for &k in &ctx.profile.ks {
-        let os: Vec<QueryRun> = queries
-            .iter()
-            .map(|q| {
-                run_algo(
-                    &engine,
-                    q,
-                    &Algo::TopKOsScaling(OsScalingParams::default(), k),
-                )
-            })
-            .collect();
-        let bb: Vec<QueryRun> = queries
-            .iter()
-            .map(|q| {
-                run_algo(
-                    &engine,
-                    q,
-                    &Algo::TopKBucketBound(BucketBoundParams::default(), k),
-                )
-            })
-            .collect();
+        let runs = |algo: Algo| -> Vec<QueryRun> {
+            let request = SearchRequest {
+                k,
+                ..SearchRequest::new(algo)
+            };
+            queries
+                .iter()
+                .map(|q| run_algo(&engine, q, &request))
+                .collect()
+        };
+        let os = runs(Algo::OsScaling(OsScalingParams::default()));
+        let bb = runs(Algo::BucketBound(BucketBoundParams::default()));
         table.push_row(vec![
             k.to_string(),
             fmt_ms(mean_ms(&os)),

@@ -2,46 +2,39 @@
 
 use std::time::Instant;
 
-use kor_core::{BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams};
+use kor_core::{
+    Algo, BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams, SearchRequest,
+};
 use kor_data::QuerySpec;
 use kor_graph::Graph;
 
-/// The algorithm variants the figures compare.
-#[derive(Debug, Clone)]
-pub enum Algo {
-    /// `OSScaling` with the given parameters.
-    OsScaling(OsScalingParams),
-    /// `BucketBound` with the given parameters.
-    BucketBound(BucketBoundParams),
-    /// `Greedy` with the given parameters.
-    Greedy(GreedyParams),
-    /// KkR via `OSScaling`.
-    TopKOsScaling(OsScalingParams, usize),
-    /// KkR via `BucketBound`.
-    TopKBucketBound(BucketBoundParams, usize),
+/// Display name of a request in table headers: the paper's algorithm
+/// name, `Greedy-<beam>`, and a ` k=<k>` suffix for KkR requests.
+pub fn label(request: &SearchRequest) -> String {
+    let name = match &request.algo {
+        Algo::OsScaling(_) => "OSScaling".into(),
+        Algo::BucketBound(_) => "BucketBound".into(),
+        Algo::Exact => "Exact".into(),
+        Algo::Greedy(p) => format!("Greedy-{}", p.beam_width),
+    };
+    match request.k {
+        1 => name,
+        k => format!("{name} k={k}"),
+    }
 }
 
-impl Algo {
-    /// Display name used in table headers.
-    pub fn label(&self) -> String {
-        match self {
-            Algo::OsScaling(_) => "OSScaling".into(),
-            Algo::BucketBound(_) => "BucketBound".into(),
-            Algo::Greedy(p) => format!("Greedy-{}", p.beam_width),
-            Algo::TopKOsScaling(_, k) => format!("OSScaling k={k}"),
-            Algo::TopKBucketBound(_, k) => format!("BucketBound k={k}"),
-        }
-    }
-
-    /// The paper's defaults: ε = 0.5, β = 1.2, α = 0.5.
-    pub fn defaults() -> Vec<Algo> {
-        vec![
-            Algo::OsScaling(OsScalingParams::default()),
-            Algo::BucketBound(BucketBoundParams::default()),
-            Algo::Greedy(GreedyParams::with_beam(2)),
-            Algo::Greedy(GreedyParams::with_beam(1)),
-        ]
-    }
+/// The figures' default line-up at the paper's defaults (ε = 0.5,
+/// β = 1.2, α = 0.5): OSScaling, BucketBound, Greedy-2, Greedy-1.
+pub fn default_algos() -> Vec<SearchRequest> {
+    [
+        Algo::OsScaling(OsScalingParams::default()),
+        Algo::BucketBound(BucketBoundParams::default()),
+        Algo::Greedy(GreedyParams::with_beam(2)),
+        Algo::Greedy(GreedyParams::with_beam(1)),
+    ]
+    .into_iter()
+    .map(SearchRequest::new)
+    .collect()
 }
 
 /// Outcome of one (algorithm, query) measurement.
@@ -56,40 +49,19 @@ pub struct QueryRun {
     pub micros: u64,
 }
 
-/// Runs one algorithm on one query.
+/// Runs one request on one query. A greedy route that breaks a hard
+/// constraint counts as a failure.
 pub fn run_algo<G: AsRef<kor_graph::Graph>>(
     engine: &KorEngine<G>,
     query: &KorQuery,
-    algo: &Algo,
+    request: &SearchRequest,
 ) -> QueryRun {
     let start = Instant::now();
-    let (feasible, objective) = match algo {
-        Algo::OsScaling(p) => {
-            let r = engine.os_scaling(query, p).expect("valid params");
-            (r.route.is_some(), r.route.map(|x| x.objective))
-        }
-        Algo::BucketBound(p) => {
-            let r = engine.bucket_bound(query, p).expect("valid params");
-            (r.route.is_some(), r.route.map(|x| x.objective))
-        }
-        Algo::Greedy(p) => match engine.greedy(query, p).expect("valid params") {
-            Some(r) if r.is_feasible() => (true, Some(r.objective)),
-            _ => (false, None),
-        },
-        Algo::TopKOsScaling(p, k) => {
-            let r = engine.top_k_os_scaling(query, p, *k).expect("valid params");
-            (r.is_feasible(), r.best().map(|x| x.objective))
-        }
-        Algo::TopKBucketBound(p, k) => {
-            let r = engine
-                .top_k_bucket_bound(query, p, *k)
-                .expect("valid params");
-            (r.is_feasible(), r.best().map(|x| x.objective))
-        }
-    };
+    let outcome = engine.search(query, request).expect("valid params");
+    let feasible = outcome.is_feasible();
     QueryRun {
         feasible,
-        objective,
+        objective: outcome.best().filter(|_| feasible).map(|r| r.objective),
         micros: start.elapsed().as_micros() as u64,
     }
 }
@@ -213,35 +185,35 @@ mod tests {
         let g = figure1();
         let engine = KorEngine::new(&g);
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        for algo in Algo::defaults() {
-            let r = run_algo(&engine, &q, &algo);
-            assert!(r.feasible, "{}", algo.label());
+        for request in default_algos() {
+            let r = run_algo(&engine, &q, &request);
+            assert!(r.feasible, "{}", label(&request));
             assert!(r.objective.unwrap() > 0.0);
         }
-        let topk = run_algo(
-            &engine,
-            &q,
-            &Algo::TopKOsScaling(OsScalingParams::default(), 3),
-        );
-        assert!(topk.feasible);
-        let topb = run_algo(
-            &engine,
-            &q,
-            &Algo::TopKBucketBound(BucketBoundParams::default(), 2),
-        );
-        assert!(topb.feasible);
+        for (algo, k) in [
+            (Algo::OsScaling(OsScalingParams::default()), 3),
+            (Algo::BucketBound(BucketBoundParams::default()), 2),
+        ] {
+            let top = run_algo(
+                &engine,
+                &q,
+                &SearchRequest {
+                    k,
+                    ..SearchRequest::new(algo)
+                },
+            );
+            assert!(top.feasible);
+        }
     }
 
     #[test]
     fn labels_are_descriptive() {
-        assert_eq!(
-            Algo::OsScaling(OsScalingParams::default()).label(),
-            "OSScaling"
-        );
-        assert_eq!(Algo::Greedy(GreedyParams::with_beam(2)).label(), "Greedy-2");
-        assert_eq!(
-            Algo::TopKBucketBound(BucketBoundParams::default(), 4).label(),
-            "BucketBound k=4"
-        );
+        assert_eq!(label(&default_algos()[0]), "OSScaling");
+        assert_eq!(label(&default_algos()[2]), "Greedy-2");
+        let top = SearchRequest {
+            k: 4,
+            ..SearchRequest::new(Algo::BucketBound(BucketBoundParams::default()))
+        };
+        assert_eq!(label(&top), "BucketBound k=4");
     }
 }

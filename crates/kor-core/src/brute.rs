@@ -119,7 +119,7 @@ pub fn brute_force(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labeling::exact_labeling;
+    use crate::search::{single, Algo};
     use kor_graph::fixtures::{figure1, t, v};
     use kor_index::InvertedIndex;
 
@@ -142,7 +142,7 @@ mod tests {
             for delta in [4.0, 5.0, 6.0, 8.0, 10.0, 15.0] {
                 let q = KorQuery::new(&g, v(0), v(7), m.clone(), delta).unwrap();
                 let bf = brute_force(&g, &q, &BruteForceParams::default()).unwrap();
-                let ex = exact_labeling(&g, &idx, &q).unwrap();
+                let ex = single(&g, &idx, &q, Algo::Exact).unwrap();
                 match (&bf.route, &ex.route) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {

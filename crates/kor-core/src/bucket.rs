@@ -28,69 +28,32 @@ use crate::labeling::{
 };
 use crate::params::BucketBoundParams;
 use crate::query::KorQuery;
-use crate::result::{RouteResult, SearchResult, TopKResult};
+use crate::result::RouteResult;
+use crate::search::SearchOutcome;
 use crate::stats::SearchStats;
 
-/// Runs `BucketBound` (Algorithm 2): the `β/(1−ε)`-approximation.
-pub fn bucket_bound(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &BucketBoundParams,
-) -> Result<SearchResult, KorError> {
-    bucket_bound_with_cache(graph, index, query, params, None)
-}
-
-/// [`bucket_bound`] reusing a shared [`PreprocessCache`] for the
-/// to-target trees and Opt-2 bounds. Results are byte-identical to the
-/// cold path; only the setup cost changes.
-pub fn bucket_bound_with_cache(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &BucketBoundParams,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchResult, KorError> {
-    params.validate()?;
-    let mut engine = BucketEngine::new(graph, index, query, params, 1, cache);
-    let mut routes = engine.run()?;
-    Ok(SearchResult {
-        route: routes.pop(),
-        stats: engine.stats,
-        labels: engine.snapshots,
-    })
-}
-
-/// Runs the KkR extension of `BucketBound`: k-dominance, terminating once
-/// `k` feasible routes have been found in current buckets (§3.5).
-pub fn top_k_bucket_bound(
+/// Runs `BucketBound` (Algorithm 2), the `β/(1−ε)`-approximation; with
+/// `k > 1`, its KkR extension: k-dominance, terminating once `k`
+/// feasible routes have been found in current buckets (§3.5). `cache`
+/// supplies warm to-target trees and Opt-2 bounds; results are
+/// byte-identical to the cold path.
+pub(crate) fn bucket_search(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,
     params: &BucketBoundParams,
     k: usize,
-) -> Result<TopKResult, KorError> {
-    top_k_bucket_bound_with_cache(graph, index, query, params, k, None)
-}
-
-/// [`top_k_bucket_bound`] reusing a shared [`PreprocessCache`].
-pub fn top_k_bucket_bound_with_cache(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &BucketBoundParams,
-    k: usize,
+    deadline: Option<Instant>,
     cache: Option<&PreprocessCache>,
-) -> Result<TopKResult, KorError> {
+) -> Result<SearchOutcome, KorError> {
     params.validate()?;
-    if k == 0 {
-        return Err(KorError::InvalidK);
-    }
-    let mut engine = BucketEngine::new(graph, index, query, params, k, cache);
+    let mut engine = BucketEngine::new(graph, index, query, params, k, deadline, cache);
     let routes = engine.run()?;
-    Ok(TopKResult {
+    Ok(SearchOutcome {
         routes,
         stats: engine.stats,
+        labels: engine.snapshots,
+        greedy_flags: None,
     })
 }
 
@@ -180,6 +143,7 @@ impl<'a> BucketEngine<'a> {
         query: &'a KorQuery,
         params: &BucketBoundParams,
         k: usize,
+        deadline: Option<Instant>,
         cache: Option<&PreprocessCache>,
     ) -> Self {
         let mut stats = SearchStats::default();
@@ -233,7 +197,7 @@ impl<'a> BucketEngine<'a> {
             mode,
             k,
             collect_labels: params.collect_labels,
-            deadline: params.deadline,
+            deadline,
             ctx,
             masks,
             reach,
@@ -519,8 +483,8 @@ impl<'a> BucketEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labeling::{exact_labeling, os_scaling};
     use crate::params::OsScalingParams;
+    use crate::search::{search_uncached, single, Algo, SearchRequest};
     use kor_graph::fixtures::{figure1, t, v};
 
     fn setup() -> (Graph, InvertedIndex) {
@@ -543,7 +507,7 @@ mod tests {
     fn example2_query_feasible_and_bounded() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = bucket_bound(&g, &idx, &q, &params(0.5, 1.2)).unwrap();
+        let r = single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2))).unwrap();
         let route = r.route.expect("feasible");
         // Theorem 3: within β/(1−ε) = 2.4 of the optimum (6).
         assert!(route.objective <= 6.0 * 2.4 + 1e-9);
@@ -560,9 +524,9 @@ mod tests {
         for m in [vec![t(1)], vec![t(1), t(2)], vec![t(1), t(2), t(3)]] {
             for delta in [5.0, 6.0, 8.0, 10.0, 14.0] {
                 let q = KorQuery::new(&g, v(0), v(7), m.clone(), delta).unwrap();
-                let exact = exact_labeling(&g, &idx, &q).unwrap();
+                let exact = single(&g, &idx, &q, Algo::Exact).unwrap();
                 for (eps, beta) in [(0.1, 1.2), (0.5, 1.2), (0.5, 2.0), (0.9, 1.5)] {
-                    let r = bucket_bound(&g, &idx, &q, &params(eps, beta)).unwrap();
+                    let r = single(&g, &idx, &q, Algo::BucketBound(params(eps, beta))).unwrap();
                     match (&exact.route, &r.route) {
                         (None, None) => {}
                         (Some(opt), Some(found)) => {
@@ -593,8 +557,8 @@ mod tests {
                 use_opt2: false,
                 ..OsScalingParams::default()
             };
-            let ros = os_scaling(&g, &idx, &q, &os_params).unwrap();
-            let rbb = bucket_bound(&g, &idx, &q, &params(0.5, 1.2)).unwrap();
+            let ros = single(&g, &idx, &q, Algo::OsScaling(os_params.clone())).unwrap();
+            let rbb = single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2))).unwrap();
             match (&ros.route, &rbb.route) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -609,17 +573,17 @@ mod tests {
     fn infeasible_cases_detected() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 4.0).unwrap();
-        assert!(bucket_bound(&g, &idx, &q, &params(0.5, 1.2))
+        assert!(single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2)))
             .unwrap()
             .route
             .is_none());
         let q2 = KorQuery::new(&g, v(0), v(7), vec![t(5)], 100.0).unwrap();
-        assert!(bucket_bound(&g, &idx, &q2, &params(0.5, 1.2))
+        assert!(single(&g, &idx, &q2, Algo::BucketBound(params(0.5, 1.2)))
             .unwrap()
             .route
             .is_none());
         let q3 = KorQuery::new(&g, v(1), v(7), vec![], 100.0).unwrap();
-        assert!(bucket_bound(&g, &idx, &q3, &params(0.5, 1.2))
+        assert!(single(&g, &idx, &q3, Algo::BucketBound(params(0.5, 1.2)))
             .unwrap()
             .route
             .is_none());
@@ -629,7 +593,7 @@ mod tests {
     fn trivial_source_target() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(0), vec![t(3)], 5.0).unwrap();
-        let r = bucket_bound(&g, &idx, &q, &params(0.5, 1.2)).unwrap();
+        let r = single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2))).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.route.nodes(), &[v(0)]);
         assert_eq!(route.objective, 0.0);
@@ -639,9 +603,15 @@ mod tests {
     fn optimizations_preserve_feasibility_and_bound() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2), t(4)], 12.0).unwrap();
-        let with_opts = bucket_bound(&g, &idx, &q, &BucketBoundParams::default()).unwrap();
-        let without = bucket_bound(&g, &idx, &q, &params(0.5, 1.2)).unwrap();
-        let exact = exact_labeling(&g, &idx, &q).unwrap();
+        let with_opts = single(
+            &g,
+            &idx,
+            &q,
+            Algo::BucketBound(BucketBoundParams::default()),
+        )
+        .unwrap();
+        let without = single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2))).unwrap();
+        let exact = single(&g, &idx, &q, Algo::Exact).unwrap();
         let opt = exact.route.unwrap().objective;
         for r in [with_opts, without] {
             let route = r.route.expect("feasible");
@@ -654,7 +624,11 @@ mod tests {
     fn top_k_bucket_bound_returns_sorted_feasible_routes() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 12.0).unwrap();
-        let r = top_k_bucket_bound(&g, &idx, &q, &params(0.2, 1.2), 3).unwrap();
+        let request = SearchRequest {
+            k: 3,
+            ..SearchRequest::new(Algo::BucketBound(params(0.2, 1.2)))
+        };
+        let r = search_uncached(&g, &idx, &q, &request).unwrap();
         assert!(!r.routes.is_empty());
         for w in r.routes.windows(2) {
             assert!(w[0].objective <= w[1].objective);
@@ -670,8 +644,12 @@ mod tests {
     fn top_k_zero_rejected() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![], 10.0).unwrap();
+        let request = SearchRequest {
+            k: 0,
+            ..SearchRequest::new(Algo::BucketBound(BucketBoundParams::default()))
+        };
         assert!(matches!(
-            top_k_bucket_bound(&g, &idx, &q, &BucketBoundParams::default(), 0),
+            search_uncached(&g, &idx, &q, &request),
             Err(KorError::InvalidK)
         ));
     }
@@ -681,7 +659,7 @@ mod tests {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![], 10.0).unwrap();
         assert!(matches!(
-            bucket_bound(&g, &idx, &q, &params(0.5, 1.0)),
+            single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.0))),
             Err(KorError::InvalidBeta(_))
         ));
     }
@@ -696,11 +674,9 @@ mod tests {
         // checking), this search would run to completion instead.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let p = BucketBoundParams {
-            deadline: Some(std::time::Instant::now()),
-            ..BucketBoundParams::default()
-        };
-        let mut engine = BucketEngine::new(&g, &idx, &q, &p, 1, None);
+        let p = BucketBoundParams::default();
+        let deadline = Some(std::time::Instant::now());
+        let mut engine = BucketEngine::new(&g, &idx, &q, &p, 1, deadline, None);
         assert!(matches!(engine.run(), Err(KorError::DeadlineExceeded)));
         assert_eq!(
             engine.stats.labels_expanded, 0,
@@ -728,8 +704,8 @@ mod tests {
             use_opt2: false,
             ..OsScalingParams::default()
         };
-        let ros = os_scaling(&g, &idx, &q, &os_params).unwrap();
-        let rbb = bucket_bound(&g, &idx, &q, &params(0.5, 1.2)).unwrap();
+        let ros = single(&g, &idx, &q, Algo::OsScaling(os_params.clone())).unwrap();
+        let rbb = single(&g, &idx, &q, Algo::BucketBound(params(0.5, 1.2))).unwrap();
         assert!(rbb.stats.labels_created <= ros.stats.labels_created);
     }
 }

@@ -1,23 +1,19 @@
 //! Convenience facade bundling the index and pre-processing caches.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use kor_apsp::CachedPairCosts;
 use kor_graph::{EdgeMutation, Graph, MutationError, NodeId};
 use kor_index::InvertedIndex;
 
 use crate::brute::{brute_force, BruteForceParams};
-use crate::bucket::{bucket_bound_with_cache, top_k_bucket_bound_with_cache};
 use crate::cache::{CacheStats, PreprocessCache};
 use crate::error::KorError;
-use crate::greedy::{greedy_with_cache, GreedyParams, GreedyRoute};
-use crate::labeling::{
-    exact_labeling_with_cache, os_scaling_with_cache, top_k_os_scaling_with_cache,
-};
+use crate::greedy::{GreedyParams, GreedyRoute};
 use crate::params::{BucketBoundParams, OsScalingParams};
 use crate::query::KorQuery;
-use crate::result::{SearchResult, TopKResult};
+use crate::result::SearchResult;
+use crate::search::{self, Algo, SearchOutcome, SearchRequest};
 
 /// One-stop query engine: owns the inverted index, the forward-tree
 /// cache used by the greedy algorithm, and the shared
@@ -25,10 +21,11 @@ use crate::result::{SearchResult, TopKResult};
 /// mirroring the paper's setup where the index and pre-processing are
 /// built once per dataset.
 ///
-/// Every query method runs on the warm path automatically: repeat
-/// queries against a cached target skip all backward Dijkstras, and the
-/// per-search [`crate::SearchStats`] report the cache hits/misses and
-/// trees built. Results are byte-identical to the cache-free functions.
+/// Every search goes through [`KorEngine::search`] and runs on the warm
+/// path automatically: repeat queries against a cached target skip all
+/// backward Dijkstras, and the per-search [`crate::SearchStats`] report
+/// the cache hits/misses and trees built. Results are byte-identical to
+/// [`crate::search_uncached`].
 ///
 /// # Sharing across threads
 ///
@@ -207,53 +204,81 @@ impl<G: AsRef<Graph>> KorEngine<G> {
         self.prep.stats()
     }
 
-    /// `OSScaling` (Algorithm 1).
+    /// Runs one search on the warm path.
+    ///
+    /// # Errors
+    ///
+    /// [`KorError::InvalidK`] for `k = 0`, [`KorError::TopKUnsupported`]
+    /// for `k > 1` with `exact` or `greedy`, a parameter range error, or
+    /// [`KorError::DeadlineExceeded`] once `request.deadline` passes.
+    pub fn search(
+        &self,
+        query: &KorQuery,
+        request: &SearchRequest,
+    ) -> Result<SearchOutcome, KorError> {
+        search::run(
+            self.graph(),
+            &self.index,
+            &self.pairs,
+            query,
+            request,
+            Some(&self.prep),
+        )
+    }
+
+    /// `OSScaling` (Algorithm 1): [`Self::search`] with `k = 1`.
     pub fn os_scaling(
         &self,
         query: &KorQuery,
         params: &OsScalingParams,
     ) -> Result<SearchResult, KorError> {
-        os_scaling_with_cache(self.graph(), &self.index, query, params, Some(&self.prep))
+        self.single(query, Algo::OsScaling(params.clone()))
     }
 
-    /// `BucketBound` (Algorithm 2).
+    /// `BucketBound` (Algorithm 2): [`Self::search`] with `k = 1`.
     pub fn bucket_bound(
         &self,
         query: &KorQuery,
         params: &BucketBoundParams,
     ) -> Result<SearchResult, KorError> {
-        bucket_bound_with_cache(self.graph(), &self.index, query, params, Some(&self.prep))
+        self.single(query, Algo::BucketBound(params.clone()))
     }
 
-    /// The greedy heuristic (Algorithm 3).
+    /// The greedy heuristic (Algorithm 3) through [`Self::search`].
     pub fn greedy(
         &self,
         query: &KorQuery,
         params: &GreedyParams,
     ) -> Result<Option<GreedyRoute>, KorError> {
-        greedy_with_cache(
-            self.graph(),
-            &self.index,
-            &self.pairs,
-            query,
-            params,
-            Some(&self.prep),
-        )
+        let request = SearchRequest::new(Algo::Greedy(params.clone()));
+        self.search(query, &request).map(SearchOutcome::into_greedy)
     }
 
     /// Exact optimum via unscaled label dominance (ground truth).
     pub fn exact(&self, query: &KorQuery) -> Result<SearchResult, KorError> {
-        self.exact_with_deadline(query, None)
+        self.single(query, Algo::Exact)
     }
 
-    /// [`Self::exact`] with a deadline: aborts with
-    /// [`KorError::DeadlineExceeded`] once `deadline` passes.
-    pub fn exact_with_deadline(
+    /// KkR top-k via `BucketBound` (§3.5): [`Self::search`] with `k`.
+    pub fn top_k_bucket_bound(
         &self,
         query: &KorQuery,
-        deadline: Option<Instant>,
-    ) -> Result<SearchResult, KorError> {
-        exact_labeling_with_cache(self.graph(), &self.index, query, deadline, Some(&self.prep))
+        params: &BucketBoundParams,
+        k: usize,
+    ) -> Result<SearchOutcome, KorError> {
+        let algo = Algo::BucketBound(params.clone());
+        self.search(
+            query,
+            &SearchRequest {
+                k,
+                ..SearchRequest::new(algo)
+            },
+        )
+    }
+
+    fn single(&self, query: &KorQuery, algo: Algo) -> Result<SearchResult, KorError> {
+        self.search(query, &SearchRequest::new(algo))
+            .map(SearchResult::from)
     }
 
     /// The exhaustive §3.2 baseline (tiny graphs only).
@@ -264,40 +289,6 @@ impl<G: AsRef<Graph>> KorEngine<G> {
     ) -> Result<SearchResult, KorError> {
         brute_force(self.graph(), query, params)
     }
-
-    /// KkR top-k via `OSScaling` (§3.5).
-    pub fn top_k_os_scaling(
-        &self,
-        query: &KorQuery,
-        params: &OsScalingParams,
-        k: usize,
-    ) -> Result<TopKResult, KorError> {
-        top_k_os_scaling_with_cache(
-            self.graph(),
-            &self.index,
-            query,
-            params,
-            k,
-            Some(&self.prep),
-        )
-    }
-
-    /// KkR top-k via `BucketBound` (§3.5).
-    pub fn top_k_bucket_bound(
-        &self,
-        query: &KorQuery,
-        params: &BucketBoundParams,
-        k: usize,
-    ) -> Result<TopKResult, KorError> {
-        top_k_bucket_bound_with_cache(
-            self.graph(),
-            &self.index,
-            query,
-            params,
-            k,
-            Some(&self.prep),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -306,6 +297,7 @@ mod tests {
     use crate::greedy::GreedyMode;
     use kor_graph::fixtures::{figure1, t, v};
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn all_algorithms_run_through_the_facade() {
@@ -323,7 +315,13 @@ mod tests {
             .unwrap();
         let gr = engine.greedy(&q, &GreedyParams::default()).unwrap();
         let tk = engine
-            .top_k_os_scaling(&q, &OsScalingParams::default(), 2)
+            .search(
+                &q,
+                &SearchRequest {
+                    k: 2,
+                    ..SearchRequest::new(Algo::OsScaling(OsScalingParams::default()))
+                },
+            )
             .unwrap();
         let tb = engine
             .top_k_bucket_bound(&q, &BucketBoundParams::default(), 2)
@@ -464,34 +462,30 @@ mod tests {
         let engine = KorEngine::new(&g);
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
         let past = Some(Instant::now());
-        let os = OsScalingParams {
-            deadline: past,
-            ..OsScalingParams::default()
-        };
-        let bb = BucketBoundParams {
-            deadline: past,
-            ..BucketBoundParams::default()
-        };
-        assert!(matches!(
-            engine.os_scaling(&q, &os),
-            Err(KorError::DeadlineExceeded)
-        ));
-        assert!(matches!(
-            engine.bucket_bound(&q, &bb),
-            Err(KorError::DeadlineExceeded)
-        ));
-        assert!(matches!(
-            engine.exact_with_deadline(&q, past),
-            Err(KorError::DeadlineExceeded)
-        ));
-        assert!(matches!(
-            engine.top_k_os_scaling(&q, &os, 2),
-            Err(KorError::DeadlineExceeded)
-        ));
-        assert!(matches!(
-            engine.top_k_bucket_bound(&q, &bb, 2),
-            Err(KorError::DeadlineExceeded)
-        ));
+        for algo in crate::search::every_algo() {
+            let ks: &[usize] = match algo {
+                Algo::Exact | Algo::Greedy(_) => &[1],
+                _ => &[1, 2],
+            };
+            for &k in ks {
+                let request = SearchRequest {
+                    k,
+                    deadline: past,
+                    ..SearchRequest::new(algo.clone())
+                };
+                let got = engine.search(&q, &request);
+                if let Algo::Greedy(_) = algo {
+                    // Greedy does no label search and ignores deadlines.
+                    assert!(got.unwrap().is_feasible());
+                } else {
+                    assert!(
+                        matches!(got, Err(KorError::DeadlineExceeded)),
+                        "{} k={k}",
+                        algo.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -499,11 +493,11 @@ mod tests {
         let g = figure1();
         let engine = KorEngine::new(&g);
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let params = OsScalingParams {
+        let request = SearchRequest {
             deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
-            ..OsScalingParams::default()
+            ..SearchRequest::new(Algo::OsScaling(OsScalingParams::default()))
         };
-        let r = engine.os_scaling(&q, &params).unwrap();
-        assert_eq!(r.route.unwrap().objective, 6.0);
+        let r = engine.search(&q, &request).unwrap();
+        assert_eq!(r.routes[0].objective, 6.0);
     }
 }

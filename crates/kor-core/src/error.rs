@@ -19,8 +19,19 @@ pub enum KorError {
     InvalidAlpha(f64),
     /// The beam width for the greedy algorithm is zero.
     InvalidBeamWidth,
-    /// `k = 0` requested for a top-k query.
+    /// `k = 0` requested.
     InvalidK,
+    /// `k > 1` requested from an algorithm that returns one route.
+    TopKUnsupported(&'static str),
+    /// No algorithm has this name.
+    UnknownAlgo(String),
+    /// A tuning knob the chosen algorithm never reads.
+    KnobNotApplicable {
+        /// The knob's wire/CLI name.
+        knob: &'static str,
+        /// The algorithm's wire/CLI name.
+        algo: &'static str,
+    },
     /// The query keyword set is invalid.
     Keywords(QueryKeywordsError),
     /// Brute force aborted after the configured number of expansions.
@@ -43,8 +54,16 @@ impl fmt::Display for KorError {
             KorError::InvalidAlpha(a) => {
                 write!(f, "greedy balance parameter α = {a} must lie in [0, 1]")
             }
-            KorError::InvalidBeamWidth => write!(f, "greedy beam width must be ≥ 1"),
-            KorError::InvalidK => write!(f, "top-k requires k ≥ 1"),
+            KorError::InvalidBeamWidth => write!(f, "\"beam\" must be ≥ 1"),
+            KorError::InvalidK => write!(f, "\"k\" must be ≥ 1"),
+            KorError::TopKUnsupported(algo) => write!(f, "{algo:?} does not support k > 1"),
+            KorError::UnknownAlgo(name) => write!(
+                f,
+                "unknown algo {name:?} (expected os-scaling, bucket-bound, exact, or greedy)"
+            ),
+            KorError::KnobNotApplicable { knob, algo } => {
+                write!(f, "{knob:?} does not apply to algo {algo:?}")
+            }
             KorError::Keywords(e) => write!(f, "{e}"),
             KorError::SearchSpaceExceeded(n) => {
                 write!(f, "brute force exceeded {n} expansions")
@@ -81,7 +100,13 @@ mod tests {
         assert!(KorError::InvalidBeta(0.9).to_string().contains("0.9"));
         assert!(KorError::InvalidAlpha(2.0).to_string().contains("2"));
         assert!(KorError::InvalidBeamWidth.to_string().contains("beam"));
-        assert!(KorError::InvalidK.to_string().contains("k ≥ 1"));
+        assert_eq!(KorError::InvalidK.to_string(), "\"k\" must be ≥ 1");
+        assert!(KorError::TopKUnsupported("exact")
+            .to_string()
+            .contains("k > 1"));
+        assert!(KorError::UnknownAlgo("x".into())
+            .to_string()
+            .contains("\"x\""));
         assert!(KorError::DeadlineExceeded.to_string().contains("deadline"));
     }
 

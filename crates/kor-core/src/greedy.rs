@@ -116,20 +116,9 @@ struct State {
 
 /// Runs the greedy heuristic. Returns `Ok(None)` when the heuristic gets
 /// stuck (target unreachable or no admissible candidate), which the paper
-/// reports as a failed query.
-pub fn greedy(
-    graph: &Graph,
-    index: &InvertedIndex,
-    pairs: &impl PairCosts,
-    query: &KorQuery,
-    params: &GreedyParams,
-) -> Result<Option<GreedyRoute>, KorError> {
-    greedy_with_cache(graph, index, pairs, query, params, None)
-}
-
-/// [`greedy`] reusing a shared [`PreprocessCache`] for the to-target
+/// reports as a failed query. A supplied `cache` serves the to-target
 /// backward tree pair.
-pub fn greedy_with_cache(
+pub(crate) fn greedy_search(
     graph: &Graph,
     index: &InvertedIndex,
     pairs: &impl PairCosts,
@@ -322,7 +311,7 @@ mod tests {
         params: &GreedyParams,
     ) -> Option<GreedyRoute> {
         let pairs = CachedPairCosts::new(g);
-        greedy(g, idx, &pairs, q, params).unwrap()
+        greedy_search(g, idx, &pairs, q, params, None).unwrap()
     }
 
     #[test]
@@ -442,7 +431,7 @@ mod tests {
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1)], 10.0).unwrap();
         let pairs = CachedPairCosts::new(&g);
         assert!(matches!(
-            greedy(
+            greedy_search(
                 &g,
                 &idx,
                 &pairs,
@@ -450,12 +439,13 @@ mod tests {
                 &GreedyParams {
                     alpha: 1.5,
                     ..GreedyParams::default()
-                }
+                },
+                None
             ),
             Err(KorError::InvalidAlpha(_))
         ));
         assert!(matches!(
-            greedy(
+            greedy_search(
                 &g,
                 &idx,
                 &pairs,
@@ -463,7 +453,8 @@ mod tests {
                 &GreedyParams {
                     beam_width: 0,
                     ..GreedyParams::default()
-                }
+                },
+                None
             ),
             Err(KorError::InvalidBeamWidth)
         ));

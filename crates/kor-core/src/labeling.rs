@@ -23,8 +23,9 @@ use crate::error::KorError;
 use crate::label::{Label, LabelArena, LabelSnapshot, NO_LABEL};
 use crate::params::{OsScalingParams, ScaleAnchor};
 use crate::query::KorQuery;
-use crate::result::{RouteResult, SearchResult, TopKResult};
+use crate::result::RouteResult;
 use crate::scale::Scaler;
+use crate::search::SearchOutcome;
 use crate::stats::SearchStats;
 
 /// How many queue pops pass between two deadline checks. Calling
@@ -84,125 +85,21 @@ pub(crate) fn scaler_for(
     }
 }
 
-/// Runs `OSScaling` (Algorithm 1): the `1/(1−ε)`-approximation.
-pub fn os_scaling(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &OsScalingParams,
-) -> Result<SearchResult, KorError> {
-    os_scaling_with_cache(graph, index, query, params, None)
-}
-
-/// [`os_scaling`] reusing a shared [`PreprocessCache`] for the to-target
-/// trees and Opt-2 bounds. Results are byte-identical to the cold path;
-/// only the setup cost changes. `None` builds everything per call.
-pub fn os_scaling_with_cache(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &OsScalingParams,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchResult, KorError> {
-    params.validate()?;
-    let cfg = EngineConfig {
-        mode: ScoreMode::Scaled(scaler_for(
-            graph,
-            params.anchor,
-            params.epsilon,
-            query.budget,
-        )),
-        k: 1,
-        use_opt1: params.use_opt1,
-        use_opt2: params.use_opt2,
-        infrequent_threshold: params.infrequent_threshold,
-        collect_labels: params.collect_labels,
-        deadline: params.deadline,
-    };
-    let mut engine = Engine::new(graph, index, query, cfg, cache);
-    let mut routes = engine.run()?;
-    Ok(SearchResult {
-        route: routes.pop(),
-        stats: engine.stats,
-        labels: engine.snapshots,
-    })
-}
-
-/// Runs the exact variant: label dominance on unscaled objective scores,
-/// which preserves at least one optimal label chain and therefore returns
-/// the true optimum (the `ε → 0` limit of `OSScaling`). Exponentially
-/// more labels in the worst case — intended as the accuracy ground truth.
-pub fn exact_labeling(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-) -> Result<SearchResult, KorError> {
-    exact_labeling_with_deadline(graph, index, query, None)
-}
-
-/// [`exact_labeling`] with an optional deadline: the search aborts with
-/// [`KorError::DeadlineExceeded`] once `deadline` passes. Long-lived
-/// services use this to bound the (worst-case exponential) exact search.
-pub fn exact_labeling_with_deadline(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    deadline: Option<Instant>,
-) -> Result<SearchResult, KorError> {
-    exact_labeling_with_cache(graph, index, query, deadline, None)
-}
-
-/// [`exact_labeling_with_deadline`] reusing a shared [`PreprocessCache`].
-pub fn exact_labeling_with_cache(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    deadline: Option<Instant>,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchResult, KorError> {
-    let cfg = EngineConfig {
-        mode: ScoreMode::Exact,
-        k: 1,
-        use_opt1: true,
-        use_opt2: true,
-        infrequent_threshold: 0.01,
-        collect_labels: false,
-        deadline,
-    };
-    let mut engine = Engine::new(graph, index, query, cfg, cache);
-    let mut routes = engine.run()?;
-    Ok(SearchResult {
-        route: routes.pop(),
-        stats: engine.stats,
-        labels: engine.snapshots,
-    })
-}
-
-/// Runs the KkR extension of `OSScaling`: k-dominance plus a top-k result
-/// set whose k-th objective serves as the pruning bound `U`.
-pub fn top_k_os_scaling(
+/// Runs `OSScaling` (Algorithm 1), the `1/(1−ε)`-approximation; with
+/// `k > 1`, its KkR extension: k-dominance plus a top-k result set whose
+/// k-th objective serves as the pruning bound `U`. `cache` supplies warm
+/// to-target trees, Opt-2 bounds and landmarks; `None` builds everything
+/// per call. Results are byte-identical either way.
+pub(crate) fn scaled_search(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,
     params: &OsScalingParams,
     k: usize,
-) -> Result<TopKResult, KorError> {
-    top_k_os_scaling_with_cache(graph, index, query, params, k, None)
-}
-
-/// [`top_k_os_scaling`] reusing a shared [`PreprocessCache`].
-pub fn top_k_os_scaling_with_cache(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &OsScalingParams,
-    k: usize,
+    deadline: Option<Instant>,
     cache: Option<&PreprocessCache>,
-) -> Result<TopKResult, KorError> {
+) -> Result<SearchOutcome, KorError> {
     params.validate()?;
-    if k == 0 {
-        return Err(KorError::InvalidK);
-    }
     let cfg = EngineConfig {
         mode: ScoreMode::Scaled(scaler_for(
             graph,
@@ -215,13 +112,49 @@ pub fn top_k_os_scaling_with_cache(
         use_opt2: params.use_opt2,
         infrequent_threshold: params.infrequent_threshold,
         collect_labels: params.collect_labels,
-        deadline: params.deadline,
+        deadline,
     };
+    run_engine(graph, index, query, cfg, cache)
+}
+
+/// Runs the exact variant: label dominance on unscaled objective scores,
+/// which preserves at least one optimal label chain and therefore returns
+/// the true optimum (the `ε → 0` limit of `OSScaling`). Exponentially
+/// more labels in the worst case — intended as the accuracy ground truth,
+/// and bounded by `deadline` in long-lived services.
+pub(crate) fn exact_search(
+    graph: &Graph,
+    index: &InvertedIndex,
+    query: &KorQuery,
+    deadline: Option<Instant>,
+    cache: Option<&PreprocessCache>,
+) -> Result<SearchOutcome, KorError> {
+    let cfg = EngineConfig {
+        mode: ScoreMode::Exact,
+        k: 1,
+        use_opt1: true,
+        use_opt2: true,
+        infrequent_threshold: 0.01,
+        collect_labels: false,
+        deadline,
+    };
+    run_engine(graph, index, query, cfg, cache)
+}
+
+fn run_engine(
+    graph: &Graph,
+    index: &InvertedIndex,
+    query: &KorQuery,
+    cfg: EngineConfig,
+    cache: Option<&PreprocessCache>,
+) -> Result<SearchOutcome, KorError> {
     let mut engine = Engine::new(graph, index, query, cfg, cache);
     let routes = engine.run()?;
-    Ok(TopKResult {
+    Ok(SearchOutcome {
         routes,
         stats: engine.stats,
+        labels: engine.snapshots,
+        greedy_flags: None,
     })
 }
 
@@ -926,6 +859,7 @@ pub(crate) fn build_opt2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{search_uncached, single, Algo, SearchRequest};
     use kor_graph::fixtures::{figure1, t, v};
 
     fn setup() -> (Graph, InvertedIndex) {
@@ -981,7 +915,7 @@ mod tests {
         // OS 6, BS 10.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.route.nodes(), &[v(0), v(2), v(3), v(4), v(7)]);
         assert_eq!(route.objective, 6.0);
@@ -993,7 +927,7 @@ mod tests {
         // The nine labels of Table 1 (ÔS at θ = 1/20) must all be created.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         // (node, mask {t1=bit0, t2=bit1}, ÔS, OS, BS)
         let expected: [(u32, u64, u64, f64, f64); 9] = [
             (0, 0b00, 0, 0.0, 0.0),   // L00
@@ -1023,7 +957,7 @@ mod tests {
     fn example2_with_optimizations_same_answer() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &OsScalingParams::default()).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(OsScalingParams::default())).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.objective, 6.0);
         assert_eq!(route.budget, 10.0);
@@ -1034,7 +968,7 @@ mod tests {
         // Q = ⟨v0, v7, {t1,t2,t3}, 6⟩ ⇒ ⟨v0,v3,v5,v7⟩ with OS 9, BS 5.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2), t(3)], 6.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.route.nodes(), &[v(0), v(3), v(5), v(7)]);
         assert_eq!(route.objective, 9.0);
@@ -1046,7 +980,7 @@ mod tests {
         let (g, idx) = setup();
         // The cheapest-budget covering route for {t1,t2} needs BS ≥ 5.
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 4.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         assert!(r.route.is_none());
     }
 
@@ -1056,7 +990,7 @@ mod tests {
         // t5 lives only at v1, which has no outgoing edges: covering t5
         // strands the route.
         let q = KorQuery::new(&g, v(0), v(7), vec![t(5)], 100.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         assert!(r.route.is_none());
     }
 
@@ -1065,13 +999,13 @@ mod tests {
         // Without keywords the answer is the min-objective path meeting Δ.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![], 10.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.route.nodes(), &[v(0), v(3), v(4), v(7)]);
         assert_eq!(route.objective, 4.0);
         // With Δ = 6 the τ path (BS 7) is out; σ (OS 9, BS 5) wins.
         let q6 = KorQuery::new(&g, v(0), v(7), vec![], 6.0).unwrap();
-        let r6 = os_scaling(&g, &idx, &q6, &plain_params(0.5)).unwrap();
+        let r6 = single(&g, &idx, &q6, Algo::OsScaling(plain_params(0.5))).unwrap();
         assert_eq!(r6.route.unwrap().objective, 9.0);
     }
 
@@ -1081,7 +1015,7 @@ mod tests {
         // v0 holds t3; querying t3 from v0 to v0 is satisfied by standing
         // still.
         let q = KorQuery::new(&g, v(0), v(0), vec![t(3)], 5.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         let route = r.route.expect("feasible");
         assert_eq!(route.route.nodes(), &[v(0)]);
         assert_eq!(route.objective, 0.0);
@@ -1094,7 +1028,7 @@ mod tests {
         // From v5 back to v5 covering t4 (at v4): needs a cycle, but v5
         // is unreachable from v4's continuations ⇒ infeasible.
         let q = KorQuery::new(&g, v(5), v(5), vec![t(4)], 100.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         assert!(r.route.is_none());
     }
 
@@ -1103,12 +1037,12 @@ mod tests {
         let (g, idx) = setup();
         // v1 has no outgoing edges; nothing reaches v0 either.
         let q = KorQuery::new(&g, v(1), v(7), vec![], 100.0).unwrap();
-        assert!(os_scaling(&g, &idx, &q, &plain_params(0.5))
+        assert!(single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5)))
             .unwrap()
             .route
             .is_none());
         let q2 = KorQuery::new(&g, v(7), v(0), vec![], 100.0).unwrap();
-        assert!(os_scaling(&g, &idx, &q2, &plain_params(0.5))
+        assert!(single(&g, &idx, &q2, Algo::OsScaling(plain_params(0.5)))
             .unwrap()
             .route
             .is_none());
@@ -1118,8 +1052,8 @@ mod tests {
     fn exact_labeling_matches_os_scaling_small_eps() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let exact = exact_labeling(&g, &idx, &q).unwrap();
-        let approx = os_scaling(&g, &idx, &q, &plain_params(0.01)).unwrap();
+        let exact = single(&g, &idx, &q, Algo::Exact).unwrap();
+        let approx = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.01))).unwrap();
         assert_eq!(exact.route.as_ref().unwrap().objective, 6.0);
         assert_eq!(
             exact.route.unwrap().objective,
@@ -1133,9 +1067,9 @@ mod tests {
         for m in [vec![t(1)], vec![t(1), t(2)], vec![t(1), t(2), t(3)]] {
             for delta in [5.0, 6.0, 8.0, 10.0, 14.0] {
                 let q = KorQuery::new(&g, v(0), v(7), m.clone(), delta).unwrap();
-                let exact = exact_labeling(&g, &idx, &q).unwrap();
+                let exact = single(&g, &idx, &q, Algo::Exact).unwrap();
                 for eps in [0.1, 0.5, 0.9] {
-                    let r = os_scaling(&g, &idx, &q, &plain_params(eps)).unwrap();
+                    let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(eps))).unwrap();
                     match (&exact.route, &r.route) {
                         (None, None) => {}
                         (Some(opt), Some(found)) => {
@@ -1158,7 +1092,11 @@ mod tests {
     fn top_k_returns_distinct_sorted_routes() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 12.0).unwrap();
-        let r = top_k_os_scaling(&g, &idx, &q, &plain_params(0.2), 3).unwrap();
+        let top = |k| SearchRequest {
+            k,
+            ..SearchRequest::new(Algo::OsScaling(plain_params(0.2)))
+        };
+        let r = search_uncached(&g, &idx, &q, &top(3)).unwrap();
         assert!(!r.routes.is_empty());
         for w in r.routes.windows(2) {
             assert!(w[0].objective <= w[1].objective);
@@ -1172,17 +1110,21 @@ mod tests {
             assert!(route.route.covers(&g, &[t(1), t(2)]));
         }
         // k = 1 must agree with the single-route search.
-        let single = os_scaling(&g, &idx, &q, &plain_params(0.2)).unwrap();
-        let top1 = top_k_os_scaling(&g, &idx, &q, &plain_params(0.2), 1).unwrap();
-        assert_eq!(single.route.unwrap().objective, top1.routes[0].objective);
+        let best = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.2))).unwrap();
+        let top1 = search_uncached(&g, &idx, &q, &top(1)).unwrap();
+        assert_eq!(best.route.unwrap().objective, top1.routes[0].objective);
     }
 
     #[test]
     fn top_k_zero_is_error() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![], 10.0).unwrap();
+        let request = SearchRequest {
+            k: 0,
+            ..SearchRequest::new(Algo::OsScaling(OsScalingParams::default()))
+        };
         assert!(matches!(
-            top_k_os_scaling(&g, &idx, &q, &OsScalingParams::default(), 0),
+            search_uncached(&g, &idx, &q, &request),
             Err(KorError::InvalidK)
         ));
     }
@@ -1192,7 +1134,7 @@ mod tests {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![], 10.0).unwrap();
         assert!(matches!(
-            os_scaling(&g, &idx, &q, &plain_params(0.0)),
+            single(&g, &idx, &q, Algo::OsScaling(plain_params(0.0))),
             Err(KorError::InvalidEpsilon(_))
         ));
     }
@@ -1201,7 +1143,7 @@ mod tests {
     fn returned_route_scores_verify_against_graph() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2), t(4)], 12.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &OsScalingParams::default()).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(OsScalingParams::default())).unwrap();
         let route = r.route.expect("feasible");
         let (os, bs) = route.route.scores(&g).unwrap();
         assert!((os - route.objective).abs() < 1e-9);
@@ -1215,7 +1157,7 @@ mod tests {
     fn stats_are_populated() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = os_scaling(&g, &idx, &q, &plain_params(0.5)).unwrap();
+        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
         assert!(r.stats.labels_created >= 9);
         assert!(r.stats.labels_expanded > 0);
         assert!(r.stats.queue_pushes > 0);

@@ -7,33 +7,40 @@
 //! `v_t` minimizing the objective score subject to covering all keywords
 //! in `ψ` and keeping the budget score within `Δ` — an NP-hard problem.
 //!
-//! Algorithms provided (all exposed through [`KorEngine`]):
+//! Every search goes through one entry point, [`KorEngine::search`]: an
+//! [`Algo`] plus `k` and an optional deadline in a [`SearchRequest`], a
+//! [`SearchOutcome`] out. The algorithms ([`Algo`]'s variants):
 //!
-//! * [`os_scaling`] — Algorithm 1, the `1/(1−ε)`-approximation via
+//! * [`Algo::OsScaling`] — Algorithm 1, the `1/(1−ε)`-approximation via
 //!   objective-score scaling, with the paper's Optimization Strategies
 //!   1 & 2;
-//! * [`bucket_bound`] — Algorithm 2, the faster `β/(1−ε)`-approximation
-//!   that organizes labels into geometric buckets;
-//! * [`greedy`] — Algorithm 3, the α-weighted greedy heuristic
+//! * [`Algo::BucketBound`] — Algorithm 2, the faster
+//!   `β/(1−ε)`-approximation that organizes labels into geometric
+//!   buckets;
+//! * [`Algo::Greedy`] — Algorithm 3, the α-weighted greedy heuristic
 //!   (Greedy-1 / Greedy-2 beams, keyword-first or budget-first);
-//! * [`exact_labeling`] — exact optimum via label dominance on unscaled
-//!   scores (the `ε → 0` limit; ground truth for accuracy studies);
-//! * [`brute_force`] — the paper's §3.2 exhaustive baseline;
-//! * [`top_k_os_scaling`] / [`top_k_bucket_bound`] — the KkR top-k
-//!   extension (§3.5) via k-dominance.
+//! * [`Algo::Exact`] — exact optimum via label dominance on unscaled
+//!   scores (the `ε → 0` limit; ground truth for accuracy studies).
+//!
+//! `k > 1` in the request runs the KkR top-k extension (§3.5) of the two
+//! scaled searches via k-dominance. Two free functions remain:
+//! [`search_uncached`], the same request with no warm state (the
+//! reference for warm ≡ cold checks), and [`brute_force`], the paper's
+//! §3.2 exhaustive baseline and the test oracle.
 //!
 //! # Example
 //!
 //! ```
-//! use kor_core::{KorEngine, KorQuery, OsScalingParams};
+//! use kor_core::{Algo, KorEngine, KorQuery, OsScalingParams, SearchRequest};
 //! use kor_graph::fixtures::{figure1, t, v};
 //!
 //! let graph = figure1();
 //! let engine = KorEngine::new(&graph);
 //! // Example 2 of the paper: Q = ⟨v0, v7, {t1, t2}, 10⟩, ε = 0.5.
 //! let query = KorQuery::new(&graph, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-//! let result = engine.os_scaling(&query, &OsScalingParams::default()).unwrap();
-//! let route = result.route.expect("feasible");
+//! let request = SearchRequest::new(Algo::OsScaling(OsScalingParams::default()));
+//! let outcome = engine.search(&query, &request).unwrap();
+//! let route = outcome.best().expect("feasible");
 //! assert_eq!(route.objective, 6.0);
 //! assert_eq!(route.budget, 10.0);
 //! ```
@@ -54,24 +61,19 @@ mod params;
 mod query;
 mod result;
 mod scale;
+mod search;
 mod stats;
 
 pub use brute::{brute_force, BruteForceParams};
-pub use bucket::{
-    bucket_bound, bucket_bound_with_cache, top_k_bucket_bound, top_k_bucket_bound_with_cache,
-};
 pub use cache::{CacheStats, InvalidationCounts, Opt2Trees, PreprocessCache, TreeStamp};
 pub use dominance::{DomMode, LabelStore};
 pub use engine::{KorEngine, MutationReport};
 pub use error::KorError;
-pub use greedy::{greedy, greedy_with_cache, GreedyMode, GreedyParams, GreedyRoute};
+pub use greedy::{GreedyMode, GreedyParams, GreedyRoute};
 pub use label::{Label, LabelArena, LabelSnapshot, NO_LABEL};
-pub use labeling::{
-    exact_labeling, exact_labeling_with_cache, exact_labeling_with_deadline, os_scaling,
-    os_scaling_with_cache, top_k_os_scaling, top_k_os_scaling_with_cache,
-};
 pub use params::{BucketBoundParams, OsScalingParams, ScaleAnchor};
 pub use query::KorQuery;
-pub use result::{RouteResult, SearchResult, TopKResult};
+pub use result::{RouteResult, SearchResult};
 pub use scale::Scaler;
+pub use search::{search_uncached, Algo, SearchOutcome, SearchRequest};
 pub use stats::SearchStats;

@@ -1,7 +1,5 @@
 //! Algorithm parameters with the paper's defaults.
 
-use std::time::Instant;
-
 use kor_graph::Graph;
 
 use crate::error::KorError;
@@ -54,10 +52,6 @@ pub struct OsScalingParams {
     /// Record a snapshot of every label created (golden-trace tests and
     /// debugging; costs memory).
     pub collect_labels: bool,
-    /// Abort the label search with [`KorError::DeadlineExceeded`] once
-    /// this instant passes (checked at every queue pop). `None` runs to
-    /// exhaustion — online services set this from per-request deadlines.
-    pub deadline: Option<Instant>,
     /// Pin the scaling extrema to a reference graph's instead of the
     /// search graph's (see [`ScaleAnchor`]). `None` — the default —
     /// reads them from the graph being searched.
@@ -74,7 +68,6 @@ impl Default for OsScalingParams {
             use_opt2: true,
             infrequent_threshold: 0.01,
             collect_labels: false,
-            deadline: None,
             anchor: None,
         }
     }
@@ -136,9 +129,6 @@ pub struct BucketBoundParams {
     pub infrequent_threshold: f64,
     /// Record label snapshots.
     pub collect_labels: bool,
-    /// Abort the label search with [`KorError::DeadlineExceeded`] once
-    /// this instant passes (see [`OsScalingParams::deadline`]).
-    pub deadline: Option<Instant>,
     /// Pin the scaling extrema to a reference graph's (see
     /// [`ScaleAnchor`] and [`OsScalingParams::anchor`]).
     pub anchor: Option<ScaleAnchor>,
@@ -154,7 +144,6 @@ impl Default for BucketBoundParams {
             use_opt2: true,
             infrequent_threshold: 0.01,
             collect_labels: false,
-            deadline: None,
             anchor: None,
         }
     }

@@ -16,8 +16,21 @@ pub struct RouteResult {
     pub budget: f64,
 }
 
+impl RouteResult {
+    /// The route reduced to its exact bits — node ids and the IEEE-754
+    /// bit patterns of both scores — for byte-identity checks.
+    pub fn bits(&self) -> (Vec<u32>, u64, u64) {
+        (
+            self.route.nodes().iter().map(|n| n.0).collect(),
+            self.objective.to_bits(),
+            self.budget.to_bits(),
+        )
+    }
+}
+
 /// Outcome of a single-route search (`OSScaling`, `BucketBound`, exact,
-/// brute force).
+/// brute force); the typed engine adapters and [`crate::brute_force`]
+/// return it.
 #[derive(Debug, Clone, Default)]
 pub struct SearchResult {
     /// The best route found, or `None` when no feasible route exists.
@@ -42,30 +55,10 @@ impl SearchResult {
     }
 }
 
-/// Outcome of a KkR top-k search (§3.5).
-#[derive(Debug, Clone, Default)]
-pub struct TopKResult {
-    /// Up to `k` feasible routes in ascending objective order.
-    pub routes: Vec<RouteResult>,
-    /// Instrumentation counters.
-    pub stats: SearchStats,
-}
-
-impl TopKResult {
-    /// Whether at least one feasible route was found.
-    pub fn is_feasible(&self) -> bool {
-        !self.routes.is_empty()
-    }
-
-    /// The best route, if any.
-    pub fn best(&self) -> Option<&RouteResult> {
-        self.routes.first()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::SearchOutcome;
     use kor_graph::NodeId;
 
     fn rr(objective: f64) -> RouteResult {
@@ -87,15 +80,24 @@ mod tests {
         };
         assert!(found.is_feasible());
         assert_eq!(found.objective_or_inf(), 3.5);
+        assert_eq!(
+            rr(3.5).bits(),
+            (vec![0, 1], 3.5f64.to_bits(), 1.0f64.to_bits())
+        );
     }
 
     #[test]
     fn topk_accessors() {
-        let mut r = TopKResult::default();
+        let mut r = SearchOutcome::default();
         assert!(!r.is_feasible());
         assert!(r.best().is_none());
         r.routes = vec![rr(1.0), rr(2.0)];
         assert!(r.is_feasible());
         assert_eq!(r.best().unwrap().objective, 1.0);
+        // A greedy route that breaks a hard constraint is not feasible.
+        r.greedy_flags = Some((true, false));
+        assert!(!r.is_feasible());
+        let single = SearchResult::from(r);
+        assert_eq!(single.objective_or_inf(), 1.0);
     }
 }

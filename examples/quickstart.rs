@@ -25,37 +25,49 @@ fn main() {
         v(7)
     );
 
-    // OSScaling (Algorithm 1) — 1/(1−ε) approximation.
-    let os = engine
-        .os_scaling(&query, &OsScalingParams::default())
-        .expect("valid parameters");
-    report("OSScaling (ε = 0.5)", &os);
-
-    // BucketBound (Algorithm 2) — β/(1−ε) approximation, faster.
-    let bb = engine
-        .bucket_bound(&query, &BucketBoundParams::default())
-        .expect("valid parameters");
-    report("BucketBound (ε = 0.5, β = 1.2)", &bb);
-
-    // Greedy (Algorithm 3) — no guarantee, fastest.
-    match engine.greedy(&query, &GreedyParams::default()).unwrap() {
-        Some(r) => println!(
-            "Greedy-1 (α = 0.5): {} OS = {} BS = {} feasible = {}",
-            r.route,
-            r.objective,
-            r.budget,
-            r.is_feasible()
+    // Every search is one `SearchRequest` through `KorEngine::search`.
+    let searches = [
+        // OSScaling (Algorithm 1) — 1/(1−ε) approximation.
+        (
+            "OSScaling (ε = 0.5)",
+            Algo::OsScaling(OsScalingParams::default()),
         ),
-        None => println!("Greedy-1: stuck (no route)"),
+        // BucketBound (Algorithm 2) — β/(1−ε) approximation, faster.
+        (
+            "BucketBound (ε = 0.5, β = 1.2)",
+            Algo::BucketBound(BucketBoundParams::default()),
+        ),
+        // Greedy (Algorithm 3) — no guarantee, fastest.
+        ("Greedy-1 (α = 0.5)", Algo::Greedy(GreedyParams::default())),
+        // Exact ground truth for this small instance.
+        ("Exact", Algo::Exact),
+    ];
+    for (name, algo) in searches {
+        let outcome = engine
+            .search(&query, &SearchRequest::new(algo))
+            .expect("valid parameters");
+        match outcome.best() {
+            Some(r) => println!(
+                "{name}: {} OS = {} BS = {}  [{} labels] feasible = {}",
+                r.route,
+                r.objective,
+                r.budget,
+                outcome.stats.labels_created,
+                outcome.is_feasible()
+            ),
+            None => println!("{name}: no feasible route"),
+        }
     }
 
-    // Exact ground truth for this small instance.
-    let exact = engine.exact(&query).unwrap();
-    report("Exact", &exact);
-
-    // Top-3 routes (KkR, §3.5).
+    // Top-3 routes (KkR, §3.5): the same search with k = 3.
     let topk = engine
-        .top_k_os_scaling(&query, &OsScalingParams::default(), 3)
+        .search(
+            &query,
+            &SearchRequest {
+                k: 3,
+                ..SearchRequest::new(Algo::OsScaling(OsScalingParams::default()))
+            },
+        )
         .unwrap();
     println!("\nTop-3 routes (KkR):");
     for (i, r) in topk.routes.iter().enumerate() {
@@ -66,15 +78,5 @@ fn main() {
             r.objective,
             r.budget
         );
-    }
-}
-
-fn report(name: &str, result: &SearchResult) {
-    match &result.route {
-        Some(r) => println!(
-            "{name}: {} OS = {} BS = {}  [{} labels]",
-            r.route, r.objective, r.budget, result.stats.labels_created
-        ),
-        None => println!("{name}: no feasible route"),
     }
 }

@@ -16,7 +16,7 @@
 //! regardless of which thread runs it.
 //!
 //! ```no_run
-//! use kor::batch::{run_batch, BatchAlgo, BatchConfig};
+//! use kor::batch::{run_batch, BatchConfig};
 //! use kor::prelude::*;
 //!
 //! let (graph, _) = generate_flickr(&FlickrConfig::small());
@@ -28,49 +28,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use kor_core::{
-    BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams, RouteResult, ScaleAnchor,
+    Algo, BucketBoundParams, KorEngine, KorError, KorQuery, SearchOutcome, SearchRequest,
 };
 use kor_data::shard::ShardingInfo;
 use kor_data::{generate_workload, CannedQuery, CannedQuerySet, WorkloadConfig};
 use kor_graph::Graph;
 
 use crate::json::JsonValue;
-use crate::shard::{ShardPlan, ShardRouter};
-
-/// Which algorithm the batch runs for every query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchAlgo {
-    /// `OSScaling` (Algorithm 1) with approximation parameter `epsilon`.
-    OsScaling {
-        /// Approximation parameter `ε ∈ (0, 1)`.
-        epsilon: f64,
-    },
-    /// `BucketBound` (Algorithm 2) with `epsilon` and bucket base `beta`.
-    BucketBound {
-        /// Approximation parameter `ε ∈ (0, 1)`.
-        epsilon: f64,
-        /// Bucket geometric base `β > 1`.
-        beta: f64,
-    },
-    /// The α-weighted greedy heuristic (Algorithm 3).
-    Greedy {
-        /// Objective/budget mixing weight `α ∈ [0, 1]`.
-        alpha: f64,
-        /// Beam width (1 = Greedy-1, 2 = Greedy-2, …).
-        beam: usize,
-    },
-}
-
-impl BatchAlgo {
-    /// Stable name used in output and the JSON summary.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchAlgo::OsScaling { .. } => "os-scaling",
-            BatchAlgo::BucketBound { .. } => "bucket-bound",
-            BatchAlgo::Greedy { .. } => "greedy",
-        }
-    }
-}
+use crate::shard::ShardRouter;
 
 /// Full configuration of a batch run.
 #[derive(Debug, Clone)]
@@ -93,7 +58,7 @@ pub struct BatchConfig {
     /// changes.
     pub sharding: Option<ShardingInfo>,
     /// Algorithm (and its parameters) to run.
-    pub algo: BatchAlgo,
+    pub algo: Algo,
     /// Worker thread count; `0` means one per available core.
     pub threads: usize,
 }
@@ -105,10 +70,7 @@ impl Default for BatchConfig {
             delta: 25.0,
             canned: None,
             sharding: None,
-            algo: BatchAlgo::BucketBound {
-                epsilon: 0.5,
-                beta: 1.2,
-            },
+            algo: Algo::BucketBound(BucketBoundParams::default()),
             threads: 0,
         }
     }
@@ -139,6 +101,45 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
+    /// An outcome with nothing answered yet.
+    pub(crate) fn pending(id: usize, set_index: usize, keyword_count: usize) -> Self {
+        Self {
+            id,
+            set_index,
+            keyword_count,
+            latency: Duration::ZERO,
+            objective: None,
+            budget: None,
+            route: None,
+            error: None,
+        }
+    }
+
+    /// Records what a search answered. Only a feasible route counts: a
+    /// greedy route that breaks a hard constraint is reported as
+    /// infeasible.
+    pub(crate) fn answered(self, answer: Result<SearchOutcome, KorError>) -> Self {
+        match answer {
+            Err(e) => self.failed(e.to_string()),
+            Ok(outcome) => match outcome.best().filter(|_| outcome.is_feasible()) {
+                Some(r) => Self {
+                    objective: Some(r.objective),
+                    budget: Some(r.budget),
+                    route: Some(r.route.nodes().iter().map(|n| n.0).collect()),
+                    ..self
+                },
+                None => self,
+            },
+        }
+    }
+
+    fn failed(self, error: String) -> Self {
+        Self {
+            error: Some(error),
+            ..self
+        }
+    }
+
     /// Whether the query produced a feasible route.
     pub fn is_feasible(&self) -> bool {
         self.objective.is_some()
@@ -408,6 +409,7 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
     }
     .min(items.len().max(1));
 
+    let request = SearchRequest::new(config.algo.clone());
     let cursor = AtomicUsize::new(0);
     let started = Instant::now();
     let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(items.len());
@@ -418,12 +420,13 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
             let router = router.as_ref();
             let items = &items;
             let cursor = &cursor;
+            let request = &request;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<QueryOutcome> = Vec::new();
                 loop {
                     let at = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(at) else { break };
-                    local.push(run_one(engine, router, item, config.algo));
+                    local.push(run_one(engine, router, item, request));
                 }
                 local
             }));
@@ -472,130 +475,40 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
     }
 }
 
-/// Answer one work item, timing just the engine call. With a router,
-/// the query first routes: confined queries run on their shard's engine
-/// (anchored), everything else on the fused engine.
+/// Answer one work item, timing only the engine call. With a router,
+/// confined queries run on their shard's engine (anchored), everything
+/// else on the fused engine; planning is not part of the latency.
 fn run_one(
     engine: &KorEngine<&Graph>,
     router: Option<&ShardRouter>,
     item: &WorkItem,
-    algo: BatchAlgo,
+    request: &SearchRequest,
 ) -> QueryOutcome {
-    let base = QueryOutcome {
-        id: item.id,
-        set_index: item.set_index,
-        keyword_count: item.keyword_count,
-        latency: Duration::ZERO,
-        objective: None,
-        budget: None,
-        route: None,
-        error: None,
-    };
+    let base = QueryOutcome::pending(item.id, item.set_index, item.keyword_count);
     let query = match &item.query {
         Ok(q) => q,
-        Err(e) => {
-            return QueryOutcome {
-                error: Some(e.clone()),
-                ..base
-            }
-        }
+        Err(e) => return base.failed(e.clone()),
     };
-    let plan = match router {
-        Some(r) => {
-            // Greedy never runs shard-locally: its pair-cost heuristics
-            // consult paths that may cross shards.
-            let local_capable = !matches!(algo, BatchAlgo::Greedy { .. });
-            match r.plan(query.source, query.target, query.budget, local_capable) {
-                Ok(p) => p,
-                Err(e) => {
-                    return QueryOutcome {
-                        error: Some(e.to_string()),
-                        ..base
-                    }
-                }
-            }
-        }
-        None => ShardPlan::Fanout,
+    let local = match router.map(|r| r.route(query, request)).transpose() {
+        Err(unavailable) => return base.failed(unavailable.to_string()),
+        Ok(local) => local.flatten(),
     };
     let t0 = Instant::now();
-    let answered = match (plan, router) {
-        (ShardPlan::Local(s), Some(r)) => answer(r.engine(s), query, algo, Some(r.anchor())),
-        _ => answer(engine, query, algo, None),
+    let answer = match &local {
+        Some((shard, anchored)) => shard.search(query, anchored),
+        None => engine.search(query, request),
     };
-    let latency = t0.elapsed();
-    match answered {
-        Ok(Some((objective, budget, route))) => QueryOutcome {
-            latency,
-            objective: Some(objective),
-            budget: Some(budget),
-            route: Some(route),
-            ..base
-        },
-        Ok(None) => QueryOutcome { latency, ..base },
-        Err(e) => QueryOutcome {
-            latency,
-            error: Some(e),
-            ..base
-        },
+    QueryOutcome {
+        latency: t0.elapsed(),
+        ..base
     }
-}
-
-/// Run `algo` on whichever engine the routing chose, reducing the
-/// answer to `(objective, budget, route node ids)`. Shared with the
-/// `kor mutate` replayer, which answers on a warm mutated engine.
-pub(crate) fn answer<G: AsRef<Graph>>(
-    engine: &KorEngine<G>,
-    query: &KorQuery,
-    algo: BatchAlgo,
-    anchor: Option<ScaleAnchor>,
-) -> Result<Option<(f64, f64, Vec<u32>)>, String> {
-    fn parts(r: RouteResult) -> (f64, f64, Vec<u32>) {
-        let nodes = r.route.nodes().iter().map(|n| n.0).collect();
-        (r.objective, r.budget, nodes)
-    }
-    match algo {
-        BatchAlgo::OsScaling { epsilon } => engine
-            .os_scaling(
-                query,
-                &OsScalingParams {
-                    anchor,
-                    ..OsScalingParams::with_epsilon(epsilon)
-                },
-            )
-            .map(|r| r.route.map(parts))
-            .map_err(|e| e.to_string()),
-        BatchAlgo::BucketBound { epsilon, beta } => engine
-            .bucket_bound(
-                query,
-                &BucketBoundParams {
-                    anchor,
-                    ..BucketBoundParams::with(epsilon, beta)
-                },
-            )
-            .map(|r| r.route.map(parts))
-            .map_err(|e| e.to_string()),
-        BatchAlgo::Greedy { alpha, beam } => engine
-            .greedy(
-                query,
-                &GreedyParams {
-                    alpha,
-                    beam_width: beam.max(1),
-                    ..GreedyParams::default()
-                },
-            )
-            .map(|r| {
-                r.filter(|g| g.is_feasible()).map(|g| {
-                    let nodes = g.route.nodes().iter().map(|n| n.0).collect();
-                    (g.objective, g.budget, nodes)
-                })
-            })
-            .map_err(|e| e.to_string()),
-    }
+    .answered(answer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kor_core::{GreedyParams, OsScalingParams};
     use kor_data::{generate_roadnet, RoadNetConfig};
 
     fn small_config() -> BatchConfig {
@@ -611,10 +524,7 @@ mod tests {
             delta: 40.0,
             canned: None,
             sharding: None,
-            algo: BatchAlgo::BucketBound {
-                epsilon: 0.5,
-                beta: 1.2,
-            },
+            algo: Algo::BucketBound(BucketBoundParams::default()),
             threads: 4,
         }
     }
@@ -654,17 +564,11 @@ mod tests {
         let g = generate_roadnet(&RoadNetConfig::small());
         let mut cfg = small_config();
         for algo in [
-            BatchAlgo::OsScaling { epsilon: 0.5 },
-            BatchAlgo::BucketBound {
-                epsilon: 0.5,
-                beta: 1.2,
-            },
-            BatchAlgo::Greedy {
-                alpha: 0.5,
-                beam: 2,
-            },
+            Algo::OsScaling(OsScalingParams::default()),
+            Algo::BucketBound(BucketBoundParams::default()),
+            Algo::Greedy(GreedyParams::with_beam(2)),
         ] {
-            cfg.algo = algo;
+            cfg.algo = algo.clone();
             let report = run_batch(&g, &cfg);
             assert_eq!(report.outcomes.len(), 16);
             assert_eq!(report.algo, algo.name());
@@ -723,21 +627,15 @@ mod tests {
         use kor_data::{compute_sharding, generate_world, GenConfig};
         let world = generate_world(&GenConfig::grid(6, 5, 3));
         for algo in [
-            BatchAlgo::OsScaling { epsilon: 0.5 },
-            BatchAlgo::BucketBound {
-                epsilon: 0.5,
-                beta: 1.2,
-            },
-            BatchAlgo::Greedy {
-                alpha: 0.5,
-                beam: 2,
-            },
+            Algo::OsScaling(OsScalingParams::default()),
+            Algo::BucketBound(BucketBoundParams::default()),
+            Algo::Greedy(GreedyParams::with_beam(2)),
         ] {
             let unsharded = run_batch(
                 &world.graph,
                 &BatchConfig {
                     canned: Some(world.query_sets.clone()),
-                    algo,
+                    algo: algo.clone(),
                     threads: 2,
                     ..BatchConfig::default()
                 },
@@ -747,7 +645,7 @@ mod tests {
                 &BatchConfig {
                     canned: Some(world.query_sets.clone()),
                     sharding: Some(compute_sharding(&world.graph, 2)),
-                    algo,
+                    algo: algo.clone(),
                     threads: 2,
                     ..BatchConfig::default()
                 },

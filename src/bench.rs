@@ -4,11 +4,11 @@
 //! queries share popular targets while keywords and budgets vary) through
 //! every label-search algorithm twice:
 //!
-//! * **cold** — the plain entry points, rebuilding the `τ`/`σ`
+//! * **cold** — [`kor_core::search_uncached`], rebuilding the `τ`/`σ`
 //!   pre-processing per query (what every caller paid before the
 //!   [`kor_core::PreprocessCache`] existed);
-//! * **warm** — the same queries through one shared cache, so repeat
-//!   targets skip their backward Dijkstras.
+//! * **warm** — the same queries through [`KorEngine::search`] on one
+//!   fresh engine, so repeat targets skip their backward Dijkstras.
 //!
 //! Both passes must agree **byte for byte** (route node ids and the IEEE
 //! bit patterns of the scores); the emitted `BENCH_kor.json` records
@@ -21,9 +21,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use kor_core::{
-    bucket_bound_with_cache, exact_labeling_with_cache, os_scaling_with_cache,
-    top_k_bucket_bound_with_cache, top_k_os_scaling_with_cache, BucketBoundParams, KorQuery,
-    OsScalingParams, PreprocessCache, RouteResult, SearchStats,
+    search_uncached, Algo, BucketBoundParams, KorEngine, KorError, KorQuery, OsScalingParams,
+    RouteResult, SearchOutcome, SearchRequest, SearchStats,
 };
 use kor_data::{generate_roadnet, generate_workload, RoadNetConfig, WorkloadConfig};
 use kor_graph::Graph;
@@ -31,43 +30,46 @@ use kor_index::InvertedIndex;
 
 use crate::json::JsonValue;
 
-/// The algorithms the benchmark tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchAlgo {
-    /// `OSScaling` (Algorithm 1), paper defaults.
-    OsScaling,
-    /// `BucketBound` (Algorithm 2), paper defaults.
-    BucketBound,
-    /// Exact labeling (ground truth).
-    Exact,
-    /// KkR top-k via `OSScaling`.
-    TopKOsScaling(usize),
-    /// KkR top-k via `BucketBound`.
-    TopKBucketBound(usize),
+/// The name a request is reported under: the algorithm's name, or
+/// `top-k-<name>-k<k>` for a top-k request.
+fn bench_name(request: &SearchRequest) -> String {
+    match request.k {
+        1 => request.algo.name().into(),
+        k => format!("top-k-{}-k{k}", request.algo.name()),
+    }
 }
 
-impl BenchAlgo {
-    /// Stable name used in the JSON report.
-    pub fn name(&self) -> String {
-        match self {
-            BenchAlgo::OsScaling => "os-scaling".into(),
-            BenchAlgo::BucketBound => "bucket-bound".into(),
-            BenchAlgo::Exact => "exact".into(),
-            BenchAlgo::TopKOsScaling(k) => format!("top-k-os-scaling-k{k}"),
-            BenchAlgo::TopKBucketBound(k) => format!("top-k-bucket-bound-k{k}"),
-        }
-    }
+/// The default tracked set: both scaled searches with `k = 1` and
+/// `k = 3`, plus exact, all at the paper's defaults.
+fn default_algos() -> Vec<SearchRequest> {
+    let os = Algo::OsScaling(OsScalingParams::default());
+    let bb = Algo::BucketBound(BucketBoundParams::default());
+    vec![
+        SearchRequest::new(os.clone()),
+        SearchRequest::new(bb.clone()),
+        SearchRequest::new(Algo::Exact),
+        SearchRequest {
+            k: 3,
+            ..SearchRequest::new(os)
+        },
+        SearchRequest {
+            k: 3,
+            ..SearchRequest::new(bb)
+        },
+    ]
+}
 
-    /// The default tracked set.
-    pub fn defaults() -> Vec<BenchAlgo> {
-        vec![
-            BenchAlgo::OsScaling,
-            BenchAlgo::BucketBound,
-            BenchAlgo::Exact,
-            BenchAlgo::TopKOsScaling(3),
-            BenchAlgo::TopKBucketBound(3),
-        ]
-    }
+/// Parses one `kor bench --algos` entry: a label-search name, or
+/// `top-k-<name>` for its `k = 3` variant.
+pub fn parse_algo(name: &str) -> Result<SearchRequest, String> {
+    let (k, base) = match name.strip_prefix("top-k-") {
+        Some(base) => (3, base),
+        None => (1, name),
+    };
+    default_algos()
+        .into_iter()
+        .find(|r| r.k == k && r.algo.name() == base)
+        .ok_or_else(|| format!("unknown bench algo {name:?}"))
 }
 
 /// Benchmark configuration.
@@ -83,8 +85,8 @@ pub struct BenchConfig {
     pub budget: f64,
     /// Workload/graph seed.
     pub seed: u64,
-    /// Algorithms to measure.
-    pub algos: Vec<BenchAlgo>,
+    /// Searches to measure.
+    pub algos: Vec<SearchRequest>,
     /// Where to write the JSON report.
     pub out: PathBuf,
 }
@@ -97,7 +99,7 @@ impl Default for BenchConfig {
             per_target: 12,
             budget: 25.0,
             seed: 2012,
-            algos: BenchAlgo::defaults(),
+            algos: default_algos(),
             out: PathBuf::from("BENCH_kor.json"),
         }
     }
@@ -123,19 +125,6 @@ struct BenchQuery {
 /// A comparable fingerprint of one query's result: route node ids plus
 /// the exact bit patterns of both scores.
 type Fingerprint = Vec<(Vec<u32>, u64, u64)>;
-
-fn fingerprint(routes: &[RouteResult]) -> Fingerprint {
-    routes
-        .iter()
-        .map(|r| {
-            (
-                r.route.nodes().iter().map(|n| n.0).collect(),
-                r.objective.to_bits(),
-                r.budget.to_bits(),
-            )
-        })
-        .collect()
-}
 
 /// Builds the repeated-target workload: `targets` (source, target,
 /// keyword-pool) specs, each instantiated `per_target` times with rotated
@@ -201,50 +190,20 @@ struct PassResult {
     fingerprints: Vec<Fingerprint>,
 }
 
-/// Runs every query through `algo`, with or without the shared cache.
+/// Runs every query through `search`, timing each call.
 fn run_pass(
-    graph: &Graph,
-    index: &InvertedIndex,
     queries: &[BenchQuery],
-    algo: BenchAlgo,
-    cache: Option<&PreprocessCache>,
+    search: impl Fn(&KorQuery) -> Result<SearchOutcome, KorError>,
 ) -> PassResult {
-    let os_params = OsScalingParams::default();
-    let bb_params = BucketBoundParams::default();
     let mut lat = Vec::with_capacity(queries.len());
     let mut stats = SearchStats::default();
     let mut fingerprints = Vec::with_capacity(queries.len());
     for q in queries {
         let t0 = Instant::now();
-        let (routes, s) = match algo {
-            BenchAlgo::OsScaling => {
-                let r = os_scaling_with_cache(graph, index, &q.query, &os_params, cache)
-                    .expect("valid params");
-                (r.route.into_iter().collect::<Vec<_>>(), r.stats)
-            }
-            BenchAlgo::BucketBound => {
-                let r = bucket_bound_with_cache(graph, index, &q.query, &bb_params, cache)
-                    .expect("valid params");
-                (r.route.into_iter().collect(), r.stats)
-            }
-            BenchAlgo::Exact => {
-                let r = exact_labeling_with_cache(graph, index, &q.query, None, cache)
-                    .expect("no deadline");
-                (r.route.into_iter().collect(), r.stats)
-            }
-            BenchAlgo::TopKOsScaling(k) => {
-                let r = top_k_os_scaling_with_cache(graph, index, &q.query, &os_params, k, cache)
-                    .expect("valid params");
-                (r.routes, r.stats)
-            }
-            BenchAlgo::TopKBucketBound(k) => {
-                let r = top_k_bucket_bound_with_cache(graph, index, &q.query, &bb_params, k, cache)
-                    .expect("valid params");
-                (r.routes, r.stats)
-            }
-        };
+        let r = search(&q.query).expect("valid params, no deadline");
         lat.push(t0.elapsed().as_secs_f64() * 1e6);
-        fingerprints.push(fingerprint(&routes));
+        fingerprints.push(r.routes.iter().map(RouteResult::bits).collect());
+        let s = r.stats;
         // Sum the per-search counters across the pass.
         stats.labels_created += s.labels_created;
         stats.labels_pruned += s.labels_pruned;
@@ -293,21 +252,23 @@ pub fn run_bench(graph: &Graph, cfg: &BenchConfig) -> JsonValue {
     let queries = build_workload(graph, &index, cfg);
     assert!(!queries.is_empty(), "benchmark workload is empty");
     let mut reports = Vec::new();
-    for &algo in &cfg.algos {
+    for request in &cfg.algos {
+        let name = bench_name(request);
         // Cold: no cache, per-query rebuild — measured after one untimed
         // warm-up query so allocator/page effects do not skew the first
         // sample.
-        let _ = run_pass(graph, &index, &queries[..1], algo, None);
-        let cold = run_pass(graph, &index, &queries, algo, None);
-        // Warm: one shared cache across the pass; the first query per
+        let cold = |q: &KorQuery| search_uncached(graph, &index, q, request);
+        let _ = run_pass(&queries[..1], cold);
+        let cold = run_pass(&queries, cold);
+        // Warm: one fresh engine across the pass; the first query per
         // target misses, every repeat hits.
-        let cache = PreprocessCache::new();
-        let warm = run_pass(graph, &index, &queries, algo, Some(&cache));
+        let engine = KorEngine::new(graph);
+        let warm = run_pass(&queries, |q| engine.search(q, request));
         let identical = cold.fingerprints == warm.fingerprints;
-        let cache_stats = cache.stats();
+        let cache_stats = engine.preprocess_stats();
         eprintln!(
             "[bench] {:<24} cold p50 {:>9.1}us | warm p50 {:>9.1}us | ×{:.2} | hits {} misses {} | identical: {identical}",
-            algo.name(),
+            name,
             cold.latency.median_us,
             warm.latency.median_us,
             cold.latency.median_us / warm.latency.median_us.max(f64::MIN_POSITIVE),
@@ -315,7 +276,7 @@ pub fn run_bench(graph: &Graph, cfg: &BenchConfig) -> JsonValue {
             warm.stats.cache_misses,
         );
         reports.push(AlgoReport {
-            algo: algo.name(),
+            algo: name,
             queries: queries.len(),
             cold: cold.latency,
             warm: warm.latency,
@@ -504,7 +465,7 @@ mod tests {
             per_target: 4,
             budget: 40.0,
             seed: 7,
-            algos: vec![BenchAlgo::OsScaling, BenchAlgo::BucketBound],
+            algos: default_algos()[..2].to_vec(),
             out: PathBuf::from("unused.json"),
         };
         (g, cfg)

@@ -54,8 +54,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use kor::batch::{run_batch, BatchAlgo, BatchConfig};
-use kor::bench::{run_bench_to_file, BenchAlgo, BenchConfig};
+use kor::batch::{run_batch, BatchConfig};
+use kor::bench::{run_bench_to_file, BenchConfig};
 use kor::data::gen::{generate_world, GenConfig, Topology};
 use kor::data::snapshot::{read_snapshot, write_snapshot};
 use kor::data::{generate_traffic, TrafficConfig};
@@ -123,7 +123,7 @@ fn usage() -> &'static str {
      \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--k N]\n\
      \x20           [--epsilon E] [--beta B] [--alpha A] [--beam N]\n\
      \x20 kor batch FILE (--budget X | --canned) [--keywords 2,4,6,8,10]\n\
-     \x20           [--per-set N] [--algo os-scaling|bucket-bound|greedy]\n\
+     \x20           [--per-set N] [--algo os-scaling|bucket-bound|greedy|exact]\n\
      \x20           [--threads N] [--seed N] [--epsilon E] [--beta B]\n\
      \x20           [--alpha A] [--beam N] [--json-out FILE] [--quiet]\n\
      \x20 kor shard FILE [--shards N] [--out FILE.korbin]\n\
@@ -131,7 +131,7 @@ fn usage() -> &'static str {
      \x20           [--traffic-seed N] [--phases N] [--closures N]\n\
      \x20           [--slowdowns N] [--multiplier-lo X] [--multiplier-hi X]\n\
      \x20           [--no-reopen] [--verify] [--emit-script FILE.json]\n\
-     \x20           [--algo os-scaling|bucket-bound|greedy] [--epsilon E]\n\
+     \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE] [--quiet]\n\
      \x20 kor bench [FILE] [--out BENCH_kor.json] [--nodes N] [--targets T]\n\
      \x20           [--per-target Q] [--budget X] [--seed N]\n\
@@ -144,7 +144,7 @@ fn usage() -> &'static str {
      \x20           [--clients N] [--duration-ms N] [--warmup-ms N]\n\
      \x20           [--think-ms N] [--smoke]\n\
      \x20 kor recover FILE --journal DIR [--name NAME] [--verify] [--compact]\n\
-     \x20           [--algo os-scaling|bucket-bound|greedy] [--epsilon E]\n\
+     \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE]\n\
      \x20 kor help\n\
      \n\
@@ -217,12 +217,34 @@ fn parse_num<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name}: cannot parse {v:?}")),
-    }
+    Ok(opt_num(flags, name)?.unwrap_or(default))
+}
+
+fn opt_num<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag(flags, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{name}: cannot parse {v:?}"))
+        })
+        .transpose()
+}
+
+/// The `--algo` choice with its `--epsilon`/`--beta`/`--alpha`/`--beam`
+/// knobs. Omitted knobs take kor-core's defaults, and a knob the
+/// algorithm never reads is an error with the same text `kor serve`
+/// answers.
+fn algo_flags(flags: &[(String, String)], default: &str) -> Result<Algo, String> {
+    Algo::from_knobs(
+        flag(flags, "algo").unwrap_or(default),
+        opt_num(flags, "epsilon")?,
+        opt_num(flags, "beta")?,
+        opt_num(flags, "alpha")?,
+        opt_num(flags, "beam")?,
+    )
+    .map_err(|e| e.to_string())
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
@@ -474,69 +496,19 @@ fn query(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     let engine = KorEngine::new(&graph);
-    let algo = flag(&flags, "algo").unwrap_or("os-scaling");
-    let k: usize = parse_num(&flags, "k", 1)?;
-    let epsilon: f64 = parse_num(&flags, "epsilon", 0.5)?;
-    let beta: f64 = parse_num(&flags, "beta", 1.2)?;
-    let alpha: f64 = parse_num(&flags, "alpha", 0.5)?;
-    let beam: usize = parse_num(&flags, "beam", 1)?;
-
-    let routes: Vec<RouteResult> = match algo {
-        "os-scaling" if k <= 1 => engine
-            .os_scaling(&query, &OsScalingParams::with_epsilon(epsilon))
-            .map_err(|e| e.to_string())?
-            .route
-            .into_iter()
-            .collect(),
-        "os-scaling" => {
-            engine
-                .top_k_os_scaling(&query, &OsScalingParams::with_epsilon(epsilon), k)
-                .map_err(|e| e.to_string())?
-                .routes
-        }
-        "bucket-bound" if k <= 1 => engine
-            .bucket_bound(&query, &BucketBoundParams::with(epsilon, beta))
-            .map_err(|e| e.to_string())?
-            .route
-            .into_iter()
-            .collect(),
-        "bucket-bound" => {
-            engine
-                .top_k_bucket_bound(&query, &BucketBoundParams::with(epsilon, beta), k)
-                .map_err(|e| e.to_string())?
-                .routes
-        }
-        "exact" => engine
-            .exact(&query)
-            .map_err(|e| e.to_string())?
-            .route
-            .into_iter()
-            .collect(),
-        "greedy" => {
-            let params = GreedyParams {
-                alpha,
-                beam_width: beam.max(1),
-                mode: GreedyMode::KeywordsFirst,
-            };
-            match engine.greedy(&query, &params).map_err(|e| e.to_string())? {
-                Some(g) => {
-                    if !g.is_feasible() {
-                        println!(
-                            "note: greedy route violates a constraint (covers keywords: {}, within budget: {})",
-                            g.covers_keywords, g.within_budget
-                        );
-                    }
-                    vec![RouteResult {
-                        objective: g.objective,
-                        budget: g.budget,
-                        route: g.route,
-                    }]
-                }
-                None => Vec::new(),
-            }
-        }
-        other => return Err(format!("unknown --algo {other:?}")),
+    let request = SearchRequest {
+        k: parse_num(&flags, "k", 1)?,
+        ..SearchRequest::new(algo_flags(&flags, "os-scaling")?)
     };
+    let outcome = engine.search(&query, &request).map_err(|e| e.to_string())?;
+    if let Some((covers, within)) = outcome.greedy_flags {
+        if !(covers && within) {
+            println!(
+                "note: greedy route violates a constraint (covers keywords: {covers}, within budget: {within})"
+            );
+        }
+    }
+    let routes = outcome.routes;
 
     if routes.is_empty() {
         println!("no feasible route");
@@ -611,22 +583,8 @@ fn batch(args: &[String]) -> Result<(), String> {
     let per_set: usize = parse_num(&flags, "per-set", 50)?;
     let threads: usize = parse_num(&flags, "threads", 0)?;
     let seed: u64 = parse_num(&flags, "seed", 42)?;
-    let epsilon: f64 = parse_num(&flags, "epsilon", 0.5)?;
-    let beta: f64 = parse_num(&flags, "beta", 1.2)?;
-    let alpha: f64 = parse_num(&flags, "alpha", 0.5)?;
-    let beam: usize = parse_num(&flags, "beam", 1)?;
     let quiet = flag(&flags, "quiet").is_some();
-
-    let algo = match flag(&flags, "algo").unwrap_or("bucket-bound") {
-        "os-scaling" => BatchAlgo::OsScaling { epsilon },
-        "bucket-bound" => BatchAlgo::BucketBound { epsilon, beta },
-        "greedy" => BatchAlgo::Greedy { alpha, beam },
-        other => {
-            return Err(format!(
-                "unknown --algo {other:?} (batch supports os-scaling, bucket-bound, greedy)"
-            ))
-        }
-    };
+    let algo = algo_flags(&flags, "bucket-bound")?;
     let config = BatchConfig {
         workload: WorkloadConfig {
             keyword_counts,
@@ -828,23 +786,7 @@ fn mutate(args: &[String]) -> Result<(), String> {
         eprintln!("wrote mutation script to {path}");
     }
 
-    let epsilon: f64 = parse_num(&flags, "epsilon", 0.5)?;
-    let algo = match flag(&flags, "algo").unwrap_or("bucket-bound") {
-        "os-scaling" => BatchAlgo::OsScaling { epsilon },
-        "bucket-bound" => BatchAlgo::BucketBound {
-            epsilon,
-            beta: parse_num(&flags, "beta", 1.2)?,
-        },
-        "greedy" => BatchAlgo::Greedy {
-            alpha: parse_num(&flags, "alpha", 0.5)?,
-            beam: parse_num(&flags, "beam", 1)?,
-        },
-        other => {
-            return Err(format!(
-                "unknown --algo {other:?} (mutate supports os-scaling, bucket-bound, greedy)"
-            ))
-        }
-    };
+    let algo = algo_flags(&flags, "bucket-bound")?;
     let report = run_mutate(
         &mut world,
         &script,
@@ -920,14 +862,7 @@ fn bench(args: &[String]) -> Result<(), String> {
         cfg.algos = list
             .split(',')
             .filter(|a| !a.is_empty())
-            .map(|a| match a {
-                "os-scaling" => Ok(BenchAlgo::OsScaling),
-                "bucket-bound" => Ok(BenchAlgo::BucketBound),
-                "exact" => Ok(BenchAlgo::Exact),
-                "top-k-os-scaling" => Ok(BenchAlgo::TopKOsScaling(3)),
-                "top-k-bucket-bound" => Ok(BenchAlgo::TopKBucketBound(3)),
-                other => Err(format!("unknown bench algo {other:?}")),
-            })
+            .map(kor::bench::parse_algo)
             .collect::<Result<_, _>>()?;
         if cfg.algos.is_empty() {
             return Err("--algos needs at least one algorithm".into());
@@ -1057,23 +992,7 @@ fn recover(args: &[String]) -> Result<(), String> {
         .ok_or("recover needs the dataset file the journal was created for")?;
     let journal_dir = flag(&flags, "journal")
         .ok_or("recover needs --journal DIR (the serve-side journal directory)")?;
-    let epsilon: f64 = parse_num(&flags, "epsilon", 0.5)?;
-    let algo = match flag(&flags, "algo").unwrap_or("bucket-bound") {
-        "os-scaling" => BatchAlgo::OsScaling { epsilon },
-        "bucket-bound" => BatchAlgo::BucketBound {
-            epsilon,
-            beta: parse_num(&flags, "beta", 1.2)?,
-        },
-        "greedy" => BatchAlgo::Greedy {
-            alpha: parse_num(&flags, "alpha", 0.5)?,
-            beam: parse_num(&flags, "beam", 1)?,
-        },
-        other => {
-            return Err(format!(
-                "unknown --algo {other:?} (recover supports os-scaling, bucket-bound, greedy)"
-            ))
-        }
-    };
+    let algo = algo_flags(&flags, "bucket-bound")?;
     let config = RecoverConfig {
         dataset: PathBuf::from(dataset),
         journal_dir: PathBuf::from(journal_dir),

@@ -69,8 +69,9 @@
 //! let engine = KorEngine::new(&graph);
 //! let query = KorQuery::from_terms(&graph, hotel, station, ["cafe", "shopping mall"], 3.0)
 //!     .unwrap();
-//! let result = engine.os_scaling(&query, &OsScalingParams::default()).unwrap();
-//! let route = result.route.expect("feasible");
+//! let request = SearchRequest::new(Algo::OsScaling(OsScalingParams::default()));
+//! let outcome = engine.search(&query, &request).unwrap();
+//! let route = outcome.best().expect("feasible");
 //! assert_eq!(route.route.nodes(), &[hotel, cafe, mall, station]);
 //! ```
 
@@ -100,10 +101,10 @@ pub mod prelude {
         QueryContext, DEFAULT_LANDMARKS,
     };
     pub use kor_core::{
-        brute_force, bucket_bound, exact_labeling, greedy, os_scaling, top_k_bucket_bound,
-        top_k_os_scaling, BruteForceParams, BucketBoundParams, CacheStats, GreedyMode,
-        GreedyParams, GreedyRoute, KorEngine, KorError, KorQuery, OsScalingParams, PreprocessCache,
-        RouteResult, ScaleAnchor, SearchResult, SearchStats, TopKResult,
+        brute_force, search_uncached, Algo, BruteForceParams, BucketBoundParams, CacheStats,
+        GreedyMode, GreedyParams, GreedyRoute, KorEngine, KorError, KorQuery, OsScalingParams,
+        PreprocessCache, RouteResult, ScaleAnchor, SearchOutcome, SearchRequest, SearchResult,
+        SearchStats,
     };
     pub use kor_data::{
         compute_sharding, generate_flickr, generate_roadnet, generate_traffic, generate_workload,

@@ -26,21 +26,20 @@
 //! offline and over a socket.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use kor_core::{KorEngine, KorQuery, MutationReport};
+use kor_core::{Algo, KorEngine, KorQuery, MutationReport, SearchRequest};
 use kor_data::sharding_from_assignment;
 use kor_data::snapshot::Snapshot;
 use kor_graph::{EdgeMutation, Graph, MutationKind, NodeId};
 
-use crate::batch::{answer, digest_outcomes, BatchAlgo, QueryOutcome};
+use crate::batch::{digest_outcomes, QueryOutcome};
 use crate::json::JsonValue;
 
 /// Knobs for one [`run_mutate`] replay.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct MutateConfig {
     /// Algorithm used for the warm-up and verification replays.
-    pub algo: BatchAlgo,
+    pub algo: Algo,
     /// Rebuild a cold engine after every phase and require its canned
     /// replay digest to equal the warm engine's.
     pub verify: bool,
@@ -142,7 +141,7 @@ pub fn run_mutate(
     // something to carry; without queries there is nothing to warm (or
     // verify) and the replay is just a fold of `apply_mutations`.
     if world.query_count() > 0 {
-        let _ = replay_digest(&engine, world, config.algo)?;
+        let _ = replay_digest(&engine, world, &config.algo)?;
     }
 
     let mut phases = Vec::with_capacity(script.len());
@@ -152,9 +151,9 @@ pub fn run_mutate(
             .map_err(|e| format!("phase {i}: {e}"))?;
         engine = next;
         let (warm_digest, cold_digest) = if config.verify {
-            let warm = replay_digest(&engine, world, config.algo)?;
+            let warm = replay_digest(&engine, world, &config.algo)?;
             let cold_engine = KorEngine::new(Arc::new(engine.graph().clone()));
-            let cold = replay_digest(&cold_engine, world, config.algo)?;
+            let cold = replay_digest(&cold_engine, world, &config.algo)?;
             if warm != cold {
                 return Err(format!(
                     "phase {i}: warm replay digest {warm:016x} != cold {cold:016x} — \
@@ -191,38 +190,17 @@ pub fn run_mutate(
 pub(crate) fn replay_digest<G: AsRef<Graph>>(
     engine: &KorEngine<G>,
     world: &Snapshot,
-    algo: BatchAlgo,
+    algo: &Algo,
 ) -> Result<u64, String> {
     let graph = engine.graph();
+    let request = SearchRequest::new(algo.clone());
     let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(world.query_count());
     for (set_index, set) in world.query_sets.iter().enumerate() {
         for q in &set.queries {
-            let id = outcomes.len();
-            let base = QueryOutcome {
-                id,
-                set_index,
-                keyword_count: set.keyword_count,
-                latency: Duration::ZERO,
-                objective: None,
-                budget: None,
-                route: None,
-                error: None,
-            };
-            let query = KorQuery::new(graph, q.source, q.target, q.keywords.clone(), q.budget)
-                .map_err(|e| e.to_string());
-            outcomes.push(match query.and_then(|q| answer(engine, &q, algo, None)) {
-                Ok(Some((objective, budget, route))) => QueryOutcome {
-                    objective: Some(objective),
-                    budget: Some(budget),
-                    route: Some(route),
-                    ..base
-                },
-                Ok(None) => base,
-                Err(e) => QueryOutcome {
-                    error: Some(e),
-                    ..base
-                },
-            });
+            let base = QueryOutcome::pending(outcomes.len(), set_index, set.keyword_count);
+            let answer = KorQuery::new(graph, q.source, q.target, q.keywords.clone(), q.budget)
+                .and_then(|q| engine.search(&q, &request));
+            outcomes.push(base.answered(answer));
         }
     }
     Ok(digest_outcomes(&outcomes))
@@ -333,11 +311,8 @@ mod tests {
         generate_world(&GenConfig::grid(6, 5, 3))
     }
 
-    fn algo() -> BatchAlgo {
-        BatchAlgo::BucketBound {
-            epsilon: 0.5,
-            beta: 1.2,
-        }
+    fn algo() -> Algo {
+        Algo::BucketBound(kor_core::BucketBoundParams::default())
     }
 
     #[test]

@@ -24,13 +24,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use kor_core::KorEngine;
+use kor_core::{Algo, KorEngine};
 use kor_data::journal::{
     checkpoint_path, graph_digest, journal_path, read_journal, replay, Journal,
 };
 use kor_data::{sharding_from_assignment, Snapshot};
 
-use crate::batch::BatchAlgo;
 use crate::json::JsonValue;
 use crate::mutate::replay_digest;
 
@@ -53,7 +52,7 @@ pub struct RecoverConfig {
     /// Checkpoint the recovered world and restart the journal from it.
     pub compact: bool,
     /// Algorithm for the `--verify` replays.
-    pub algo: BatchAlgo,
+    pub algo: Algo,
 }
 
 /// What one [`run_recover`] pass found (and did).
@@ -157,18 +156,18 @@ pub fn run_recover(config: &RecoverConfig) -> Result<RecoverReport, String> {
         // every durable batch applied in order — the exact path a live
         // server took before it died.
         let mut warm = KorEngine::new(Arc::new(snapshot.graph.clone()));
-        let _ = replay_digest(&warm, &snapshot, config.algo)?;
+        let _ = replay_digest(&warm, &snapshot, &config.algo)?;
         for (i, (_, batch)) in recovered.batches.iter().enumerate() {
             let (next, _) = warm
                 .apply_edge_mutations(batch)
                 .map_err(|e| format!("batch {i}: {e}"))?;
             warm = next;
         }
-        let warm_digest = replay_digest(&warm, &snapshot, config.algo)?;
+        let warm_digest = replay_digest(&warm, &snapshot, &config.algo)?;
         // The recovered engine: cold rebuild on the replayed graph,
         // exactly what a restarted server serves.
         let cold = KorEngine::new(Arc::new(graph.clone()));
-        let cold_digest = replay_digest(&cold, &snapshot, config.algo)?;
+        let cold_digest = replay_digest(&cold, &snapshot, &config.algo)?;
         if warm_digest != cold_digest {
             return Err(format!(
                 "recovered engine diverges from the never-crashed replay: \
@@ -235,11 +234,8 @@ mod tests {
     use kor_data::journal::Journal;
     use kor_data::{generate_traffic, generate_world, GenConfig, TrafficConfig};
 
-    fn algo() -> BatchAlgo {
-        BatchAlgo::BucketBound {
-            epsilon: 0.5,
-            beta: 1.2,
-        }
+    fn algo() -> Algo {
+        Algo::BucketBound(kor_core::BucketBoundParams::default())
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -13,14 +13,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use kor_core::{BucketBoundParams, GreedyParams, KorError, KorQuery, OsScalingParams, RouteResult};
+use kor_core::{Algo, KorError, KorQuery, RouteResult, SearchRequest};
 use kor_data::FaultAction;
 
 use crate::json::JsonValue;
 use crate::serve::protocol::{ErrorCode, Request, WireError};
 use crate::serve::recovery::{self, JournalState};
 use crate::serve::registry::{Dataset, Registry, ResolveError};
-use crate::shard::{ShardPlan, ShardRouter};
+use crate::shard::ShardRouter;
 
 use std::sync::Arc;
 
@@ -413,56 +413,33 @@ fn query(ctx: &ServerContext, req: &Request, received: Instant) -> Result<JsonVa
     };
     let algo = opt_str(&req.params, "algo")?.unwrap_or("os-scaling");
     let k = opt_u64(&req.params, "k")?.unwrap_or(1) as usize;
+    // `search` rejects k = 0 too; checking here keeps that error ahead
+    // of the knob errors below. Untrusted sizes never reach an
+    // allocator: an absurd k would otherwise flow into the top-k result
+    // set's pre-allocation.
     if k == 0 {
-        return Err(WireError::new(ErrorCode::BadRequest, "\"k\" must be ≥ 1"));
+        return Err(engine_error(KorError::InvalidK));
     }
-    // Untrusted sizes never reach an allocator: an absurd k would
-    // otherwise flow into the top-k result set's pre-allocation.
     if k > MAX_K {
         return Err(WireError::new(
             ErrorCode::BadRequest,
             format!("\"k\" must be ≤ {MAX_K}"),
         ));
     }
-    // Tuning knobs stay `None` unless the request sent them: the
-    // paper's defaults live in kor-core's `*Params::default()` only, so
-    // served results cannot drift from the `kor query` CLI (which uses
-    // the same defaults) if those values are ever tuned.
-    let epsilon = opt_f64(&req.params, "epsilon")?;
-    let beta = opt_f64(&req.params, "beta")?;
-    let alpha = opt_f64(&req.params, "alpha")?;
-    let beam = opt_u64(&req.params, "beam")?.map(|b| b as usize);
-    if beam == Some(0) {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "\"beam\" must be ≥ 1",
-        ));
-    }
-    // A knob that the selected algorithm never reads is a client bug,
-    // the same class of mistake as a typo'd key — reject it rather
-    // than silently serving default-tuned results.
-    let irrelevant: &[(&str, bool)] = match algo {
-        "os-scaling" => &[
-            ("beta", beta.is_some()),
-            ("alpha", alpha.is_some()),
-            ("beam", beam.is_some()),
-        ],
-        "bucket-bound" => &[("alpha", alpha.is_some()), ("beam", beam.is_some())],
-        "exact" => &[
-            ("epsilon", epsilon.is_some()),
-            ("beta", beta.is_some()),
-            ("alpha", alpha.is_some()),
-            ("beam", beam.is_some()),
-        ],
-        "greedy" => &[("epsilon", epsilon.is_some()), ("beta", beta.is_some())],
-        _ => &[], // unknown algo is rejected by the dispatch below
+    // Knobs the request omits take kor-core's `*Params::default()`, the
+    // same values every other front end uses; a knob the algorithm
+    // never reads is rejected like a typo'd key. An unknown name is
+    // held back until the query has been built and counted below.
+    let algo = match Algo::from_knobs(
+        algo,
+        opt_f64(&req.params, "epsilon")?,
+        opt_f64(&req.params, "beta")?,
+        opt_f64(&req.params, "alpha")?,
+        opt_u64(&req.params, "beam")?.map(|b| b as usize),
+    ) {
+        Err(e @ KorError::UnknownAlgo(_)) => Err(e),
+        knobs => Ok(knobs.map_err(engine_error)?),
     };
-    if let Some((name, _)) = irrelevant.iter().find(|(_, present)| *present) {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            format!("\"{name}\" does not apply to algo {algo:?}"),
-        ));
-    }
     // `checked_add` because `Instant + Duration` panics on overflow:
     // an absurd client-supplied deadline_ms (e.g. 1e18) must not kill
     // the request. A deadline past the representable future can never
@@ -486,143 +463,37 @@ fn query(ctx: &ServerContext, req: &Request, received: Instant) -> Result<JsonVa
     .map_err(engine_error)?;
 
     dataset.note_query();
-    // Sharded datasets route here. A query proven confined to one shard
-    // runs on that shard's engine with the scaling extrema anchored to
-    // the fused graph, so its answer matches the single-engine answer
-    // bit for bit; anything else fans out to the fused engine, the only
-    // search that can see cut edges. Greedy never runs shard-locally —
-    // its pair-cost heuristics consult paths that may cross shards even
-    // when the final route would not.
-    let (engine, anchor) = match dataset.router() {
-        Some(router) => {
-            let local_capable = matches!(algo, "os-scaling" | "bucket-bound" | "exact");
-            let plan = router
-                .plan(query.source, query.target, query.budget, local_capable)
-                .map_err(|e| WireError::new(ErrorCode::ShardUnavailable, e.to_string()))?;
-            match plan {
-                ShardPlan::Local(s) => (router.engine(s), Some(router.anchor())),
-                ShardPlan::Fanout => (dataset.engine(), None),
-            }
-        }
-        None => (dataset.engine(), None),
+    let request = SearchRequest {
+        algo: algo.map_err(engine_error)?,
+        k,
+        deadline,
     };
-    let mut extra: Vec<(&'static str, JsonValue)> = Vec::new();
-    let routes: Vec<RouteResult> = match algo {
-        "os-scaling" => {
-            let mut params = OsScalingParams {
-                deadline,
-                anchor,
-                ..OsScalingParams::default()
-            };
-            if let Some(e) = epsilon {
-                params.epsilon = e;
-            }
-            if k == 1 {
-                engine
-                    .os_scaling(&query, &params)
-                    .map_err(engine_error)?
-                    .route
-                    .into_iter()
-                    .collect()
-            } else {
-                engine
-                    .top_k_os_scaling(&query, &params, k)
-                    .map_err(engine_error)?
-                    .routes
-            }
-        }
-        "bucket-bound" => {
-            let mut params = BucketBoundParams {
-                deadline,
-                anchor,
-                ..BucketBoundParams::default()
-            };
-            if let Some(e) = epsilon {
-                params.epsilon = e;
-            }
-            if let Some(b) = beta {
-                params.beta = b;
-            }
-            if k == 1 {
-                engine
-                    .bucket_bound(&query, &params)
-                    .map_err(engine_error)?
-                    .route
-                    .into_iter()
-                    .collect()
-            } else {
-                engine
-                    .top_k_bucket_bound(&query, &params, k)
-                    .map_err(engine_error)?
-                    .routes
-            }
-        }
-        "exact" => {
-            if k != 1 {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    "\"exact\" does not support k > 1",
-                ));
-            }
-            engine
-                .exact_with_deadline(&query, deadline)
-                .map_err(engine_error)?
-                .route
-                .into_iter()
-                .collect()
-        }
-        "greedy" => {
-            if k != 1 {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    "\"greedy\" does not support k > 1",
-                ));
-            }
-            let mut params = GreedyParams::default();
-            if let Some(a) = alpha {
-                params.alpha = a;
-            }
-            if let Some(b) = beam {
-                params.beam_width = b;
-            }
-            match engine.greedy(&query, &params).map_err(engine_error)? {
-                Some(g) => {
-                    extra.push(("covers_keywords", g.covers_keywords.into()));
-                    extra.push(("within_budget", g.within_budget.into()));
-                    vec![RouteResult {
-                        route: g.route,
-                        objective: g.objective,
-                        budget: g.budget,
-                    }]
-                }
-                None => Vec::new(),
-            }
-        }
-        other => {
-            return Err(WireError::new(
-                ErrorCode::BadRequest,
-                format!(
-                    "unknown algo {other:?} (expected os-scaling, bucket-bound, exact, or greedy)"
-                ),
-            ))
-        }
-    };
+    let outcome = match dataset.router() {
+        Some(router) => router
+            .search(engine, &query, &request)
+            .map_err(|e| WireError::new(ErrorCode::ShardUnavailable, e.to_string()))?,
+        None => engine.search(&query, &request),
+    }
+    .map_err(engine_error)?;
 
     let mut fields: Vec<(&'static str, JsonValue)> = vec![
         ("dataset", dataset.name().into()),
-        ("algo", algo.into()),
+        ("algo", request.algo.name().into()),
         // Which graph generation answered: clients interleaving
         // queries with update_edges use this to tell old-world from
         // new-world responses (each response is wholly one epoch —
         // mutation swaps whole datasets, never edits a live graph).
         ("epoch", dataset.engine().graph().epoch().into()),
-        ("feasible", (!routes.is_empty()).into()),
+        ("feasible", (!outcome.routes.is_empty()).into()),
         (
             "routes",
-            JsonValue::Arr(routes.iter().map(route_json).collect()),
+            JsonValue::Arr(outcome.routes.iter().map(route_json).collect()),
         ),
     ];
-    fields.append(&mut extra);
+    if let Some((covers, within)) = outcome.greedy_flags {
+        fields.push(("covers_keywords", covers.into()));
+        fields.push(("within_budget", within.into()));
+    }
     Ok(JsonValue::obj(fields))
 }
 
@@ -792,9 +663,9 @@ fn route_json(r: &RouteResult) -> JsonValue {
 }
 
 /// Records a caught handler panic and builds the structured
-/// `internal_error` the faulty request is answered with. Both I/O
-/// layers funnel their per-request `catch_unwind` arms through here so
-/// the response bytes (and the `stats` counter) cannot drift apart.
+/// `internal_error` the faulty request is answered with. The reactor's
+/// per-request `catch_unwind` arm calls this, so every caught panic
+/// gets the same response bytes and bumps the `stats` counter.
 pub(crate) fn note_panic(ctx: &ServerContext) -> WireError {
     ctx.panics.fetch_add(1, Ordering::Relaxed);
     WireError::new(
@@ -1127,6 +998,29 @@ mod tests {
         let restored = run(&ctx, query).unwrap();
         assert_eq!(restored.get("epoch").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(before.get("routes"), restored.get("routes"));
+    }
+
+    #[test]
+    fn unknown_algo_is_rejected_after_the_query_is_built_and_counted() {
+        let ctx = ctx_with_figure1();
+        let query = |extra: &str| {
+            let line = format!(
+                r#"{{"method":"query","params":{{"from":0,"to":7,"budget":5,"algo":"dijkstra"{extra}}}}}"#
+            );
+            run(&ctx, &line).unwrap_err().message
+        };
+        assert_eq!(
+            query(r#","deadline_ms":-1"#),
+            "\"deadline_ms\" must be a non-negative integer"
+        );
+        assert!(query(r#","keywords":["nosuch"]"#).contains("nosuch"));
+        let served = || ctx.registry.get("fig1").unwrap().queries_served();
+        assert_eq!(served(), 0);
+        assert_eq!(
+            query(""),
+            "unknown algo \"dijkstra\" (expected os-scaling, bucket-bound, exact, or greedy)"
+        );
+        assert_eq!(served(), 1);
     }
 
     #[test]

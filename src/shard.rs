@@ -34,7 +34,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kor_core::{BucketBoundParams, KorEngine, OsScalingParams, ScaleAnchor};
+use kor_core::{KorEngine, KorError, KorQuery, ScaleAnchor, SearchOutcome, SearchRequest};
 use kor_data::shard::ShardingInfo;
 use kor_data::shard_subgraph;
 use kor_graph::{Graph, NodeId};
@@ -43,8 +43,8 @@ use kor_graph::{Graph, NodeId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlan {
     /// Confined to one shard: answer with that shard's engine (scaled
-    /// searches must be anchored via [`ShardRouter::anchored_os`] /
-    /// [`ShardRouter::anchored_bucket`]).
+    /// searches anchored to [`ShardRouter::anchor`]; see
+    /// [`ShardRouter::search`]).
     Local(u32),
     /// May cross shards: answer with the fused engine.
     Fanout,
@@ -86,6 +86,10 @@ struct Shard {
     queries: AtomicU64,
     local_hits: AtomicU64,
 }
+
+/// A search [`ShardRouter::route`] confined to one shard: that shard's
+/// engine and the request anchored to the fused graph.
+pub type LocalSearch<'a> = (&'a KorEngine<Arc<Graph>>, SearchRequest);
 
 /// One warm engine per shard plus the routing/accounting state in front
 /// of them. The fused engine stays with the caller (the registry or the
@@ -207,21 +211,45 @@ impl ShardRouter {
         &self.shards[shard as usize].engine
     }
 
-    /// `params` with the scaling extrema anchored to the fused graph —
-    /// what a [`ShardPlan::Local`] OSScaling/top-k search must run with.
-    pub fn anchored_os(&self, params: &OsScalingParams) -> OsScalingParams {
-        OsScalingParams {
-            anchor: Some(self.anchor),
-            ..params.clone()
-        }
+    /// Plans one search (see [`Self::plan`]). A query proven confined
+    /// to one shard gets that shard's engine and the request with its
+    /// scaling extrema anchored to the fused graph, so its answer matches
+    /// the fused engine's bit for bit. `None` means the fused engine, the
+    /// only one that sees cut edges, must answer; greedy always does (see
+    /// [`kor_core::Algo::runs_shard_locally`]).
+    pub fn route(
+        &self,
+        query: &KorQuery,
+        request: &SearchRequest,
+    ) -> Result<Option<LocalSearch<'_>>, ShardUnavailable> {
+        let local = request.algo.runs_shard_locally();
+        Ok(
+            match self.plan(query.source, query.target, query.budget, local)? {
+                ShardPlan::Local(s) => Some((
+                    self.engine(s),
+                    SearchRequest {
+                        algo: request.algo.anchored(self.anchor),
+                        ..*request
+                    },
+                )),
+                ShardPlan::Fanout => None,
+            },
+        )
     }
 
-    /// [`Self::anchored_os`] for `BucketBound` searches.
-    pub fn anchored_bucket(&self, params: &BucketBoundParams) -> BucketBoundParams {
-        BucketBoundParams {
-            anchor: Some(self.anchor),
-            ..params.clone()
-        }
+    /// [`Self::route`]s one search and runs it, on `fused` when it fans
+    /// out. The outer error is a poisoned owning shard; the inner result
+    /// is the search's own.
+    pub fn search<G: AsRef<Graph>>(
+        &self,
+        fused: &KorEngine<G>,
+        query: &KorQuery,
+        request: &SearchRequest,
+    ) -> Result<Result<SearchOutcome, KorError>, ShardUnavailable> {
+        Ok(match self.route(query, request)? {
+            Some((shard, anchored)) => shard.search(query, &anchored),
+            None => fused.search(query, request),
+        })
     }
 
     /// Marks `shard` unavailable; returns `false` if out of range.
@@ -400,11 +428,25 @@ mod tests {
 
     #[test]
     fn anchored_params_pin_the_fused_extrema() {
+        use kor_core::{Algo, OsScalingParams};
         let (graph, router) = setup();
-        let os = router.anchored_os(&OsScalingParams::default());
-        let bb = router.anchored_bucket(&BucketBoundParams::default());
-        assert_eq!(os.anchor.unwrap(), ScaleAnchor::of(&graph));
-        assert_eq!(bb.anchor.unwrap(), ScaleAnchor::of(&graph));
+        let ((s, t), _) = pairs(&graph, &router);
+        let q = KorQuery::new(&graph, s, t, vec![], 0.0).unwrap();
+        let fused = KorEngine::new(&graph);
+        // A confined scaled search runs shard-locally, anchored, and
+        // answers exactly what the fused engine does.
+        let request = SearchRequest::new(Algo::OsScaling(OsScalingParams::default()));
+        let routed = router.search(&fused, &q, &request).unwrap().unwrap();
+        let direct = fused.search(&q, &request).unwrap();
+        assert_eq!(routed.routes, direct.routes);
+        assert_eq!(
+            router
+                .shard_counters()
+                .iter()
+                .map(|c| c.local_hits)
+                .sum::<u64>(),
+            1
+        );
         // The shard subgraph's own extrema generally differ — that is
         // exactly why the anchor exists.
         assert_eq!(router.anchor(), ScaleAnchor::of(&graph));

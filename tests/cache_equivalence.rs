@@ -9,11 +9,12 @@
 
 use std::time::{Duration, Instant};
 
+// Shares the batteries' searches; their worlds and re-walk go unused here.
+#[allow(dead_code)]
+mod common;
+
+use common::{keys, label, requests};
 use kor::prelude::*;
-use kor_core::{
-    bucket_bound_with_cache, exact_labeling_with_cache, os_scaling_with_cache,
-    top_k_bucket_bound_with_cache, top_k_os_scaling_with_cache, PreprocessCache,
-};
 
 /// A deterministic repeated-target workload over a small road network.
 fn setup() -> (Graph, InvertedIndex, Vec<KorQuery>) {
@@ -55,86 +56,41 @@ fn setup() -> (Graph, InvertedIndex, Vec<KorQuery>) {
     (graph, index, queries)
 }
 
-/// Byte-exact fingerprint of a result set.
-fn fp(routes: &[RouteResult]) -> Vec<(Vec<u32>, u64, u64)> {
-    routes
-        .iter()
-        .map(|r| {
-            (
-                r.route.nodes().iter().map(|n| n.0).collect(),
-                r.objective.to_bits(),
-                r.budget.to_bits(),
-            )
-        })
+/// The label searches of [`requests`]: the ones with pre-processing
+/// counters to check.
+fn label_searches() -> Vec<SearchRequest> {
+    requests()
+        .into_iter()
+        .filter(|r| !matches!(r.algo, Algo::Greedy(_)))
         .collect()
 }
-
-/// Runs one named algorithm with an optional cache.
-fn run_algo(
-    graph: &Graph,
-    index: &InvertedIndex,
-    q: &KorQuery,
-    algo: &str,
-    cache: Option<&PreprocessCache>,
-) -> Vec<RouteResult> {
-    let os = OsScalingParams::default();
-    let bb = BucketBoundParams::default();
-    match algo {
-        "os-scaling" => os_scaling_with_cache(graph, index, q, &os, cache)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "bucket-bound" => bucket_bound_with_cache(graph, index, q, &bb, cache)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "exact" => exact_labeling_with_cache(graph, index, q, None, cache)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "top-k-os-scaling" => {
-            top_k_os_scaling_with_cache(graph, index, q, &os, 3, cache)
-                .unwrap()
-                .routes
-        }
-        "top-k-bucket-bound" => {
-            top_k_bucket_bound_with_cache(graph, index, q, &bb, 3, cache)
-                .unwrap()
-                .routes
-        }
-        other => panic!("unknown algo {other}"),
-    }
-}
-
-const ALGOS: [&str; 5] = [
-    "os-scaling",
-    "bucket-bound",
-    "exact",
-    "top-k-os-scaling",
-    "top-k-bucket-bound",
-];
 
 #[test]
 fn cached_results_byte_identical_across_all_algorithms() {
     let (graph, index, queries) = setup();
-    for algo in ALGOS {
-        let cache = PreprocessCache::new();
+    for request in &label_searches() {
+        let what = label(request);
+        let engine = KorEngine::new(&graph);
+        let mut warm_hits = 0;
         for q in &queries {
-            let cold = run_algo(&graph, &index, q, algo, None);
-            let warm = run_algo(&graph, &index, q, algo, Some(&cache));
+            let cold = search_uncached(&graph, &index, q, request).unwrap();
+            let warm = engine.search(q, request).unwrap();
             assert_eq!(
-                fp(&cold),
-                fp(&warm),
-                "{algo}: warm result diverged from cold"
+                keys(&cold),
+                keys(&warm),
+                "{what}: warm result diverged from cold"
             );
+            assert_eq!(
+                cold.stats.cache_hits, 0,
+                "{what}: the cold path hit a cache"
+            );
+            warm_hits += warm.stats.cache_hits;
         }
-        let stats = cache.stats();
+        assert!(warm_hits > 0, "{what}: no warm search reported a hit");
+        let stats = engine.preprocess_stats();
         assert!(
             stats.ctx_hits > 0,
-            "{algo}: repeated targets never hit the cache"
+            "{what}: repeated targets never hit the cache"
         );
         assert!(stats.ctx_misses > 0 && stats.trees_built >= 2);
     }
@@ -142,25 +98,26 @@ fn cached_results_byte_identical_across_all_algorithms() {
 
 #[test]
 fn engine_and_free_functions_agree() {
-    // The KorEngine methods run on the warm path; the free functions run
+    // `KorEngine::search` runs on the warm path; `search_uncached` runs
     // cold. Both must agree for every algorithm, including after the
     // engine's cache is fully warm (second sweep).
     let (graph, index, queries) = setup();
     let engine = KorEngine::new(&graph);
     for sweep in 0..2 {
         for q in &queries {
-            let os = OsScalingParams::default();
-            let bb = BucketBoundParams::default();
-            let warm = engine.os_scaling(q, &os).unwrap();
-            let cold = os_scaling(&graph, &index, q, &os).unwrap();
-            assert_eq!(
-                fp(&warm.route.into_iter().collect::<Vec<_>>()),
-                fp(&cold.route.into_iter().collect::<Vec<_>>()),
-                "sweep {sweep}"
-            );
-            let warm = engine.top_k_bucket_bound(q, &bb, 2).unwrap();
-            let cold = top_k_bucket_bound(&graph, &index, q, &bb, 2).unwrap();
-            assert_eq!(fp(&warm.routes), fp(&cold.routes), "sweep {sweep}");
+            // Greedy too: it reports no pre-processing counters, but its
+            // answers must not depend on the warm state either.
+            for request in &requests() {
+                let warm = engine.search(q, request).unwrap();
+                let cold = search_uncached(&graph, &index, q, request).unwrap();
+                assert_eq!(
+                    keys(&warm),
+                    keys(&cold),
+                    "sweep {sweep} [{}]",
+                    label(request)
+                );
+                assert_eq!(warm.greedy_flags, cold.greedy_flags);
+            }
         }
     }
     let stats = engine.preprocess_stats();
@@ -195,24 +152,21 @@ fn concurrent_queries_share_one_cache() {
     // served hits.
     let (graph, index, queries) = setup();
     let engine = KorEngine::new(&graph);
+    let bucket_bound = SearchRequest::new(Algo::BucketBound(BucketBoundParams::default()));
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| fp(&run_algo(&graph, &index, q, "bucket-bound", None)))
+        .map(|q| keys(&search_uncached(&graph, &index, q, &bucket_bound).unwrap()))
         .collect();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let engine = &engine;
             let queries = &queries;
             let expected = &expected;
+            let bucket_bound = &bucket_bound;
             scope.spawn(move || {
                 for (q, want) in queries.iter().zip(expected) {
-                    let got = engine
-                        .bucket_bound(q, &BucketBoundParams::default())
-                        .unwrap()
-                        .route
-                        .into_iter()
-                        .collect::<Vec<_>>();
-                    assert_eq!(&fp(&got), want);
+                    let got = engine.search(q, bucket_bound).unwrap();
+                    assert_eq!(&keys(&got), want);
                 }
             });
         }
@@ -234,11 +188,12 @@ fn eviction_under_tiny_capacity_keeps_answers_exact() {
     let engine = KorEngine::with_cache_capacity(&graph, 2);
     for sweep in 0..2 {
         for q in &queries {
-            let warm = engine.os_scaling(q, &OsScalingParams::default()).unwrap();
-            let cold = os_scaling(&graph, &index, q, &OsScalingParams::default()).unwrap();
+            let request = SearchRequest::new(Algo::OsScaling(OsScalingParams::default()));
+            let warm = engine.search(q, &request).unwrap();
+            let cold = search_uncached(&graph, &index, q, &request).unwrap();
             assert_eq!(
-                fp(&warm.route.into_iter().collect::<Vec<_>>()),
-                fp(&cold.route.into_iter().collect::<Vec<_>>()),
+                keys(&warm),
+                keys(&cold),
                 "sweep {sweep}: eviction must not change answers"
             );
         }
@@ -271,15 +226,17 @@ fn deadline_fires_promptly_despite_strided_checks() {
         .take(8)
         .collect();
     let q = KorQuery::new(&graph, NodeId(0), NodeId(700), kws, 1e6).unwrap();
-    let params = OsScalingParams {
-        epsilon: 0.005,
-        use_opt1: false,
-        use_opt2: false,
+    let request = SearchRequest {
         deadline: Some(Instant::now() + Duration::from_millis(50)),
-        ..OsScalingParams::default()
+        ..SearchRequest::new(Algo::OsScaling(OsScalingParams {
+            epsilon: 0.005,
+            use_opt1: false,
+            use_opt2: false,
+            ..OsScalingParams::default()
+        }))
     };
     let t0 = Instant::now();
-    let r = os_scaling(&graph, &index, &q, &params);
+    let r = search_uncached(&graph, &index, &q, &request);
     let elapsed = t0.elapsed();
     assert!(
         matches!(r, Err(KorError::DeadlineExceeded)),
@@ -298,20 +255,17 @@ fn expired_deadline_aborts_before_any_pop() {
     let (graph, index, queries) = setup();
     let q = &queries[0];
     let past = Some(Instant::now() - Duration::from_secs(1));
-    let os = OsScalingParams {
-        deadline: past,
-        ..OsScalingParams::default()
-    };
-    let bb = BucketBoundParams {
-        deadline: past,
-        ..BucketBoundParams::default()
-    };
-    assert!(matches!(
-        os_scaling(&graph, &index, q, &os),
-        Err(KorError::DeadlineExceeded)
-    ));
-    assert!(matches!(
-        bucket_bound(&graph, &index, q, &bb),
-        Err(KorError::DeadlineExceeded)
-    ));
+    for algo in [
+        Algo::OsScaling(OsScalingParams::default()),
+        Algo::BucketBound(BucketBoundParams::default()),
+    ] {
+        let request = SearchRequest {
+            deadline: past,
+            ..SearchRequest::new(algo)
+        };
+        assert!(matches!(
+            search_uncached(&graph, &index, q, &request),
+            Err(KorError::DeadlineExceeded)
+        ));
+    }
 }

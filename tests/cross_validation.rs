@@ -189,9 +189,11 @@ fn top_k_prefix_consistency() {
         let single = engine
             .os_scaling(&query, &OsScalingParams::with_epsilon(0.2))
             .unwrap();
-        let topk = engine
-            .top_k_os_scaling(&query, &OsScalingParams::with_epsilon(0.2), 3)
-            .unwrap();
+        let request = SearchRequest {
+            k: 3,
+            ..SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.2)))
+        };
+        let topk = engine.search(&query, &request).unwrap();
         match (&single.route, topk.routes.first()) {
             (None, None) => {}
             (Some(a), Some(b)) => assert!((a.objective - b.objective).abs() < 1e-9),

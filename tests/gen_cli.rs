@@ -169,18 +169,55 @@ fn misspelled_query_flags_fail_instead_of_being_ignored() {
     );
     assert!(out.stdout.is_empty(), "no route may be printed");
 
-    // The removed subcommands and options fail the same way.
+    // The removed subcommands and options fail the same way, and so do
+    // the knobs `kor serve` answers with `bad_request`, with its text.
+    let world = dir.join("w.korbin");
+    let world = world.to_str().unwrap();
+    kor_ok(&["gen", "--out", world]);
+    let query = |extra: &[&'static str]| -> Vec<&str> {
+        let mut args = vec!["query", graph, "--from", "0", "--to", "100"];
+        args.extend(["--keywords", "jazz,food", "--budget", "60"]);
+        args.extend(extra);
+        args
+    };
     for (args, why) in [
-        (&["index", graph][..], "unknown subcommand"),
+        (vec!["index", graph], "unknown subcommand"),
         (
-            &["loadtest", graph, "--mode", "both"],
+            vec!["loadtest", graph, "--mode", "both"],
             "unknown flag --mode",
         ),
+        (
+            query(&["--algo", "exact", "--k", "3"]),
+            "\"exact\" does not support k > 1",
+        ),
+        (
+            query(&["--algo", "greedy", "--beam", "0"]),
+            "\"beam\" must be ≥ 1",
+        ),
+        (
+            query(&["--algo", "exact", "--epsilon", "0.9"]),
+            "\"epsilon\" does not apply to algo \"exact\"",
+        ),
+        (
+            query(&["--algo", "os-scaling", "--k", "0"]),
+            "\"k\" must be ≥ 1",
+        ),
+        (
+            vec![
+                "batch", world, "--canned", "--algo", "greedy", "--beam", "0",
+            ],
+            "\"beam\" must be ≥ 1",
+        ),
     ] {
+        let args = &args[..];
         let out = kor(args);
         assert_eq!(out.status.code(), Some(1), "kor {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(why), "kor {args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "kor {args:?}: nothing may be printed"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

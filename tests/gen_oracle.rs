@@ -12,84 +12,29 @@
 //!   `OS ≤ opt / (1 − ε)`;
 //! * `BucketBound` — feasibility agreement plus the Theorem-3 bound
 //!   `OS ≤ opt · β / (1 − ε)`;
-//! * top-k `OSScaling` — sorted results whose best respects the bound;
+//! * top-k `OSScaling` and `BucketBound` — sorted, distinct results
+//!   whose best respects the bound;
 //! * greedy — never *claims* feasibility on an infeasible query, and
 //!   never beats the optimum;
 //! * every returned route re-walked edge by edge: it must exist in the
 //!   graph, cover the query keywords, and reproduce its claimed scores.
 
+mod common;
+
+use common::{canned_queries, keys, label, requests, verify_outcome, verify_route, worlds};
 use kor::prelude::*;
 
-const EPSILON: f64 = 0.5;
-const BETA: f64 = 1.2;
 const TOL: f64 = 1e-9;
 
-/// The per-world generator configs: two topologies across a seed sweep,
-/// kept small enough that the oracle exhausts the space quickly.
-fn worlds() -> Vec<GenConfig> {
-    let mut configs = Vec::new();
-    for seed in 0..9 {
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.5,
-            ..GenConfig::grid(3, 4, seed)
-        });
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.6,
-            ..GenConfig::ring(10, 3, 1000 + seed)
-        });
+/// The approximation ratio the algorithm guarantees against the optimum
+/// (Theorems 2 and 3; 1 for exact), or `None` for the greedy heuristic.
+fn guaranteed_ratio(algo: &Algo) -> Option<f64> {
+    match algo {
+        Algo::OsScaling(p) => Some(p.approximation_ratio()),
+        Algo::BucketBound(p) => Some(p.approximation_ratio()),
+        Algo::Exact => Some(1.0),
+        Algo::Greedy(_) => None,
     }
-    configs
-}
-
-/// Re-walks a returned route against the graph: every hop must be a real
-/// edge, the claimed scores must match the edge sums, the keywords must
-/// be covered, and the budget limit must hold.
-fn verify_route(graph: &Graph, query: &KorQuery, r: &RouteResult, what: &str) {
-    let nodes = r.route.nodes();
-    assert_eq!(
-        *nodes.first().unwrap(),
-        query.source,
-        "{what}: wrong source"
-    );
-    assert_eq!(*nodes.last().unwrap(), query.target, "{what}: wrong target");
-    let mut os = 0.0;
-    let mut bs = 0.0;
-    let mut mask = query.keywords.mask_of(graph.keywords(nodes[0]));
-    for w in nodes.windows(2) {
-        let e = graph
-            .edge_between(w[0], w[1])
-            .unwrap_or_else(|| panic!("{what}: edge {} -> {} does not exist", w[0], w[1]));
-        os += e.objective;
-        bs += e.budget;
-        mask |= query.keywords.mask_of(graph.keywords(w[1]));
-    }
-    assert!(
-        (os - r.objective).abs() < TOL,
-        "{what}: OS {} ≠ {os}",
-        r.objective
-    );
-    assert!(
-        (bs - r.budget).abs() < TOL,
-        "{what}: BS {} ≠ {bs}",
-        r.budget
-    );
-    assert!(
-        query.keywords.is_covering(mask),
-        "{what}: keywords uncovered"
-    );
-    assert!(
-        bs <= query.budget + TOL,
-        "{what}: budget {bs} > Δ {}",
-        query.budget
-    );
 }
 
 #[test]
@@ -98,9 +43,7 @@ fn all_algorithms_agree_with_the_brute_force_oracle() {
         target_pruning: true,
         ..BruteForceParams::default()
     };
-    let os_params = OsScalingParams::with_epsilon(EPSILON);
-    let bb_params = BucketBoundParams::with(EPSILON, BETA);
-    let greedy_params = GreedyParams::default();
+    let requests = requests();
 
     let mut total = 0usize;
     let mut feasible = 0usize;
@@ -109,119 +52,56 @@ fn all_algorithms_agree_with_the_brute_force_oracle() {
         let world = generate_world(&config);
         let graph = &world.graph;
         let engine = KorEngine::new(graph);
-        let label = format!("{} seed {}", config.topology.name(), config.seed);
-        for set in &world.query_sets {
-            for canned in &set.queries {
-                let query = KorQuery::new(
-                    graph,
-                    canned.source,
-                    canned.target,
-                    canned.keywords.clone(),
-                    canned.budget,
-                )
-                .expect("canned queries are valid");
-                let what = format!(
-                    "{label}: {} -> {} ({} kw, Δ {:.3})",
-                    canned.source,
-                    canned.target,
-                    canned.keywords.len(),
-                    canned.budget
-                );
-                total += 1;
+        let world_label = format!("{} seed {}", config.topology.name(), config.seed);
+        for query in canned_queries(graph, &world.query_sets) {
+            let what = format!(
+                "{world_label}: {} -> {} ({} kw, Δ {:.3})",
+                query.source,
+                query.target,
+                query.keywords.len(),
+                query.budget
+            );
+            total += 1;
 
-                let oracle = engine
-                    .brute_force(&query, &brute_params)
-                    .unwrap_or_else(|e| panic!("{what}: oracle failed: {e}"));
+            let oracle = engine
+                .brute_force(&query, &brute_params)
+                .unwrap_or_else(|e| panic!("{what}: oracle failed: {e}"));
+            match &oracle.route {
+                None => infeasible += 1,
+                Some(opt) => {
+                    feasible += 1;
+                    verify_route(graph, &query, opt, &format!("{what} [oracle]"));
+                }
+            }
 
-                let exact = engine.exact(&query).unwrap();
-                let os = engine.os_scaling(&query, &os_params).unwrap();
-                let bb = engine.bucket_bound(&query, &bb_params).unwrap();
-                let top_k = engine.top_k_os_scaling(&query, &os_params, 3).unwrap();
-                let greedy = engine.greedy(&query, &greedy_params).unwrap();
-
-                match &oracle.route {
-                    None => {
-                        infeasible += 1;
-                        assert!(exact.route.is_none(), "{what}: exact disagrees (feasible)");
-                        assert!(os.route.is_none(), "{what}: OSScaling disagrees");
-                        assert!(bb.route.is_none(), "{what}: BucketBound disagrees");
-                        assert!(top_k.routes.is_empty(), "{what}: top-k disagrees");
-                        if let Some(g) = &greedy {
-                            assert!(
-                                !g.is_feasible(),
-                                "{what}: greedy claims a feasible route on an infeasible query"
-                            );
-                        }
-                    }
-                    Some(opt) => {
-                        feasible += 1;
-                        verify_route(graph, &query, opt, &format!("{what} [oracle]"));
-
-                        let ex = exact
-                            .route
-                            .unwrap_or_else(|| panic!("{what}: exact missed a feasible route"));
-                        verify_route(graph, &query, &ex, &format!("{what} [exact]"));
-                        assert!(
-                            (ex.objective - opt.objective).abs() < TOL,
-                            "{what}: exact {} ≠ oracle {}",
-                            ex.objective,
-                            opt.objective
-                        );
-
-                        let os_r = os
-                            .route
-                            .unwrap_or_else(|| panic!("{what}: OSScaling missed feasibility"));
-                        verify_route(graph, &query, &os_r, &format!("{what} [os-scaling]"));
-                        assert!(
-                            os_r.objective >= opt.objective - TOL,
-                            "{what}: OSScaling beat the optimum"
-                        );
-                        assert!(
-                            os_r.objective <= opt.objective / (1.0 - EPSILON) + TOL,
-                            "{what}: Theorem 2 violated: {} > {}",
-                            os_r.objective,
-                            opt.objective / (1.0 - EPSILON)
-                        );
-
-                        let bb_r = bb
-                            .route
-                            .unwrap_or_else(|| panic!("{what}: BucketBound missed feasibility"));
-                        verify_route(graph, &query, &bb_r, &format!("{what} [bucket-bound]"));
-                        assert!(
-                            bb_r.objective >= opt.objective - TOL
-                                && bb_r.objective <= opt.objective * BETA / (1.0 - EPSILON) + TOL,
-                            "{what}: Theorem 3 violated: {} vs opt {}",
-                            bb_r.objective,
-                            opt.objective
-                        );
-
-                        assert!(!top_k.routes.is_empty(), "{what}: top-k found nothing");
-                        let mut prev = f64::NEG_INFINITY;
-                        for (i, r) in top_k.routes.iter().enumerate() {
-                            verify_route(graph, &query, r, &format!("{what} [top-k #{i}]"));
-                            assert!(r.objective >= prev, "{what}: top-k not sorted");
-                            prev = r.objective;
-                        }
-                        assert!(
-                            top_k.routes[0].objective <= opt.objective / (1.0 - EPSILON) + TOL,
-                            "{what}: top-k best breaks the OSScaling bound"
-                        );
-
-                        if let Some(g) = &greedy {
-                            if g.is_feasible() {
-                                let gr = RouteResult {
-                                    route: g.route.clone(),
-                                    objective: g.objective,
-                                    budget: g.budget,
-                                };
-                                verify_route(graph, &query, &gr, &format!("{what} [greedy]"));
-                                assert!(
-                                    g.objective >= opt.objective - TOL,
-                                    "{what}: greedy beat the optimum"
-                                );
-                            }
-                        }
-                    }
+            for request in &requests {
+                let what = format!("{what} [{}]", label(request));
+                let outcome = engine.search(&query, request).unwrap();
+                verify_outcome(graph, &query, &outcome, &what);
+                let Some(opt) = oracle.route.as_ref().map(|r| r.objective) else {
+                    assert!(
+                        !outcome.is_feasible(),
+                        "{what}: claims a feasible route on an infeasible query"
+                    );
+                    continue;
+                };
+                let ratio = guaranteed_ratio(&request.algo);
+                let Some(best) = outcome.best().filter(|_| outcome.is_feasible()) else {
+                    assert!(ratio.is_none(), "{what}: missed a feasible route");
+                    continue;
+                };
+                assert!(best.objective >= opt - TOL, "{what}: beat the optimum");
+                if let Some(ratio) = ratio {
+                    assert!(
+                        best.objective <= opt * ratio + TOL,
+                        "{what}: bound violated: {} > {opt} × {ratio}",
+                        best.objective
+                    );
+                }
+                let bits = keys(&outcome);
+                for (i, w) in outcome.routes.windows(2).enumerate() {
+                    assert!(w[0].objective <= w[1].objective, "{what}: not sorted");
+                    assert!(!bits[i + 1..].contains(&bits[i]), "{what}: duplicate route");
                 }
             }
         }

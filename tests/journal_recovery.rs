@@ -22,100 +22,19 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+mod common;
+
+use common::{canned_queries, keys, label, requests, verify_outcome, worlds};
 use kor::prelude::*;
 use kor_data::journal::{graph_digest, journal_path, read_journal, replay, Journal};
 
-const EPSILON: f64 = 0.5;
-const BETA: f64 = 1.2;
-const K: usize = 3;
-
-/// Grid and ring worlds across seeds — the same families the gen and
-/// mutate oracles cover, kept small so every phase replays quickly.
-fn worlds() -> Vec<GenConfig> {
-    let mut configs = Vec::new();
-    for seed in 0..3 {
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.5,
-            ..GenConfig::grid(3, 4, seed)
-        });
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.6,
-            ..GenConfig::ring(10, 3, 1000 + seed)
-        });
-    }
-    configs
-}
-
-/// A route reduced to its exact bits: node ids, OS bits, BS bits.
-type RouteKey = (Vec<u32>, u64, u64);
-
-fn key(r: &RouteResult) -> RouteKey {
-    (
-        r.route.nodes().iter().map(|n| n.0).collect(),
-        r.objective.to_bits(),
-        r.budget.to_bits(),
-    )
-}
-
-const ALGOS: [&str; 6] = [
-    "exact",
-    "os-scaling",
-    "bucket-bound",
-    "top-k-os-scaling",
-    "top-k-bucket-bound",
-    "greedy",
-];
-
-fn run_algo<G: AsRef<Graph>>(engine: &KorEngine<G>, query: &KorQuery, algo: &str) -> Vec<RouteKey> {
-    let os = OsScalingParams::with_epsilon(EPSILON);
-    let bb = BucketBoundParams::with(EPSILON, BETA);
-    let routes: Vec<RouteResult> = match algo {
-        "exact" => engine.exact(query).unwrap().route.into_iter().collect(),
-        "os-scaling" => engine
-            .os_scaling(query, &os)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "bucket-bound" => engine
-            .bucket_bound(query, &bb)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "top-k-os-scaling" => engine.top_k_os_scaling(query, &os, K).unwrap().routes,
-        "top-k-bucket-bound" => engine.top_k_bucket_bound(query, &bb, K).unwrap().routes,
-        "greedy" => engine
-            .greedy(query, &GreedyParams::default())
-            .unwrap()
-            .into_iter()
-            .map(|g| RouteResult {
-                route: g.route,
-                objective: g.objective,
-                budget: g.budget,
-            })
-            .collect(),
-        other => unreachable!("unknown algo {other}"),
-    };
-    routes.iter().map(key).collect()
-}
-
-fn canned_queries(graph: &Graph, sets: &[kor::data::CannedQuerySet]) -> Vec<KorQuery> {
-    sets.iter()
-        .flat_map(|set| &set.queries)
-        .map(|q| {
-            KorQuery::new(graph, q.source, q.target, q.keywords.clone(), q.budget)
-                .expect("canned queries stay constructible across mutations")
-        })
-        .collect()
+/// Runs one search and reduces the answer to its exact bits.
+fn run<G: AsRef<Graph>>(
+    engine: &KorEngine<G>,
+    query: &KorQuery,
+    request: &SearchRequest,
+) -> Vec<(Vec<u32>, u64, u64)> {
+    keys(&engine.search(query, request).unwrap())
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -128,11 +47,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn recovered_engine_matches_the_never_crashed_twin_on_all_worlds() {
     let mut compared = 0usize;
-    for (w, config) in worlds().into_iter().enumerate() {
+    // The first three seeds of both families, so every phase replays
+    // quickly.
+    for (w, config) in worlds().into_iter().take(6).enumerate() {
         let world = generate_world(&config);
-        let label = format!("{} seed {}", config.topology.name(), config.seed);
+        let world_label = format!("{} seed {}", config.topology.name(), config.seed);
         let script = generate_traffic(&world.graph, &TrafficConfig::base(0xC0FFEE ^ config.seed));
-        assert!(!script.is_empty(), "{label}: traffic script is empty");
+        assert!(!script.is_empty(), "{world_label}: traffic script is empty");
 
         let dir = temp_dir(&format!("w{w}"));
         let jpath = journal_path(&dir, "w");
@@ -141,8 +62,8 @@ fn recovered_engine_matches_the_never_crashed_twin_on_all_worlds() {
         // The never-crashed twin: warm caches, incremental invalidation.
         let mut warm = KorEngine::new(Arc::new(world.graph.clone()));
         for query in &canned_queries(warm.graph(), &world.query_sets) {
-            for algo in ALGOS {
-                let _ = run_algo(&warm, query, algo);
+            for request in &requests() {
+                let _ = run(&warm, query, request);
             }
         }
 
@@ -152,27 +73,33 @@ fn recovered_engine_matches_the_never_crashed_twin_on_all_worlds() {
             journal.append(epoch, batch).unwrap();
             let (next, _report) = warm
                 .apply_edge_mutations(batch)
-                .unwrap_or_else(|e| panic!("{label} phase {phase}: {e}"));
+                .unwrap_or_else(|e| panic!("{world_label} phase {phase}: {e}"));
             warm = next;
 
             // Cold recovery from the bytes on disk, every phase.
             let recovered = read_journal(&jpath).unwrap();
-            assert_eq!(recovered.torn_bytes, 0, "{label}: clean journal");
+            assert_eq!(recovered.torn_bytes, 0, "{world_label}: clean journal");
             let (graph, applied) = replay(&world.graph, &recovered).unwrap();
-            assert_eq!(applied, epoch, "{label} phase {phase}: batches replayed");
-            assert_eq!(graph.epoch(), epoch, "{label}: recovered epoch");
+            assert_eq!(
+                applied, epoch,
+                "{world_label} phase {phase}: batches replayed"
+            );
+            assert_eq!(graph.epoch(), epoch, "{world_label}: recovered epoch");
             let cold = KorEngine::new(Arc::new(graph));
 
             for query in &canned_queries(warm.graph(), &world.query_sets) {
-                for algo in ALGOS {
+                for request in &requests() {
+                    let answer = warm.search(query, request).unwrap();
+                    verify_outcome(warm.graph(), query, &answer, &label(request));
                     assert_eq!(
-                        run_algo(&warm, query, algo),
-                        run_algo(&cold, query, algo),
-                        "{label} phase {phase}: {} -> {} Δ {:.3} [{algo}]: \
+                        keys(&answer),
+                        run(&cold, query, request),
+                        "{world_label} phase {phase}: {} -> {} Δ {:.3} [{}]: \
                          recovered engine diverged from the never-crashed twin",
                         query.source,
                         query.target,
-                        query.budget
+                        query.budget,
+                        label(request)
                     );
                     compared += 1;
                 }
@@ -190,19 +117,19 @@ fn recovered_engine_matches_the_never_crashed_twin_on_all_worlds() {
         f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]).unwrap();
         drop(f);
         let recovered = read_journal(&jpath).unwrap();
-        assert_eq!(recovered.torn_bytes, 5, "{label}: torn tail measured");
+        assert_eq!(recovered.torn_bytes, 5, "{world_label}: torn tail measured");
         assert_eq!(
             recovered.batches.len(),
             script.len(),
-            "{label}: the torn tail cost no durable batch"
+            "{world_label}: the torn tail cost no durable batch"
         );
         let (graph, _) = replay(&world.graph, &recovered).unwrap();
         let cold = KorEngine::new(Arc::new(graph));
         for query in &canned_queries(warm.graph(), &world.query_sets) {
             assert_eq!(
-                run_algo(&warm, query, "bucket-bound"),
-                run_algo(&cold, query, "bucket-bound"),
-                "{label}: torn-tail recovery diverged"
+                run(&warm, query, &requests()[2]),
+                run(&cold, query, &requests()[2]),
+                "{world_label}: torn-tail recovery diverged"
             );
         }
 

@@ -29,147 +29,28 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::{canned_queries, keys, label, requests, verify_outcome, worlds};
 use kor::prelude::*;
 use kor::serve::registry::Dataset;
-use kor::shard::ShardPlan;
 
-const EPSILON: f64 = 0.5;
-const BETA: f64 = 1.2;
-const TOL: f64 = 1e-9;
-const K: usize = 3;
-
-/// Same worlds as `tests/gen_oracle.rs`: two topologies × 9 seeds.
-fn worlds() -> Vec<GenConfig> {
-    let mut configs = Vec::new();
-    for seed in 0..9 {
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.5,
-            ..GenConfig::grid(3, 4, seed)
-        });
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.6,
-            ..GenConfig::ring(10, 3, 1000 + seed)
-        });
-    }
-    configs
-}
-
-/// A route reduced to its exact bits: node ids, OS bits, BS bits.
-type RouteKey = (Vec<u32>, u64, u64);
-
-fn key(r: &RouteResult) -> RouteKey {
-    (
-        r.route.nodes().iter().map(|n| n.0).collect(),
-        r.objective.to_bits(),
-        r.budget.to_bits(),
-    )
-}
-
-const ALGOS: [&str; 6] = [
-    "exact",
-    "os-scaling",
-    "bucket-bound",
-    "top-k-os-scaling",
-    "top-k-bucket-bound",
-    "greedy",
-];
-
-/// Runs one algorithm on one engine and reduces the answer to routes.
-fn run_algo<G: AsRef<Graph>>(
+/// Runs one search.
+fn run<G: AsRef<Graph>>(
     engine: &KorEngine<G>,
     query: &KorQuery,
-    algo: &str,
-    anchor: Option<ScaleAnchor>,
-) -> Vec<RouteResult> {
-    let os = OsScalingParams {
-        anchor,
-        ..OsScalingParams::with_epsilon(EPSILON)
-    };
-    let bb = BucketBoundParams {
-        anchor,
-        ..BucketBoundParams::with(EPSILON, BETA)
-    };
-    match algo {
-        "exact" => engine.exact(query).unwrap().route.into_iter().collect(),
-        "os-scaling" => engine
-            .os_scaling(query, &os)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "bucket-bound" => engine
-            .bucket_bound(query, &bb)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "top-k-os-scaling" => engine.top_k_os_scaling(query, &os, K).unwrap().routes,
-        "top-k-bucket-bound" => engine.top_k_bucket_bound(query, &bb, K).unwrap().routes,
-        "greedy" => engine
-            .greedy(query, &GreedyParams::default())
-            .unwrap()
-            .into_iter()
-            .map(|g| RouteResult {
-                route: g.route,
-                objective: g.objective,
-                budget: g.budget,
-            })
-            .collect(),
-        other => unreachable!("unknown algo {other}"),
-    }
+    request: &SearchRequest,
+) -> SearchOutcome {
+    engine.search(query, request).unwrap()
 }
 
-/// Re-walks a route against the mutated graph: every hop must be an
-/// edge that exists *now* (a stale tree citing a closed edge fails
-/// here) and the claimed scores must match the current edge weights.
-fn verify_route(graph: &Graph, query: &KorQuery, r: &RouteResult, what: &str) {
-    let nodes = r.route.nodes();
-    assert_eq!(*nodes.first().unwrap(), query.source, "{what}: source");
-    assert_eq!(*nodes.last().unwrap(), query.target, "{what}: target");
-    let mut os = 0.0;
-    let mut bs = 0.0;
-    for w in nodes.windows(2) {
-        let e = graph.edge_between(w[0], w[1]).unwrap_or_else(|| {
-            panic!(
-                "{what}: edge {} -> {} does not exist after mutation",
-                w[0], w[1]
-            )
-        });
-        os += e.objective;
-        bs += e.budget;
-    }
-    assert!((os - r.objective).abs() < TOL, "{what}: OS mismatch");
-    assert!((bs - r.budget).abs() < TOL, "{what}: BS mismatch");
-    assert!(bs <= query.budget + TOL, "{what}: over budget");
-}
-
-/// Warms every cache family: all six algorithms on every canned query.
+/// Warms every cache family: every search on every canned query.
 fn warm_all(engine: &KorEngine<Arc<Graph>>, queries: &[KorQuery]) {
     for query in queries {
-        for algo in ALGOS {
-            let _ = run_algo(engine, query, algo, None);
+        for request in &requests() {
+            let _ = run(engine, query, request);
         }
     }
-}
-
-/// Rebuilds the canned queries against the (mutated) graph — node ids
-/// and vocab survive every mutation, so this can't fail.
-fn canned_queries(graph: &Graph, sets: &[kor::data::CannedQuerySet]) -> Vec<KorQuery> {
-    sets.iter()
-        .flat_map(|set| &set.queries)
-        .map(|q| {
-            KorQuery::new(graph, q.source, q.target, q.keywords.clone(), q.budget)
-                .expect("canned queries stay constructible across mutations")
-        })
-        .collect()
 }
 
 #[test]
@@ -178,7 +59,7 @@ fn warm_engine_matches_cold_rebuild_after_every_phase_on_all_worlds() {
     let mut compared = 0usize;
     for config in worlds() {
         let world = generate_world(&config);
-        let label = format!("{} seed {}", config.topology.name(), config.seed);
+        let world_label = format!("{} seed {}", config.topology.name(), config.seed);
         let script = generate_traffic(&world.graph, &TrafficConfig::base(0xD1CE ^ config.seed));
         let mut engine = KorEngine::new(Arc::new(world.graph.clone()));
         warm_all(&engine, &canned_queries(engine.graph(), &world.query_sets));
@@ -186,34 +67,33 @@ fn warm_engine_matches_cold_rebuild_after_every_phase_on_all_worlds() {
         for (phase, batch) in script.iter().enumerate() {
             let (next, report) = engine
                 .apply_edge_mutations(batch)
-                .unwrap_or_else(|e| panic!("{label} phase {phase}: {e}"));
+                .unwrap_or_else(|e| panic!("{world_label} phase {phase}: {e}"));
             engine = next;
             evicted_total += report.total_evicted();
-            assert_eq!(report.epoch, (phase + 1) as u64, "{label}");
+            assert_eq!(report.epoch, (phase + 1) as u64, "{world_label}");
 
             let cold = KorEngine::new(Arc::new(engine.graph().clone()));
             let queries = canned_queries(engine.graph(), &world.query_sets);
             for query in &queries {
-                for algo in ALGOS {
+                for request in &requests() {
                     let what = format!(
-                        "{label} phase {phase}: {} -> {} Δ {:.3} [{algo}]",
-                        query.source, query.target, query.budget
+                        "{world_label} phase {phase}: {} -> {} Δ {:.3} [{}]",
+                        query.source,
+                        query.target,
+                        query.budget,
+                        label(request)
                     );
-                    let warm = run_algo(&engine, query, algo, None);
-                    let cold_routes = run_algo(&cold, query, algo, None);
+                    let warm = run(&engine, query, request);
+                    let cold_routes = run(&cold, query, request);
                     assert_eq!(
-                        warm.iter().map(key).collect::<Vec<_>>(),
-                        cold_routes.iter().map(key).collect::<Vec<_>>(),
+                        keys(&warm),
+                        keys(&cold_routes),
                         "{what}: warm engine diverged from cold rebuild"
                     );
                     compared += 1;
-                    for (i, r) in warm.iter().enumerate() {
-                        // Greedy may return an infeasible best-effort
-                        // route; only feasible ones re-walk cleanly.
-                        if algo != "greedy" || r.budget <= query.budget {
-                            verify_route(engine.graph(), query, r, &format!("{what} #{i}"));
-                        }
-                    }
+                    // Re-walk on the mutated graph: a stale tree citing
+                    // a closed edge, or scoring an old weight, fails.
+                    verify_outcome(engine.graph(), query, &warm, &what);
                 }
             }
             // Re-warm so the next phase's invalidation has warm state to
@@ -277,7 +157,7 @@ fn directed_world_retains_warm_entries_that_avoid_the_changed_edges() {
     // must not build new trees.
     let before = mutated.preprocess_cache().stats().trees_built;
     let q_v1 = KorQuery::from_terms(mutated.graph(), v(0), v(1), vec!["t2"], 8.0).unwrap();
-    let _ = run_algo(&mutated, &q_v1, "os-scaling", None);
+    let _ = run(&mutated, &q_v1, &requests()[1]);
     assert_eq!(
         mutated.preprocess_cache().stats().trees_built,
         before,
@@ -296,17 +176,12 @@ fn directed_world_retains_warm_entries_that_avoid_the_changed_edges() {
     .enumerate()
     {
         let query = KorQuery::from_terms(mutated.graph(), v(s), v(t), kw, b).unwrap();
-        for algo in ALGOS {
+        for request in &requests() {
             assert_eq!(
-                run_algo(&mutated, &query, algo, None)
-                    .iter()
-                    .map(key)
-                    .collect::<Vec<_>>(),
-                run_algo(&cold, &query, algo, None)
-                    .iter()
-                    .map(key)
-                    .collect::<Vec<_>>(),
-                "query {i} [{algo}]: warm diverged from cold"
+                keys(&run(&mutated, &query, request)),
+                keys(&run(&cold, &query, request)),
+                "query {i} [{}]: warm diverged from cold",
+                label(request)
             );
         }
     }
@@ -318,12 +193,15 @@ fn sharded_dataset_stays_byte_identical_through_mutations() {
     let mut degraded = 0usize;
     for config in worlds().into_iter().take(6) {
         let mut world = generate_world(&config);
-        let label = format!("{} seed {}", config.topology.name(), config.seed);
+        let world_label = format!("{} seed {}", config.topology.name(), config.seed);
         world.sharding = Some(compute_sharding(&world.graph, 2));
         let assignment = world.sharding.as_ref().unwrap().assignment.clone();
         let query_sets = world.query_sets.clone();
         let dataset = Dataset::from_snapshot("w", world);
-        assert!(dataset.router().is_some(), "{label}: dataset is sharded");
+        assert!(
+            dataset.router().is_some(),
+            "{world_label}: dataset is sharded"
+        );
 
         // Two deterministic batches: first an intra-shard slowdown (the
         // boundary stays valid, the router stays sharded), then a
@@ -338,14 +216,14 @@ fn sharded_dataset_stays_byte_identical_through_mutations() {
             .flat_map(|u| graph.out_edges(u).map(move |e| (u, e.node)))
             .find(|&(u, w)| assignment[u.index()] != assignment[w.index()]);
         let (Some(intra), Some(cut)) = (intra, cut) else {
-            panic!("{label}: expected both intra-shard and cut edges");
+            panic!("{world_label}: expected both intra-shard and cut edges");
         };
 
         let mut dataset = dataset;
         for (u, w) in [intra, cut] {
             let (next, _report) = dataset
                 .with_mutations(&[EdgeMutation::scale(u, w, 1.0, 1.25)])
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+                .unwrap_or_else(|e| panic!("{world_label}: {e}"));
             dataset = next;
             let router = dataset.router().expect("router survives mutation");
             if router.fused_only() {
@@ -356,26 +234,22 @@ fn sharded_dataset_stays_byte_identical_through_mutations() {
 
             let cold = KorEngine::new(Arc::new(dataset.engine().graph().clone()));
             for query in canned_queries(dataset.engine().graph(), &query_sets) {
-                for algo in ALGOS {
+                for request in &requests() {
                     let what = format!(
-                        "{label}: {} -> {} [{algo}] (fused_only {})",
+                        "{world_label}: {} -> {} [{}] (fused_only {})",
                         query.source,
                         query.target,
+                        label(request),
                         router.fused_only()
                     );
-                    let plan = router
-                        .plan(query.source, query.target, query.budget, algo != "greedy")
-                        .expect("no shard is poisoned");
-                    let routed = match plan {
-                        ShardPlan::Local(s) => {
-                            run_algo(router.engine(s), &query, algo, Some(router.anchor()))
-                        }
-                        ShardPlan::Fanout => run_algo(dataset.engine(), &query, algo, None),
-                    };
-                    let single = run_algo(&cold, &query, algo, None);
+                    let routed = router
+                        .search(dataset.engine(), &query, request)
+                        .expect("no shard is poisoned")
+                        .unwrap();
+                    let single = run(&cold, &query, request);
                     assert_eq!(
-                        routed.iter().map(key).collect::<Vec<_>>(),
-                        single.iter().map(key).collect::<Vec<_>>(),
+                        keys(&routed),
+                        keys(&single),
                         "{what}: mutated sharded dataset diverged from cold engine"
                     );
                 }
@@ -385,7 +259,7 @@ fn sharded_dataset_stays_byte_identical_through_mutations() {
         // ended degraded.
         assert!(
             dataset.router().unwrap().fused_only(),
-            "{label}: cut-edge mutation did not degrade the router"
+            "{world_label}: cut-edge mutation did not degrade the router"
         );
     }
     assert!(

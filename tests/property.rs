@@ -174,9 +174,11 @@ fn top_k_is_sorted_distinct_feasible() {
         let t = NodeId(t % graph.node_count() as u32);
         let query = KorQuery::new(&graph, s, t, kws, delta).unwrap();
         let engine = KorEngine::new(&graph);
-        let topk = engine
-            .top_k_os_scaling(&query, &OsScalingParams::with_epsilon(0.3), k)
-            .unwrap();
+        let request = SearchRequest {
+            k,
+            ..SearchRequest::new(Algo::OsScaling(OsScalingParams::with_epsilon(0.3)))
+        };
+        let topk = engine.search(&query, &request).unwrap();
         assert!(topk.routes.len() <= k, "case {case}");
         for w in topk.routes.windows(2) {
             assert!(w[0].objective <= w[1].objective + 1e-12, "case {case}");

@@ -15,126 +15,11 @@
 //! queries must route shard-locally and some must fan out, otherwise
 //! the confinement condition never fired and the test proves nothing.
 
+mod common;
+
+use common::{canned_queries, keys, label, requests, verify_outcome, worlds};
 use kor::prelude::*;
-use kor::shard::{ShardPlan, ShardRouter};
-
-const EPSILON: f64 = 0.5;
-const BETA: f64 = 1.2;
-const TOL: f64 = 1e-9;
-const K: usize = 3;
-
-/// Same worlds as `tests/gen_oracle.rs`: two topologies × 9 seeds.
-fn worlds() -> Vec<GenConfig> {
-    let mut configs = Vec::new();
-    for seed in 0..9 {
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.5,
-            ..GenConfig::grid(3, 4, seed)
-        });
-        configs.push(GenConfig {
-            vocab_size: 12,
-            max_tags_per_node: 2,
-            keyword_counts: vec![1, 2],
-            queries_per_set: 4,
-            budget_tightness: 1.6,
-            ..GenConfig::ring(10, 3, 1000 + seed)
-        });
-    }
-    configs
-}
-
-/// A route reduced to its exact bits: node ids, OS bits, BS bits.
-type RouteKey = (Vec<u32>, u64, u64);
-
-fn key(r: &RouteResult) -> RouteKey {
-    (
-        r.route.nodes().iter().map(|n| n.0).collect(),
-        r.objective.to_bits(),
-        r.budget.to_bits(),
-    )
-}
-
-const ALGOS: [&str; 6] = [
-    "exact",
-    "os-scaling",
-    "bucket-bound",
-    "top-k-os-scaling",
-    "top-k-bucket-bound",
-    "greedy",
-];
-
-/// Runs one algorithm on one engine and reduces the answer to routes.
-/// `anchor` pins the scaling extrema when the engine is a shard-local
-/// one; `None` on the fused engine computes the same values natively.
-fn run_algo<G: AsRef<Graph>>(
-    engine: &KorEngine<G>,
-    query: &KorQuery,
-    algo: &str,
-    anchor: Option<ScaleAnchor>,
-) -> Vec<RouteResult> {
-    let os = OsScalingParams {
-        anchor,
-        ..OsScalingParams::with_epsilon(EPSILON)
-    };
-    let bb = BucketBoundParams {
-        anchor,
-        ..BucketBoundParams::with(EPSILON, BETA)
-    };
-    match algo {
-        "exact" => engine.exact(query).unwrap().route.into_iter().collect(),
-        "os-scaling" => engine
-            .os_scaling(query, &os)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "bucket-bound" => engine
-            .bucket_bound(query, &bb)
-            .unwrap()
-            .route
-            .into_iter()
-            .collect(),
-        "top-k-os-scaling" => engine.top_k_os_scaling(query, &os, K).unwrap().routes,
-        "top-k-bucket-bound" => engine.top_k_bucket_bound(query, &bb, K).unwrap().routes,
-        "greedy" => engine
-            .greedy(query, &GreedyParams::default())
-            .unwrap()
-            .into_iter()
-            .map(|g| RouteResult {
-                route: g.route,
-                objective: g.objective,
-                budget: g.budget,
-            })
-            .collect(),
-        other => unreachable!("unknown algo {other}"),
-    }
-}
-
-/// Re-walks a route against the fused graph: every hop must be a real
-/// edge and the claimed scores must match the edge sums. (Keyword and
-/// budget checks live in `gen_oracle.rs`; here the concern is that a
-/// shard-local search cannot invent edges its subgraph does not have.)
-fn verify_route(graph: &Graph, query: &KorQuery, r: &RouteResult, what: &str) {
-    let nodes = r.route.nodes();
-    assert_eq!(*nodes.first().unwrap(), query.source, "{what}: source");
-    assert_eq!(*nodes.last().unwrap(), query.target, "{what}: target");
-    let mut os = 0.0;
-    let mut bs = 0.0;
-    for w in nodes.windows(2) {
-        let e = graph
-            .edge_between(w[0], w[1])
-            .unwrap_or_else(|| panic!("{what}: edge {} -> {} does not exist", w[0], w[1]));
-        os += e.objective;
-        bs += e.budget;
-    }
-    assert!((os - r.objective).abs() < TOL, "{what}: OS mismatch");
-    assert!((bs - r.budget).abs() < TOL, "{what}: BS mismatch");
-    assert!(bs <= query.budget + TOL, "{what}: over budget");
-}
+use kor::shard::ShardRouter;
 
 #[test]
 fn router_is_byte_identical_to_the_single_engine_on_all_worlds() {
@@ -149,56 +34,37 @@ fn router_is_byte_identical_to_the_single_engine_on_all_worlds() {
         for shards in [2usize, 4] {
             let info = compute_sharding(graph, shards);
             let router = ShardRouter::new(graph, info);
-            let label = format!(
+            let world_label = format!(
                 "{} seed {} at {shards} shards",
                 config.topology.name(),
                 config.seed
             );
-            for set in &world.query_sets {
-                for canned in &set.queries {
-                    let query = KorQuery::new(
-                        graph,
-                        canned.source,
-                        canned.target,
-                        canned.keywords.clone(),
-                        canned.budget,
-                    )
-                    .expect("canned queries are valid");
-                    queries_total += 1;
-                    for algo in ALGOS {
-                        let what = format!(
-                            "{label}: {} -> {} Δ {:.3} [{algo}]",
-                            canned.source, canned.target, canned.budget
-                        );
-                        let plan = router
-                            .plan(query.source, query.target, query.budget, algo != "greedy")
-                            .expect("no shard is poisoned");
-                        let routed = match plan {
-                            ShardPlan::Local(s) => {
-                                run_algo(router.engine(s), &query, algo, Some(router.anchor()))
-                            }
-                            ShardPlan::Fanout => run_algo(&fused, &query, algo, None),
-                        };
-                        let single = run_algo(&fused, &query, algo, None);
-                        assert_eq!(
-                            routed.iter().map(key).collect::<Vec<_>>(),
-                            single.iter().map(key).collect::<Vec<_>>(),
-                            "{what}: router diverged from the single engine \
-                             (plan {plan:?})"
-                        );
-                        // Greedy may legitimately return an infeasible
-                        // best-effort route; only re-walk feasible ones.
-                        for (i, r) in routed.iter().enumerate() {
-                            if algo != "greedy" || r.budget <= query.budget {
-                                verify_route(graph, &query, r, &format!("{what} #{i}"));
-                            }
-                        }
-                        // Top-k answers must come back sorted.
-                        let mut prev = f64::NEG_INFINITY;
-                        for r in &routed {
-                            assert!(r.objective >= prev, "{what}: not sorted");
-                            prev = r.objective;
-                        }
+            for query in canned_queries(graph, &world.query_sets) {
+                queries_total += 1;
+                for request in &requests() {
+                    let what = format!(
+                        "{world_label}: {} -> {} Δ {:.3} [{}]",
+                        query.source,
+                        query.target,
+                        query.budget,
+                        label(request)
+                    );
+                    let routed = router
+                        .search(&fused, &query, request)
+                        .expect("no shard is poisoned")
+                        .unwrap();
+                    let single = fused.search(&query, request).unwrap();
+                    assert_eq!(
+                        keys(&routed),
+                        keys(&single),
+                        "{what}: router diverged from the single engine"
+                    );
+                    // A shard-local search cannot invent edges its
+                    // subgraph does not have: re-walk on the fused graph.
+                    verify_outcome(graph, &query, &routed, &what);
+                    // Top-k answers must come back sorted.
+                    for w in routed.routes.windows(2) {
+                        assert!(w[0].objective <= w[1].objective, "{what}: not sorted");
                     }
                 }
             }
@@ -222,8 +88,8 @@ fn router_is_byte_identical_to_the_single_engine_on_all_worlds() {
         "no query ever fanned out — the fused path went untested"
     );
     eprintln!(
-        "shard oracle: {queries_total} queries × {} algos; {local_total} confined local, \
+        "shard oracle: {queries_total} queries × {} searches; {local_total} confined local, \
          {fanout_total} fanouts",
-        ALGOS.len()
+        requests().len()
     );
 }

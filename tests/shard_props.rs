@@ -108,6 +108,10 @@ fn confined_budgets_keep_optimal_routes_inside_the_shard() {
         let world = generate_world(&config);
         let graph = &world.graph;
         let engine = KorEngine::new(graph);
+        let top3 = SearchRequest {
+            k: 3,
+            ..SearchRequest::new(Algo::OsScaling(OsScalingParams::default()))
+        };
         for shards in [2usize, 4] {
             let info = compute_sharding(graph, shards);
             let label = format!("{} seed {} @{shards}", config.topology.name(), config.seed);
@@ -128,11 +132,7 @@ fn confined_budgets_keep_optimal_routes_inside_the_shard() {
                         "{label}: {s}->{t} Δ {delta} under the fence but not confined"
                     );
                     let query = KorQuery::new(graph, s, t, vec![], delta).unwrap();
-                    for r in engine
-                        .top_k_os_scaling(&query, &OsScalingParams::default(), 3)
-                        .unwrap()
-                        .routes
-                    {
+                    for r in engine.search(&query, &top3).unwrap().routes {
                         for &v in r.route.nodes() {
                             assert_eq!(
                                 info.shard_of(v),
