@@ -1,70 +1,43 @@
-//! `BucketBound` (Algorithm 2) and its KkR top-k extension.
+//! `BucketBound` (Algorithm 2): the geometric bucket layout it adds to
+//! the label search of [`crate::labeling`].
 //!
 //! Labels are organized into geometric buckets by their best possible
 //! objective score `LOW(L) = L.OS + OS(τ_{node,t})` (Lemma 3): bucket
 //! `B_r` covers `[β^r·OS(τ_{s,t}), β^{r+1}·OS(τ_{s,t}))` (Definition 9).
 //! Labels are always dequeued from the first non-empty bucket; when a
-//! newly created label covers all query keywords, falls into that same
-//! bucket, and its τ-completion fits the budget, Lemma 5 guarantees the
-//! route found by `OSScaling` shares the bucket, so the search stops with
-//! approximation ratio `β/(1−ε)` (Theorem 3) — typically an order of
-//! magnitude faster than Algorithm 1.
+//! covering label in that bucket has a τ-completion that fits the
+//! budget, Lemma 5 guarantees the route found by `OSScaling` shares the
+//! bucket, so the search stops with approximation ratio `β/(1−ε)`
+//! (Theorem 3) — typically an order of magnitude faster than
+//! Algorithm 1.
+//!
+//! The engine's heap holds the bucket being drained; later buckets are
+//! kept in a map keyed by bucket index. The map is sparse, so a `β`
+//! just above 1 or a huge `LOW` yields a huge index and costs nothing.
+//! Keeping later buckets out of the heap keeps its pops as short as a
+//! per-bucket queue's.
 
-use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::Instant;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use kor_apsp::{KeywordReach, QueryContext};
-use kor_graph::{Graph, NodeId, Route};
-use kor_index::InvertedIndex;
+use kor_apsp::QueryContext;
+use kor_graph::Graph;
 
-use crate::cache::PreprocessCache;
-use crate::dominance::LabelStore;
-use crate::error::KorError;
-use crate::label::{Label, LabelArena, LabelSnapshot, NO_LABEL};
-use crate::labeling::{
-    acquire_context, acquire_reach, build_opt2, query_mask_table, scaler_for, AltBounds,
-    DeadlineTicker, Opt2, QItem, ScoreMode,
-};
-use crate::params::BucketBoundParams;
+use crate::labeling::QItem;
+use crate::params::ScaleAnchor;
 use crate::query::KorQuery;
-use crate::result::RouteResult;
-use crate::search::SearchOutcome;
 use crate::stats::SearchStats;
 
-/// Runs `BucketBound` (Algorithm 2), the `β/(1−ε)`-approximation; with
-/// `k > 1`, its KkR extension: k-dominance, terminating once `k`
-/// feasible routes have been found in current buckets (§3.5). `cache`
-/// supplies warm to-target trees and Opt-2 bounds; results are
-/// byte-identical to the cold path.
-pub(crate) fn bucket_search(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    params: &BucketBoundParams,
-    k: usize,
-    deadline: Option<Instant>,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchOutcome, KorError> {
-    params.validate()?;
-    let mut engine = BucketEngine::new(graph, index, query, params, k, deadline, cache);
-    let routes = engine.run()?;
-    Ok(SearchOutcome {
-        routes,
-        stats: engine.stats,
-        labels: engine.snapshots,
-        greedy_flags: None,
-    })
-}
-
-/// Geometric label buckets (Definition 9) with lazy tombstone skipping.
-struct Buckets {
+/// The geometric buckets of one `BucketBound` search.
+pub(crate) struct Buckets {
     base: f64,
     log_beta: f64,
-    queues: Vec<BinaryHeap<QItem>>,
-    /// First bucket that may contain alive labels; monotone because
-    /// `LOW` never decreases along label extensions.
-    current: usize,
+    /// The bucket being drained; its labels are in the engine's heap.
+    current: u64,
+    /// The labels of later buckets, by bucket index.
+    later: BTreeMap<u64, BinaryHeap<QItem>>,
+    /// The highest bucket index a label was filed under so far.
+    highest: Option<u64>,
 }
 
 impl Buckets {
@@ -72,13 +45,38 @@ impl Buckets {
         Self {
             base,
             log_beta: beta.ln(),
-            queues: Vec::new(),
             current: 0,
+            later: BTreeMap::new(),
+            highest: None,
         }
     }
 
-    /// The bucket index for a `LOW` value.
-    fn index_for(&self, low: f64) -> usize {
+    /// The layout for `query`, with growth factor `beta`. The base is
+    /// `OS(τ_{s,t})`; when source == target that is 0, so it falls back
+    /// to the smallest edge objective (any covering cycle costs at least
+    /// that), keeping the intervals well-defined. Like θ, the fallback
+    /// honours a pinned anchor so shard-local bucket layouts match the
+    /// fused engine's.
+    pub(crate) fn for_query(
+        graph: &Graph,
+        query: &KorQuery,
+        ctx: &QueryContext,
+        anchor: Option<ScaleAnchor>,
+        beta: f64,
+    ) -> Self {
+        let tau_st = ctx.os_tau(query.source);
+        let base = if tau_st > 0.0 && tau_st.is_finite() {
+            tau_st
+        } else {
+            anchor
+                .map_or_else(|| graph.o_min(), |a| a.o_min)
+                .max(f64::MIN_POSITIVE)
+        };
+        Self::new(base, beta)
+    }
+
+    /// The bucket index for a `LOW` value (saturating at `u64::MAX`).
+    fn index_for(&self, low: f64) -> u64 {
         if low <= self.base {
             return 0;
         }
@@ -86,406 +84,59 @@ impl Buckets {
         if r < 0.0 {
             0
         } else {
-            r as usize
+            r as u64
         }
     }
 
-    fn push(&mut self, bucket: usize, item: QItem) -> bool {
-        let grew = bucket >= self.queues.len();
-        while self.queues.len() <= bucket {
-            self.queues.push(BinaryHeap::new());
+    /// Files a label with lower bound `low` (Algorithm 2 lines 12–15):
+    /// into `heap` when it falls in the bucket being drained, under its
+    /// later bucket otherwise, and counts a created bucket in `stats`
+    /// when its index is the highest yet. Returns whether it went into
+    /// `heap`.
+    pub(crate) fn file(
+        &mut self,
+        low: f64,
+        item: QItem,
+        heap: &mut BinaryHeap<QItem>,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let bucket = self.index_for(low);
+        if self.highest.is_none_or(|h| bucket > h) {
+            self.highest = Some(bucket);
+            stats.buckets_created += 1;
         }
-        self.queues[bucket].push(item);
-        grew
+        match bucket.cmp(&self.current) {
+            Ordering::Equal => heap.push(item),
+            Ordering::Greater => self.later.entry(bucket).or_default().push(item),
+            // `LOW` never decreases along extensions, but rounding can
+            // dip it below the bucket being drained. Such a label is
+            // never popped, as if its drained bucket were not revisited.
+            Ordering::Less => {}
+        }
+        bucket == self.current
     }
 
-    /// Pops the lowest-order alive item from the first non-empty bucket.
-    fn pop_first(&mut self, arena: &LabelArena, skipped: &mut u64) -> Option<(usize, QItem)> {
-        while self.current < self.queues.len() {
-            while let Some(item) = self.queues[self.current].pop() {
-                if arena.get(item.id).alive {
-                    return Some((self.current, item));
-                }
-                *skipped += 1;
-            }
-            self.current += 1;
+    /// Once `heap` (the bucket being drained) is empty, makes the first
+    /// non-empty later bucket current and moves its labels into `heap`.
+    pub(crate) fn advance(&mut self, heap: &mut BinaryHeap<QItem>) {
+        if let Some((bucket, labels)) = self.later.pop_first() {
+            self.current = bucket;
+            *heap = labels;
         }
-        None
-    }
-}
-
-struct BucketEngine<'a> {
-    graph: &'a Graph,
-    query: &'a KorQuery,
-    mode: ScoreMode,
-    k: usize,
-    collect_labels: bool,
-    deadline: Option<Instant>,
-    ctx: Arc<QueryContext>,
-    /// Per-node query-keyword masks (empty ⇒ all zero).
-    masks: Vec<u64>,
-    reach: Option<KeywordReach>,
-    opt2: Option<Opt2>,
-    /// Landmark bounds; `max`-ed with σ at the budget pruning sites.
-    alt: Option<AltBounds>,
-    arena: LabelArena,
-    store: LabelStore,
-    buckets: Buckets,
-    found: Vec<RouteResult>,
-    stats: SearchStats,
-    snapshots: Vec<LabelSnapshot>,
-}
-
-impl<'a> BucketEngine<'a> {
-    fn new(
-        graph: &'a Graph,
-        index: &'a InvertedIndex,
-        query: &'a KorQuery,
-        params: &BucketBoundParams,
-        k: usize,
-        deadline: Option<Instant>,
-        cache: Option<&PreprocessCache>,
-    ) -> Self {
-        let mut stats = SearchStats::default();
-        let ctx = acquire_context(graph, query.target, cache, &mut stats);
-        let masks = query_mask_table(graph.node_count(), &query.keywords, index);
-        let reach = (params.use_opt1 && !query.keywords.is_empty())
-            .then(|| acquire_reach(graph, index, query, cache, &mut stats));
-        let alt = AltBounds::acquire(graph, query.target, cache);
-        let opt2 = if params.use_opt2 {
-            build_opt2(
-                graph,
-                index,
-                query,
-                &ctx,
-                params.infrequent_threshold,
-                cache,
-                &mut stats,
-            )
-        } else {
-            None
-        };
-        let mode = ScoreMode::Scaled(scaler_for(
-            graph,
-            params.anchor,
-            params.epsilon,
-            query.budget,
-        ));
-        let store = LabelStore::new(
-            mode.dom_mode(),
-            query.keywords.full_mask(),
-            k,
-            graph.node_count(),
-        );
-        // Bucket base: OS(τ_{s,t}); when source == target that is 0, so
-        // fall back to the smallest edge objective (any covering cycle
-        // costs at least that), keeping the intervals well-defined. Like
-        // θ above, the fallback honours a pinned anchor so shard-local
-        // bucket layouts match the fused engine's.
-        let tau_st = ctx.os_tau(query.source);
-        let base = if tau_st > 0.0 && tau_st.is_finite() {
-            tau_st
-        } else {
-            params
-                .anchor
-                .map_or_else(|| graph.o_min(), |a| a.o_min)
-                .max(f64::MIN_POSITIVE)
-        };
-        Self {
-            graph,
-            query,
-            mode,
-            k,
-            collect_labels: params.collect_labels,
-            deadline,
-            ctx,
-            masks,
-            reach,
-            opt2,
-            alt,
-            arena: LabelArena::with_capacity(1024),
-            store,
-            buckets: Buckets::new(base, params.beta),
-            found: Vec::new(),
-            stats,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// The query-keyword mask of `node` (one indexed load).
-    #[inline]
-    fn node_mask(&self, node: NodeId) -> u64 {
-        if self.masks.is_empty() {
-            0
-        } else {
-            self.masks[node.index()]
-        }
-    }
-
-    /// Lower bound on the remaining budget from `node` to the target:
-    /// `max(BS(σ), ALT)`. Equal to `BS(σ)` — the exact distance — on
-    /// every node, so pruning decisions are unchanged; see
-    /// [`AltBounds`].
-    #[inline]
-    fn bs_lb(&self, node: NodeId) -> f64 {
-        let sigma = self.ctx.bs_sigma(node);
-        match &self.alt {
-            Some(alt) => sigma.max(alt.budget_bound(node)),
-            None => sigma,
-        }
-    }
-
-    fn run(&mut self) -> Result<Vec<RouteResult>, KorError> {
-        let source = self.query.source;
-        if !self.ctx.reaches_target(source) {
-            return Ok(Vec::new());
-        }
-        let init = Label {
-            node: source,
-            mask: self.node_mask(source),
-            scaled: 0,
-            objective: 0.0,
-            budget: 0.0,
-            parent: NO_LABEL,
-            alive: true,
-        };
-        let init_id = self.arena.push(init);
-        self.stats.labels_created += 1;
-        if self.collect_labels {
-            self.snapshots
-                .push(LabelSnapshot::from(self.arena.get(init_id)));
-        }
-        self.store.try_insert(&mut self.arena, init_id);
-        self.file_label(init_id);
-
-        // One per-search ticker (see `labeling::DeadlineTicker`): the
-        // first iteration always checks, and the counter spans bucket
-        // transitions, so later buckets cannot starve the deadline.
-        let mut ticker = DeadlineTicker::new(self.deadline);
-        while !self.done() {
-            ticker.tick()?;
-            let Some((_, item)) = self
-                .buckets
-                .pop_first(&self.arena, &mut self.stats.labels_skipped)
-            else {
-                break;
-            };
-            // Lemma 5 at dequeue time: this label was popped from the
-            // first non-empty bucket, so all earlier buckets are empty;
-            // if it covers all keywords and its τ-completion fits the
-            // budget, it is a result route (lines 19–23 generalized to
-            // labels that entered a later bucket than the then-current
-            // one and were reached only now).
-            self.record_if_found(item.id);
-            if self.done() {
-                break;
-            }
-            self.stats.labels_expanded += 1;
-            self.expand(item.id);
-        }
-        Ok(self.results())
-    }
-
-    /// Records the label's τ-completion as a found route if it covers all
-    /// query keywords and fits the budget; dedupes identical routes —
-    /// including the same label being seen at creation time and again at
-    /// dequeue time.
-    fn record_if_found(&mut self, id: u32) {
-        let label = *self.arena.get(id);
-        if !self.query.keywords.is_covering(label.mask) {
-            return;
-        }
-        let bs = label.budget + self.ctx.bs_tau(label.node);
-        // NaN-safe: an infinite/NaN completion budget must not count.
-        if bs > self.query.budget || !bs.is_finite() {
-            return;
-        }
-        let mut nodes = self.arena.path_nodes(id);
-        let completion = self
-            .ctx
-            .tau_route(label.node)
-            .expect("found labels reach the target");
-        nodes.extend_from_slice(&completion.nodes()[1..]);
-        if self.found.iter().any(|r| r.route.nodes() == nodes) {
-            return;
-        }
-        self.found.push(RouteResult {
-            route: Route::new(nodes),
-            objective: label.objective + self.ctx.os_tau(label.node),
-            budget: bs,
-        });
-        self.stats.upper_bound_updates += 1;
-    }
-
-    fn done(&self) -> bool {
-        self.found.len() >= self.k
-    }
-
-    fn results(&mut self) -> Vec<RouteResult> {
-        let mut found = std::mem::take(&mut self.found);
-        found.sort_by(|a, b| {
-            a.objective
-                .total_cmp(&b.objective)
-                .then(a.budget.total_cmp(&b.budget))
-        });
-        found
-    }
-
-    fn expand(&mut self, id: u32) {
-        let label = *self.arena.get(id);
-        // Copying the `&'a Graph` reference out lets the CSR adjacency
-        // iterator borrow the graph — not `self` — so the slices are
-        // walked in place with no per-expansion `Vec` allocation.
-        let graph = self.graph;
-        for e in graph.out_edges(label.node) {
-            self.make_child(id, e.node, e.objective, e.budget);
-            if self.done() {
-                return;
-            }
-        }
-        if self.reach.is_some() && !self.query.keywords.is_covering(label.mask) {
-            self.opt1_jump(id);
-        }
-    }
-
-    fn make_child(&mut self, parent_id: u32, node: NodeId, edge_obj: f64, edge_bud: f64) {
-        let parent = *self.arena.get(parent_id);
-        let objective = parent.objective + edge_obj;
-        let budget = parent.budget + edge_bud;
-        let child = Label {
-            node,
-            mask: parent.mask | self.node_mask(node),
-            scaled: self.mode.child_key(&parent, edge_obj, objective),
-            objective,
-            budget,
-            parent: parent_id,
-            alive: true,
-        };
-        self.stats.labels_created += 1;
-        if self.collect_labels {
-            self.snapshots.push(LabelSnapshot {
-                node: child.node,
-                mask: child.mask,
-                scaled: child.scaled,
-                objective: child.objective,
-                budget: child.budget,
-            });
-        }
-        // Algorithm 2 line 11: budget feasibility via the min-budget
-        // completion (BucketBound has no objective upper bound).
-        if child.budget + self.bs_lb(child.node) > self.query.budget {
-            self.stats.labels_pruned += 1;
-            return;
-        }
-        // Optimization Strategy 2 (budget side only: there is no U).
-        if let Some(opt2) = &self.opt2 {
-            if child.mask & opt2.bit_mask == 0
-                && child.budget + opt2.trees.bud_bound.budget(child.node) > self.query.budget
-            {
-                self.stats.opt2_discards += 1;
-                return;
-            }
-        }
-        let id = self.arena.push(child);
-        if !self.store.try_insert(&mut self.arena, id) {
-            self.arena.kill(id);
-            self.sync_store_stats();
-            return;
-        }
-        self.sync_store_stats();
-        let bucket = self.file_label(id);
-        // Algorithm 2 lines 19–23: a covering label created in the bucket
-        // currently being drained terminates the search immediately (its
-        // dequeue-time twin in `run` handles labels that land in later
-        // buckets and are only reached once those become current).
-        if bucket == self.buckets.current {
-            self.record_if_found(id);
-        }
-    }
-
-    /// Places a stored label into its bucket (lines 12–15), returning the
-    /// bucket index.
-    fn file_label(&mut self, id: u32) -> usize {
-        let label = *self.arena.get(id);
-        let low = label.objective + self.ctx.os_tau(label.node);
-        let bucket = self.buckets.index_for(low);
-        if self.buckets.push(
-            bucket,
-            QItem {
-                covered: label.mask.count_ones(),
-                key: label.scaled,
-                budget: label.budget,
-                node: label.node.0,
-                id,
-            },
-        ) {
-            self.stats.buckets_created += 1;
-        }
-        self.stats.queue_pushes += 1;
-        bucket
-    }
-
-    fn opt1_jump(&mut self, id: u32) {
-        let label = *self.arena.get(id);
-        let reach = self.reach.as_ref().expect("opt1 enabled");
-        let mut best: Option<(f64, u32)> = None;
-        for (bit, _) in self.query.keywords.uncovered(label.mask) {
-            if let Some((dist, j)) = reach.nearest(bit, label.node) {
-                if label.budget + dist + self.bs_lb(j) <= self.query.budget {
-                    let better = best.is_none_or(|(d, _)| dist < d);
-                    if better {
-                        best = Some((dist, bit));
-                    }
-                }
-            }
-        }
-        let Some((_, bit)) = best else { return };
-        let Some(path) = reach.path_to_nearest(bit, label.node) else {
-            return;
-        };
-        if path.len() < 2 {
-            return;
-        }
-        self.stats.opt1_jumps += 1;
-        let mut cur = id;
-        for step in path.windows(2) {
-            let (from, to) = (step[0], step[1]);
-            let e = self
-                .graph
-                .edge_between(from, to)
-                .expect("reach paths follow graph edges");
-            let is_last = to == *path.last().expect("non-empty");
-            if is_last {
-                self.make_child(cur, to, e.objective, e.budget);
-            } else {
-                let parent = *self.arena.get(cur);
-                let objective = parent.objective + e.objective;
-                let child = Label {
-                    node: to,
-                    mask: parent.mask | self.node_mask(to),
-                    scaled: self.mode.child_key(&parent, e.objective, objective),
-                    objective,
-                    budget: parent.budget + e.budget,
-                    parent: cur,
-                    alive: true,
-                };
-                cur = self.arena.push(child);
-            }
-        }
-    }
-
-    fn sync_store_stats(&mut self) {
-        self.stats.labels_dominated = self.store.dominated_count();
-        self.stats.labels_evicted = self.store.evicted_count();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::OsScalingParams;
+    use crate::engine::KorEngine;
+    use crate::error::KorError;
+    use crate::labeling::{Engine, LabelAlgo};
+    use crate::params::{BucketBoundParams, OsScalingParams};
     use crate::search::{search_uncached, single, Algo, SearchRequest};
     use kor_graph::fixtures::{figure1, t, v};
+    use kor_graph::GraphBuilder;
+    use kor_index::InvertedIndex;
 
     fn setup() -> (Graph, InvertedIndex) {
         let g = figure1();
@@ -674,14 +325,58 @@ mod tests {
         // checking), this search would run to completion instead.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let p = BucketBoundParams::default();
+        let p = OsScalingParams::default();
         let deadline = Some(std::time::Instant::now());
-        let mut engine = BucketEngine::new(&g, &idx, &q, &p, 1, deadline, None);
-        assert!(matches!(engine.run(), Err(KorError::DeadlineExceeded)));
+        let mut engine = Engine::new(&g, &idx, &q, LabelAlgo::BucketBound(1.2), &p, 1, None);
+        assert!(matches!(
+            engine.run(deadline),
+            Err(KorError::DeadlineExceeded)
+        ));
         assert_eq!(
             engine.stats.labels_expanded, 0,
             "deadline was checked only after expansion work began"
         );
+    }
+
+    #[test]
+    fn objective_overflow_finds_no_route() {
+        // Edge objectives need only be finite, so a route of two 1e308
+        // edges has objective +∞, and so has `LOW` of every label on it.
+        // Such a label must be pruned, never filed under bucket
+        // `u64::MAX`; no label search may report the overflowing route.
+        let mut b = GraphBuilder::new();
+        let n0 = b.add_node(["a"]);
+        let n1 = b.add_node(["b"]);
+        let n2 = b.add_node(Vec::<&str>::new());
+        b.add_edge(n0, n1, 1e308, 1.0).unwrap();
+        b.add_edge(n1, n2, 1e308, 1.0).unwrap();
+        let g = b.build().unwrap();
+        let idx = InvertedIndex::build(&g);
+        let engine = KorEngine::new(&g);
+        let a = g.vocab().get("a").unwrap();
+        let kw_b = g.vocab().get("b").unwrap();
+        for keywords in [vec![], vec![a], vec![kw_b]] {
+            let q = KorQuery::new(&g, n0, n2, keywords, 10.0).unwrap();
+            for algo in [
+                Algo::OsScaling(OsScalingParams::default()),
+                Algo::BucketBound(BucketBoundParams::default()),
+                Algo::Exact,
+            ] {
+                for k in [1, 3] {
+                    if k > 1 && algo == Algo::Exact {
+                        continue; // exact answers one route only
+                    }
+                    let request = SearchRequest {
+                        k,
+                        ..SearchRequest::new(algo.clone())
+                    };
+                    let cold = search_uncached(&g, &idx, &q, &request).unwrap();
+                    let warm = engine.search(&q, &request).unwrap();
+                    assert!(cold.routes.is_empty(), "{} k={k} cold", algo.name());
+                    assert!(warm.routes.is_empty(), "{} k={k} warm", algo.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,27 @@
-//! The label-search engine: `OSScaling` (Algorithm 1), its exact-dominance
-//! variant, and the KkR top-k extension (§3.5).
+//! The label-search engine: `OSScaling` (Algorithm 1), `BucketBound`
+//! (Algorithm 2), the exact-dominance variant, and the KkR top-k
+//! extension of the two scaled searches (§3.5).
 //!
-//! One engine implements all three because they share every mechanism —
-//! label creation (Definition 7), dominance (Definition 6 / k-dominance),
-//! the priority order (Definition 8), the feasibility and upper-bound
-//! pruning of Algorithm 1, and the two optimization strategies — and
-//! differ only in the dominance key (scaled vs. exact objective) and in
-//! how many result routes are tracked.
+//! One engine implements all of them because they share every mechanism
+//! — label creation (Definition 7), dominance (Definition 6 /
+//! k-dominance), the priority order (Definition 8), the feasibility and
+//! upper-bound pruning of Algorithm 1, and the two optimization
+//! strategies. They differ in three places only:
+//!
+//! - **Dominance key.** Scaled objective for the two scaled searches,
+//!   the exact objective for the exact one.
+//! - **Queue.** One heap in Definition 8 order. `OSScaling` and exact
+//!   keep every queued label in it; `BucketBound` keeps the labels of
+//!   the bucket being drained there and files the rest under their
+//!   geometric bucket of `LOW` (see [`crate::bucket`]).
+//! - **Result policy.** `OSScaling` and exact keep a top-k set whose k-th
+//!   objective is the pruning bound `U`; a covering label is completed
+//!   at creation, and with `k = 1` a completed label is not enqueued.
+//!   `BucketBound` has no `U` (it is `+∞`, so the objective prune only
+//!   drops labels whose `LOW` overflowed); it records a covering label's
+//!   completion at creation when the label lands in the bucket being
+//!   drained and again at dequeue, and stops once `k` routes are found
+//!   (Lemma 5).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -17,6 +32,7 @@ use kor_apsp::{KeywordReach, Landmarks, QueryContext, TargetBounds};
 use kor_graph::{Graph, NodeId, QueryKeywords, Route};
 use kor_index::InvertedIndex;
 
+use crate::bucket::Buckets;
 use crate::cache::{build_opt2_trees, Opt2Trees, PreprocessCache};
 use crate::dominance::{DomMode, LabelStore};
 use crate::error::KorError;
@@ -25,7 +41,7 @@ use crate::params::{OsScalingParams, ScaleAnchor};
 use crate::query::KorQuery;
 use crate::result::RouteResult;
 use crate::scale::Scaler;
-use crate::search::SearchOutcome;
+use crate::search::{SearchOutcome, SearchRequest};
 use crate::stats::SearchStats;
 
 /// How many queue pops pass between two deadline checks. Calling
@@ -34,22 +50,22 @@ use crate::stats::SearchStats;
 /// under a millisecond while making the check free in the aggregate.
 /// The first pop always checks, so an already-expired deadline aborts
 /// before any work happens.
-pub(crate) const DEADLINE_STRIDE: u64 = 1024;
+const DEADLINE_STRIDE: u64 = 1024;
 
-/// Strided deadline checker shared by every search loop.
+/// Strided deadline checker of the label-search loop.
 ///
 /// The counter is **per search** — one ticker lives for the whole engine
-/// run, never reset per bucket or beam — so a deadline can be starved by
+/// run, never reset per bucket — so a deadline can be starved by
 /// at most `DEADLINE_STRIDE − 1` pops no matter how the queue is
 /// structured. The first call always checks, so an already-expired
 /// deadline aborts before any expansion work happens.
-pub(crate) struct DeadlineTicker {
+struct DeadlineTicker {
     deadline: Option<Instant>,
     pops: u64,
 }
 
 impl DeadlineTicker {
-    pub(crate) fn new(deadline: Option<Instant>) -> Self {
+    fn new(deadline: Option<Instant>) -> Self {
         Self { deadline, pops: 0 }
     }
 
@@ -58,7 +74,7 @@ impl DeadlineTicker {
     /// passed at a checked pop (the first, then every
     /// `DEADLINE_STRIDE`-th).
     #[inline]
-    pub(crate) fn tick(&mut self) -> Result<(), KorError> {
+    fn tick(&mut self) -> Result<(), KorError> {
         if self.pops % DEADLINE_STRIDE == 0 {
             if let Some(deadline) = self.deadline {
                 if Instant::now() >= deadline {
@@ -73,83 +89,47 @@ impl DeadlineTicker {
 
 /// The scaler for a search: anchored to pinned reference extrema when
 /// the params carry a [`ScaleAnchor`], otherwise read from `graph`.
-pub(crate) fn scaler_for(
-    graph: &Graph,
-    anchor: Option<ScaleAnchor>,
-    epsilon: f64,
-    delta: f64,
-) -> Scaler {
+fn scaler_for(graph: &Graph, anchor: Option<ScaleAnchor>, epsilon: f64, delta: f64) -> Scaler {
     match anchor {
         Some(a) => Scaler::from_extrema(a.o_min, a.b_min, epsilon, delta),
         None => Scaler::new(graph, epsilon, delta),
     }
 }
 
-/// Runs `OSScaling` (Algorithm 1), the `1/(1−ε)`-approximation; with
-/// `k > 1`, its KkR extension: k-dominance plus a top-k result set whose
-/// k-th objective serves as the pruning bound `U`. `cache` supplies warm
-/// to-target trees, Opt-2 bounds and landmarks; `None` builds everything
-/// per call. Results are byte-identical either way.
-pub(crate) fn scaled_search(
+/// The label searches. They share the engine and differ only in their
+/// dominance key, queue and result policy (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LabelAlgo {
+    /// `OSScaling` (Algorithm 1), the `1/(1−ε)`-approximation.
+    OsScaling,
+    /// `BucketBound` (Algorithm 2) with bucket growth factor `β`, the
+    /// `β/(1−ε)`-approximation.
+    BucketBound(f64),
+    /// Label dominance on unscaled objective scores, which preserves at
+    /// least one optimal label chain and therefore returns the true
+    /// optimum (the `ε → 0` limit of `OSScaling`). Exponentially more
+    /// labels in the worst case — intended as the accuracy ground truth,
+    /// and bounded by a deadline in long-lived services.
+    Exact,
+}
+
+/// Runs one label search for `request`'s `k` routes and deadline.
+/// `params` supplies ε (read by the scaled searches only), the
+/// optimization strategies, label collection and the scale anchor.
+/// `cache` supplies warm to-target trees, Opt-2 bounds and landmarks;
+/// `None` builds everything per call. Results are byte-identical either
+/// way.
+pub(crate) fn label_search(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,
+    algo: LabelAlgo,
     params: &OsScalingParams,
-    k: usize,
-    deadline: Option<Instant>,
+    request: &SearchRequest,
     cache: Option<&PreprocessCache>,
 ) -> Result<SearchOutcome, KorError> {
-    params.validate()?;
-    let cfg = EngineConfig {
-        mode: ScoreMode::Scaled(scaler_for(
-            graph,
-            params.anchor,
-            params.epsilon,
-            query.budget,
-        )),
-        k,
-        use_opt1: params.use_opt1,
-        use_opt2: params.use_opt2,
-        infrequent_threshold: params.infrequent_threshold,
-        collect_labels: params.collect_labels,
-        deadline,
-    };
-    run_engine(graph, index, query, cfg, cache)
-}
-
-/// Runs the exact variant: label dominance on unscaled objective scores,
-/// which preserves at least one optimal label chain and therefore returns
-/// the true optimum (the `ε → 0` limit of `OSScaling`). Exponentially
-/// more labels in the worst case — intended as the accuracy ground truth,
-/// and bounded by `deadline` in long-lived services.
-pub(crate) fn exact_search(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    deadline: Option<Instant>,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchOutcome, KorError> {
-    let cfg = EngineConfig {
-        mode: ScoreMode::Exact,
-        k: 1,
-        use_opt1: true,
-        use_opt2: true,
-        infrequent_threshold: 0.01,
-        collect_labels: false,
-        deadline,
-    };
-    run_engine(graph, index, query, cfg, cache)
-}
-
-fn run_engine(
-    graph: &Graph,
-    index: &InvertedIndex,
-    query: &KorQuery,
-    cfg: EngineConfig,
-    cache: Option<&PreprocessCache>,
-) -> Result<SearchOutcome, KorError> {
-    let mut engine = Engine::new(graph, index, query, cfg, cache);
-    let routes = engine.run()?;
+    let mut engine = Engine::new(graph, index, query, algo, params, request.k, cache);
+    let routes = engine.run(request.deadline)?;
     Ok(SearchOutcome {
         routes,
         stats: engine.stats,
@@ -160,7 +140,7 @@ fn run_engine(
 
 /// Acquires the to-target [`QueryContext`] for `query`, from the cache
 /// when one is supplied, recording hit/miss/build counters in `stats`.
-pub(crate) fn acquire_context(
+fn acquire_context(
     graph: &Graph,
     target: NodeId,
     cache: Option<&PreprocessCache>,
@@ -188,7 +168,7 @@ pub(crate) fn acquire_context(
 /// cached per-keyword trees when a cache is supplied (each tree depends
 /// only on the keyword's postings, so one build serves every query
 /// mentioning the keyword), built cold otherwise. Identical either way.
-pub(crate) fn acquire_reach(
+fn acquire_reach(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,
@@ -230,7 +210,7 @@ pub(crate) fn acquire_reach(
 /// — ALT is admissible, the context distances are exact — so warm and
 /// cold searches stay bit-identical; the property tests in
 /// `tests/property.rs` pin the admissibility inequality itself.
-pub(crate) struct AltBounds {
+struct AltBounds {
     lm: Arc<Landmarks>,
     target: TargetBounds,
 }
@@ -239,11 +219,7 @@ impl AltBounds {
     /// Acquires the dataset landmarks from `cache` and fixes them to
     /// `target`. `None` when there is no cache or no landmark could be
     /// selected (empty graph).
-    pub(crate) fn acquire(
-        graph: &Graph,
-        target: NodeId,
-        cache: Option<&PreprocessCache>,
-    ) -> Option<Self> {
+    fn acquire(graph: &Graph, target: NodeId, cache: Option<&PreprocessCache>) -> Option<Self> {
         let cache = cache?;
         let (lm, _) = cache.landmarks(graph);
         if lm.is_empty() {
@@ -255,13 +231,13 @@ impl AltBounds {
 
     /// Triangle lower bound on the remaining objective `d(v → target)`.
     #[inline]
-    pub(crate) fn objective_bound(&self, v: NodeId) -> f64 {
+    fn objective_bound(&self, v: NodeId) -> f64 {
         self.lm.objective_bound(v, &self.target)
     }
 
     /// Triangle lower bound on the remaining budget `d(v → target)`.
     #[inline]
-    pub(crate) fn budget_bound(&self, v: NodeId) -> f64 {
+    fn budget_bound(&self, v: NodeId) -> f64 {
         self.lm.budget_bound(v, &self.target)
     }
 }
@@ -274,7 +250,7 @@ impl AltBounds {
 /// only nodes actually holding a query keyword are touched (plus one
 /// zeroed allocation); lookups become a single indexed load. Empty for
 /// keyword-less queries, where every mask is zero.
-pub(crate) fn query_mask_table(
+fn query_mask_table(
     node_count: usize,
     keywords: &QueryKeywords,
     index: &InvertedIndex,
@@ -293,14 +269,14 @@ pub(crate) fn query_mask_table(
 
 /// Objective representation used for dominance and ordering.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ScoreMode {
+enum ScoreMode {
     Scaled(Scaler),
     Exact,
 }
 
 impl ScoreMode {
     #[inline]
-    pub(crate) fn dom_mode(&self) -> DomMode {
+    fn dom_mode(&self) -> DomMode {
         match self {
             ScoreMode::Scaled(_) => DomMode::Scaled,
             ScoreMode::Exact => DomMode::Exact,
@@ -311,7 +287,7 @@ impl ScoreMode {
     /// objective `edge_obj` from `parent`, where the child's exact
     /// objective is `child_obj`.
     #[inline]
-    pub(crate) fn child_key(&self, parent: &Label, edge_obj: f64, child_obj: f64) -> u64 {
+    fn child_key(&self, parent: &Label, edge_obj: f64, child_obj: f64) -> u64 {
         match self {
             // `scale` saturates at `u64::MAX` for overflowing objectives
             // (e.g. after extreme `update_edges` multipliers), so the sum
@@ -323,26 +299,16 @@ impl ScoreMode {
     }
 }
 
-struct EngineConfig {
-    mode: ScoreMode,
-    k: usize,
-    use_opt1: bool,
-    use_opt2: bool,
-    infrequent_threshold: f64,
-    collect_labels: bool,
-    deadline: Option<Instant>,
-}
-
 /// Priority-queue item implementing the label order of Definition 8:
 /// more covered keywords first, then smaller scaled objective, then
 /// smaller budget, then node id, then creation sequence.
 #[derive(PartialEq)]
 pub(crate) struct QItem {
-    pub(crate) covered: u32,
-    pub(crate) key: u64,
-    pub(crate) budget: f64,
-    pub(crate) node: u32,
-    pub(crate) id: u32,
+    covered: u32,
+    key: u64,
+    budget: f64,
+    node: u32,
+    id: u32,
 }
 
 impl Eq for QItem {}
@@ -365,18 +331,11 @@ impl PartialOrd for QItem {
     }
 }
 
-/// A completed (label + τ-completion) candidate route.
-#[derive(Debug, Clone)]
-pub(crate) struct Candidate {
-    pub(crate) nodes: Vec<NodeId>,
-    pub(crate) objective: f64,
-    pub(crate) budget: f64,
-}
-
-/// Sorted top-k candidate set; its k-th objective is the bound `U`.
+/// Result routes in ascending (objective, budget) order, at most `k`;
+/// the k-th objective is the bound `U`.
 struct TopSet {
     k: usize,
-    items: Vec<Candidate>,
+    items: Vec<RouteResult>,
 }
 
 impl TopSet {
@@ -387,31 +346,36 @@ impl TopSet {
         }
     }
 
+    fn is_full(&self) -> bool {
+        self.items.len() >= self.k
+    }
+
     /// Current upper bound `U`: the k-th best objective, `+inf` while
-    /// fewer than `k` candidates exist.
+    /// fewer than `k` routes exist.
     fn bound(&self) -> f64 {
-        if self.items.len() < self.k {
-            f64::INFINITY
-        } else {
+        if self.is_full() {
             self.items.last().expect("k ≥ 1").objective
+        } else {
+            f64::INFINITY
         }
     }
 
-    /// Inserts if the candidate improves the set; returns whether it did.
-    /// Candidates describing a route already in the set are ignored: a
-    /// label and its extensions along the τ-completion materialize the
-    /// same final route.
-    fn insert(&mut self, c: Candidate) -> bool {
-        if c.objective >= self.bound() {
+    /// Inserts if the route improves the set; returns whether it did.
+    /// A route already in the set is ignored: a label and its
+    /// extensions along the τ-completion materialize the same final
+    /// route, and `BucketBound` sees a label at creation and again at
+    /// dequeue.
+    fn insert(&mut self, r: RouteResult) -> bool {
+        if r.objective >= self.bound() {
             return false;
         }
-        if self.items.iter().any(|x| x.nodes == c.nodes) {
+        if self.items.iter().any(|x| x.route == r.route) {
             return false;
         }
         let at = self
             .items
-            .partition_point(|x| (x.objective, x.budget) <= (c.objective, c.budget));
-        self.items.insert(at, c);
+            .partition_point(|x| (x.objective, x.budget) <= (r.objective, r.budget));
+        self.items.insert(at, r);
         self.items.truncate(self.k);
         true
     }
@@ -420,15 +384,19 @@ impl TopSet {
 /// Optimization Strategy 2 state: the infrequent query keyword bit plus
 /// the two "through an infrequent-keyword node" lower-bound trees
 /// (shared with the pre-processing cache when one is in use).
-pub(crate) struct Opt2 {
-    pub(crate) bit_mask: u64,
-    pub(crate) trees: Arc<Opt2Trees>,
+struct Opt2 {
+    bit_mask: u64,
+    trees: Arc<Opt2Trees>,
 }
 
-struct Engine<'a> {
+/// The one label-search engine behind `OSScaling`, `BucketBound` and
+/// exact (see the module docs).
+pub(crate) struct Engine<'a> {
     graph: &'a Graph,
     query: &'a KorQuery,
-    cfg: EngineConfig,
+    mode: ScoreMode,
+    k: usize,
+    collect_labels: bool,
     ctx: Arc<QueryContext>,
     /// Per-node query-keyword masks (empty ⇒ all zero).
     masks: Vec<u64>,
@@ -438,50 +406,72 @@ struct Engine<'a> {
     alt: Option<AltBounds>,
     arena: LabelArena,
     store: LabelStore,
+    /// Queued labels; for `BucketBound`, those of the bucket being
+    /// drained.
     heap: BinaryHeap<QItem>,
+    /// `BucketBound`'s buckets; `None` for the other searches.
+    buckets: Option<Buckets>,
     top: TopSet,
-    pub stats: SearchStats,
-    pub snapshots: Vec<LabelSnapshot>,
+    pub(crate) stats: SearchStats,
+    snapshots: Vec<LabelSnapshot>,
 }
 
 impl<'a> Engine<'a> {
-    fn new(
+    pub(crate) fn new(
         graph: &'a Graph,
         index: &'a InvertedIndex,
         query: &'a KorQuery,
-        cfg: EngineConfig,
+        algo: LabelAlgo,
+        params: &OsScalingParams,
+        k: usize,
         cache: Option<&PreprocessCache>,
     ) -> Self {
         let mut stats = SearchStats::default();
         let ctx = acquire_context(graph, query.target, cache, &mut stats);
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
-        let reach = (cfg.use_opt1 && !query.keywords.is_empty())
+        let reach = (params.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
         let alt = AltBounds::acquire(graph, query.target, cache);
-        let opt2 = if cfg.use_opt2 {
+        let opt2 = if params.use_opt2 {
             build_opt2(
                 graph,
                 index,
                 query,
                 &ctx,
-                cfg.infrequent_threshold,
+                params.infrequent_threshold,
                 cache,
                 &mut stats,
             )
         } else {
             None
         };
+        let mode = match algo {
+            LabelAlgo::Exact => ScoreMode::Exact,
+            LabelAlgo::OsScaling | LabelAlgo::BucketBound(_) => ScoreMode::Scaled(scaler_for(
+                graph,
+                params.anchor,
+                params.epsilon,
+                query.budget,
+            )),
+        };
+        let buckets = match algo {
+            LabelAlgo::BucketBound(beta) => {
+                Some(Buckets::for_query(graph, query, &ctx, params.anchor, beta))
+            }
+            LabelAlgo::OsScaling | LabelAlgo::Exact => None,
+        };
         let store = LabelStore::new(
-            cfg.mode.dom_mode(),
+            mode.dom_mode(),
             query.keywords.full_mask(),
-            cfg.k,
+            k,
             graph.node_count(),
         );
-        let k = cfg.k;
         Self {
             graph,
             query,
-            cfg,
+            mode,
+            k,
+            collect_labels: params.collect_labels,
             ctx,
             masks,
             reach,
@@ -490,6 +480,7 @@ impl<'a> Engine<'a> {
             arena: LabelArena::with_capacity(1024),
             store,
             heap: BinaryHeap::with_capacity(1024),
+            buckets,
             top: TopSet::new(k),
             stats,
             snapshots: Vec::new(),
@@ -506,15 +497,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Lower bound on the remaining objective from `node` to the target:
-    /// `max(OS(τ), ALT)`. Equal to `OS(τ)` — the exact distance — on
-    /// every node, so pruning decisions are unchanged; see [`AltBounds`].
+    /// Lower bound on the remaining objective from `node` to the target,
+    /// to compare with the bound `u`: `max(OS(τ), ALT)`. Equal to
+    /// `OS(τ)` — the exact distance — on every node, so pruning decisions
+    /// are unchanged; see [`AltBounds`]. While `u` is `+∞` (`BucketBound`,
+    /// or before a route is found) the check only asks whether the sum
+    /// overflowed, which a term no larger than `OS(τ)` cannot change, so
+    /// the landmark term is skipped.
     #[inline]
-    fn os_lb(&self, node: NodeId) -> f64 {
+    fn os_lb(&self, node: NodeId, u: f64) -> f64 {
         let tau = self.ctx.os_tau(node);
         match &self.alt {
-            Some(alt) => tau.max(alt.objective_bound(node)),
-            None => tau,
+            Some(alt) if u.is_finite() => tau.max(alt.objective_bound(node)),
+            _ => tau,
         }
     }
 
@@ -529,11 +524,27 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs the search to exhaustion and materializes the result routes in
-    /// ascending objective order. Aborts with
-    /// [`KorError::DeadlineExceeded`] if a configured deadline passes
-    /// before the search drains its queue.
-    fn run(&mut self) -> Result<Vec<RouteResult>, KorError> {
+    /// The objective bound `U` labels are pruned against: the top-k
+    /// set's, or `+∞` for `BucketBound`, which has none.
+    #[inline]
+    fn bound(&self) -> f64 {
+        match self.buckets {
+            Some(_) => f64::INFINITY,
+            None => self.top.bound(),
+        }
+    }
+
+    /// Whether `BucketBound` has found its `k` routes (Lemma 5); never
+    /// for the other searches, which drain their queue.
+    #[inline]
+    fn done(&self) -> bool {
+        self.buckets.is_some() && self.top.is_full()
+    }
+
+    /// Runs the search and materializes the result routes in ascending
+    /// objective order. Aborts with [`KorError::DeadlineExceeded`] if
+    /// `deadline` passes before the search ends.
+    pub(crate) fn run(&mut self, deadline: Option<Instant>) -> Result<Vec<RouteResult>, KorError> {
         let source = self.query.source;
         if !self.ctx.reaches_target(source) {
             return Ok(Vec::new());
@@ -554,16 +565,24 @@ impl<'a> Engine<'a> {
         self.store.try_insert(&mut self.arena, init_id);
         // The initial label may already cover everything (then its best
         // completion is τ(s,t) — handled by the same completion check the
-        // children go through).
-        self.try_complete(init_id);
+        // children go through). `BucketBound` finds it at its dequeue.
+        if self.buckets.is_none() {
+            self.try_complete(init_id);
+        }
         self.push_queue(init_id);
 
         // Stride-based deadline check: `Instant::now()` per pop is
         // measurable in this loop; checking every DEADLINE_STRIDE pops
         // (including the very first) bounds both the overhead and the
         // firing latency.
-        let mut ticker = DeadlineTicker::new(self.cfg.deadline);
-        while let Some(item) = self.heap.pop() {
+        let mut ticker = DeadlineTicker::new(deadline);
+        while !self.done() {
+            if self.heap.is_empty() {
+                if let Some(buckets) = &mut self.buckets {
+                    buckets.advance(&mut self.heap);
+                }
+            }
+            let Some(item) = self.heap.pop() else { break };
             ticker.tick()?;
             let label = *self.arena.get(item.id);
             if !label.alive {
@@ -571,23 +590,27 @@ impl<'a> Engine<'a> {
                 continue;
             }
             // Algorithm 1 line 7: the best completion cannot beat U.
-            if label.objective + self.os_lb(label.node) > self.top.bound() {
+            let u = self.bound();
+            if label.objective + self.os_lb(label.node, u) > u {
                 self.stats.labels_skipped += 1;
                 continue;
+            }
+            if self.buckets.is_some() {
+                // Lemma 5 at dequeue time: this label was popped from the
+                // first non-empty bucket, so all earlier buckets are
+                // empty; if it covers all keywords and its τ-completion
+                // fits the budget, it is a result route (Algorithm 2
+                // lines 19–23 generalized to labels that entered a later
+                // bucket than the then-current one).
+                self.try_complete(item.id);
+                if self.done() {
+                    break;
+                }
             }
             self.stats.labels_expanded += 1;
             self.expand(item.id);
         }
-
-        let candidates = std::mem::take(&mut self.top.items);
-        Ok(candidates
-            .into_iter()
-            .map(|c| RouteResult {
-                route: Route::new(c.nodes),
-                objective: c.objective,
-                budget: c.budget,
-            })
-            .collect())
+        Ok(std::mem::take(&mut self.top.items))
     }
 
     /// Label treatment (Definition 7) over all outgoing edges, plus the
@@ -601,35 +624,31 @@ impl<'a> Engine<'a> {
         let graph = self.graph;
         for e in graph.out_edges(label.node) {
             self.make_child(id, e.node, e.objective, e.budget);
+            if self.done() {
+                return;
+            }
         }
         if self.reach.is_some() && !self.query.keywords.is_covering(label.mask) {
             self.opt1_jump(id);
         }
     }
 
-    /// Creates, checks, and files one child label; returns its id if it
-    /// survived all checks.
-    fn make_child(
-        &mut self,
-        parent_id: u32,
-        node: NodeId,
-        edge_obj: f64,
-        edge_bud: f64,
-    ) -> Option<u32> {
+    /// Creates, checks, and files one child label.
+    fn make_child(&mut self, parent_id: u32, node: NodeId, edge_obj: f64, edge_bud: f64) {
         let parent = *self.arena.get(parent_id);
         let objective = parent.objective + edge_obj;
         let budget = parent.budget + edge_bud;
         let child = Label {
             node,
             mask: parent.mask | self.node_mask(node),
-            scaled: self.cfg.mode.child_key(&parent, edge_obj, objective),
+            scaled: self.mode.child_key(&parent, edge_obj, objective),
             objective,
             budget,
             parent: parent_id,
             alive: true,
         };
         self.stats.labels_created += 1;
-        if self.cfg.collect_labels {
+        if self.collect_labels {
             self.snapshots.push(LabelSnapshot {
                 node: child.node,
                 mask: child.mask,
@@ -642,26 +661,26 @@ impl<'a> Engine<'a> {
         // Algorithm 1 line 10, first two filters: the label must still be
         // able to produce a feasible route (budget via the min-budget
         // completion σ) that beats the bound (objective via the
-        // min-objective completion τ).
+        // min-objective completion τ). With `BucketBound`'s `U = +∞` the
+        // second filter drops only labels whose `LOW` overflowed.
         if child.budget + self.bs_lb(child.node) > self.query.budget {
             self.stats.labels_pruned += 1;
-            return None;
+            return;
         }
-        if child.objective + self.os_lb(child.node) >= self.top.bound() {
+        let u = self.bound();
+        if child.objective + self.os_lb(child.node, u) >= u {
             self.stats.labels_pruned += 1;
-            return None;
+            return;
         }
         // Optimization Strategy 2.
         if let Some(opt2) = &self.opt2 {
-            if child.mask & opt2.bit_mask == 0 {
-                let through_obj = opt2.trees.obj_bound.objective(child.node);
-                let through_bud = opt2.trees.bud_bound.budget(child.node);
-                if child.objective + through_obj > self.top.bound()
-                    || child.budget + through_bud > self.query.budget
-                {
-                    self.stats.opt2_discards += 1;
-                    return None;
-                }
+            let trees = &opt2.trees;
+            if child.mask & opt2.bit_mask == 0
+                && (child.budget + trees.bud_bound.budget(child.node) > self.query.budget
+                    || child.objective + trees.obj_bound.objective(child.node) > u)
+            {
+                self.stats.opt2_discards += 1;
+                return;
             }
         }
 
@@ -669,24 +688,27 @@ impl<'a> Engine<'a> {
         if !self.store.try_insert(&mut self.arena, id) {
             self.arena.kill(id);
             self.sync_store_stats();
-            return None;
+            return;
         }
         self.sync_store_stats();
 
-        // Algorithm 1 lines 16–20: completion handling for covering
-        // labels; non-covering labels are enqueued.
-        if self.query.keywords.is_covering(self.arena.get(id).mask) {
-            let completed = self.try_complete(id);
-            // k = 1: a feasible completion is the best this label can do
-            // (τ is the min-objective completion), so it is not enqueued.
-            // For k > 1 further extensions may yield additional routes.
-            if !completed || self.cfg.k > 1 {
-                self.push_queue(id);
+        if self.buckets.is_some() {
+            // Algorithm 2 lines 19–23: a covering label created in the
+            // bucket being drained is a result route (its dequeue-time
+            // check in `run` handles labels filed in later buckets).
+            if self.push_queue(id) {
+                self.try_complete(id);
             }
         } else {
-            self.push_queue(id);
+            // Algorithm 1 lines 16–20. With k = 1 a feasible completion
+            // is the best this label can do (τ is the min-objective
+            // completion), so it is not enqueued; for k > 1 further
+            // extensions may yield additional routes.
+            let completed = self.try_complete(id);
+            if !completed || self.k > 1 {
+                self.push_queue(id);
+            }
         }
-        Some(id)
     }
 
     /// Optimization Strategy 1: jump to the nearest (by budget) node
@@ -699,14 +721,10 @@ impl<'a> Engine<'a> {
         for (bit, _) in self.query.keywords.uncovered(label.mask) {
             if let Some((dist, j)) = reach.nearest(bit, label.node) {
                 // Feasibility: jump there and still finish within budget.
-                if label.budget + dist + self.bs_lb(j) <= self.query.budget {
-                    let better = match best {
-                        None => true,
-                        Some((d, _)) => dist < d,
-                    };
-                    if better {
-                        best = Some((dist, bit));
-                    }
+                if label.budget + dist + self.bs_lb(j) <= self.query.budget
+                    && best.is_none_or(|(d, _)| dist < d)
+                {
+                    best = Some((dist, bit));
                 }
             }
         }
@@ -736,7 +754,7 @@ impl<'a> Engine<'a> {
                 let child = Label {
                     node: to,
                     mask: parent.mask | self.node_mask(to),
-                    scaled: self.cfg.mode.child_key(&parent, e.objective, objective),
+                    scaled: self.mode.child_key(&parent, e.objective, objective),
                     objective,
                     budget: parent.budget + e.budget,
                     parent: cur,
@@ -748,8 +766,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Lines 16–19: if the label covers all keywords and its τ-completion
-    /// fits the budget, record the candidate route. Returns whether a
-    /// feasible completion existed.
+    /// fits the budget, offer the completed route to the result set.
+    /// Returns whether a feasible completion existed.
     fn try_complete(&mut self, id: u32) -> bool {
         let label = *self.arena.get(id);
         if !self.query.keywords.is_covering(label.mask) {
@@ -759,15 +777,16 @@ impl<'a> Engine<'a> {
         if !tau.is_finite() {
             return false;
         }
-        if label.budget + self.ctx.bs_tau(label.node) <= self.query.budget {
+        let budget = label.budget + self.ctx.bs_tau(label.node);
+        if budget <= self.query.budget {
             let objective = label.objective + tau;
             if objective < self.top.bound() {
-                let cand = Candidate {
-                    nodes: self.route_nodes(id),
+                let route = RouteResult {
+                    route: Route::new(self.route_nodes(id)),
                     objective,
-                    budget: label.budget + self.ctx.bs_tau(label.node),
+                    budget,
                 };
-                if self.top.insert(cand) {
+                if self.top.insert(route) {
                     self.stats.upper_bound_updates += 1;
                 }
             }
@@ -789,21 +808,34 @@ impl<'a> Engine<'a> {
         nodes
     }
 
-    fn push_queue(&mut self, id: u32) {
-        let label = self.arena.get(id);
-        self.heap.push(QItem {
+    /// Queues a stored label — for `BucketBound`, files it under its
+    /// bucket (Algorithm 2 lines 12–15). Returns whether it went into
+    /// the heap being drained (always, without buckets).
+    fn push_queue(&mut self, id: u32) -> bool {
+        let label = *self.arena.get(id);
+        let item = QItem {
             covered: label.mask.count_ones(),
             key: label.scaled,
             budget: label.budget,
             node: label.node.0,
             id,
-        });
+        };
         self.stats.queue_pushes += 1;
+        match &mut self.buckets {
+            Some(b) => {
+                let low = label.objective + self.ctx.os_tau(label.node);
+                b.file(low, item, &mut self.heap, &mut self.stats)
+            }
+            None => {
+                self.heap.push(item);
+                true
+            }
+        }
     }
 
     fn record(&mut self, id: u32) {
         self.stats.labels_created += 1;
-        if self.cfg.collect_labels {
+        if self.collect_labels {
             self.snapshots.push(LabelSnapshot::from(self.arena.get(id)));
         }
     }
@@ -820,7 +852,7 @@ impl<'a> Engine<'a> {
 /// the bit position is query-local and recomputed per call); the rarity
 /// gate itself is a cheap index lookup and always runs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_opt2(
+fn build_opt2(
     graph: &Graph,
     index: &InvertedIndex,
     query: &KorQuery,

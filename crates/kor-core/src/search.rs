@@ -16,12 +16,11 @@ use kor_apsp::{CachedPairCosts, PairCosts};
 use kor_graph::Graph;
 use kor_index::InvertedIndex;
 
-use crate::bucket::bucket_search;
 use crate::cache::PreprocessCache;
 use crate::error::KorError;
 use crate::greedy::{greedy_search, GreedyParams, GreedyRoute};
 use crate::label::LabelSnapshot;
-use crate::labeling::{exact_search, scaled_search};
+use crate::labeling::{label_search, LabelAlgo};
 use crate::params::{BucketBoundParams, OsScalingParams, ScaleAnchor};
 use crate::query::KorQuery;
 use crate::result::{RouteResult, SearchResult};
@@ -273,11 +272,28 @@ pub(crate) fn run(
     cache: Option<&PreprocessCache>,
 ) -> Result<SearchOutcome, KorError> {
     request.validate()?;
-    let (k, deadline) = (request.k, request.deadline);
+    let labels = |algo, params: &OsScalingParams| {
+        label_search(graph, index, query, algo, params, request, cache)
+    };
     match &request.algo {
-        Algo::OsScaling(p) => scaled_search(graph, index, query, p, k, deadline, cache),
-        Algo::BucketBound(p) => bucket_search(graph, index, query, p, k, deadline, cache),
-        Algo::Exact => exact_search(graph, index, query, deadline, cache),
+        Algo::OsScaling(p) => {
+            p.validate()?;
+            labels(LabelAlgo::OsScaling, p)
+        }
+        Algo::BucketBound(p) => {
+            p.validate()?;
+            // Algorithm 1's knobs, plus β.
+            let scaling = OsScalingParams {
+                epsilon: p.epsilon,
+                use_opt1: p.use_opt1,
+                use_opt2: p.use_opt2,
+                infrequent_threshold: p.infrequent_threshold,
+                collect_labels: p.collect_labels,
+                anchor: p.anchor,
+            };
+            labels(LabelAlgo::BucketBound(p.beta), &scaling)
+        }
+        Algo::Exact => labels(LabelAlgo::Exact, &OsScalingParams::default()),
         Algo::Greedy(p) => {
             greedy_search(graph, index, pairs, query, p, cache).map(SearchOutcome::from_greedy)
         }

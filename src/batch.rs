@@ -35,6 +35,7 @@ use kor_data::{generate_workload, CannedQuery, CannedQuerySet, WorkloadConfig};
 use kor_graph::Graph;
 
 use crate::json::JsonValue;
+use crate::percentile::LatencySummary;
 use crate::shard::ShardRouter;
 
 /// Full configuration of a batch run.
@@ -146,41 +147,6 @@ impl QueryOutcome {
     }
 }
 
-/// Aggregate latency statistics in microseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyStats {
-    /// Fastest query.
-    pub min_us: f64,
-    /// Arithmetic mean.
-    pub mean_us: f64,
-    /// Median.
-    pub p50_us: f64,
-    /// 95th percentile.
-    pub p95_us: f64,
-    /// 99th percentile.
-    pub p99_us: f64,
-    /// Slowest query.
-    pub max_us: f64,
-}
-
-impl LatencyStats {
-    fn from_durations(mut us: Vec<f64>) -> Option<Self> {
-        if us.is_empty() {
-            return None;
-        }
-        crate::percentile::sort_samples(&mut us);
-        let pct = |p: f64| crate::percentile::percentile_sorted(&us, p);
-        Some(LatencyStats {
-            min_us: us[0],
-            mean_us: us.iter().sum::<f64>() / us.len() as f64,
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-            max_us: us[us.len() - 1],
-        })
-    }
-}
-
 /// Per-keyword-count aggregate in the report.
 #[derive(Debug, Clone)]
 pub struct SetSummary {
@@ -190,8 +156,9 @@ pub struct SetSummary {
     pub queries: usize,
     /// Queries with a feasible route.
     pub feasible: usize,
-    /// Latency aggregate for the set (absent if the set was empty).
-    pub latency: Option<LatencyStats>,
+    /// Latency aggregate for the set in microseconds (absent if the set
+    /// was empty).
+    pub latency: Option<LatencySummary>,
 }
 
 /// Everything a batch run produced.
@@ -228,8 +195,8 @@ impl BatchReport {
     /// Aggregate latency over all answered queries. Outcomes the engine
     /// rejected are excluded: construction failures were never timed
     /// (their latency is zero) and would drag the percentiles down.
-    pub fn latency(&self) -> Option<LatencyStats> {
-        LatencyStats::from_durations(
+    pub fn latency(&self) -> Option<LatencySummary> {
+        LatencySummary::of(
             self.outcomes
                 .iter()
                 .filter(|o| o.error.is_none())
@@ -259,14 +226,14 @@ impl BatchReport {
     /// Render the summary as a JSON object (via [`crate::json`]; the
     /// environment vendors no `serde_json`).
     pub fn to_json(&self) -> String {
-        fn latency_json(l: &LatencyStats) -> JsonValue {
+        fn latency_json(l: &LatencySummary) -> JsonValue {
             JsonValue::obj([
-                ("min", l.min_us.into()),
-                ("mean", l.mean_us.into()),
-                ("p50", l.p50_us.into()),
-                ("p95", l.p95_us.into()),
-                ("p99", l.p99_us.into()),
-                ("max", l.max_us.into()),
+                ("min", l.min.into()),
+                ("mean", l.mean.into()),
+                ("p50", l.p50.into()),
+                ("p95", l.p95.into()),
+                ("p99", l.p99.into()),
+                ("max", l.max.into()),
             ])
         }
         let per_set: Vec<JsonValue> = self
@@ -450,7 +417,7 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
                 keyword_count: set.keyword_count,
                 queries: of_set.len(),
                 feasible: of_set.iter().filter(|o| o.is_feasible()).count(),
-                latency: LatencyStats::from_durations(
+                latency: LatencySummary::of(
                     of_set
                         .iter()
                         .filter(|o| o.error.is_none())

@@ -29,6 +29,7 @@ use kor_graph::Graph;
 use kor_index::InvertedIndex;
 
 use crate::json::JsonValue;
+use crate::percentile::LatencySummary;
 
 /// The name a request is reported under: the algorithm's name, or
 /// `top-k-<name>-k<k>` for a top-k request.
@@ -161,31 +162,10 @@ fn build_workload(graph: &Graph, index: &InvertedIndex, cfg: &BenchConfig) -> Ve
     queries
 }
 
-/// Latency aggregate over one pass.
-#[derive(Debug, Clone, Copy)]
-struct PassLatency {
-    median_us: f64,
-    mean_us: f64,
-    p95_us: f64,
-}
-
-fn latency_of(mut us: Vec<f64>) -> PassLatency {
-    crate::percentile::sort_samples(&mut us);
-    let pct = |p: f64| crate::percentile::percentile_sorted(&us, p);
-    PassLatency {
-        median_us: pct(0.50),
-        mean_us: if us.is_empty() {
-            0.0
-        } else {
-            us.iter().sum::<f64>() / us.len() as f64
-        },
-        p95_us: pct(0.95),
-    }
-}
-
 /// Outcome of one (algorithm, pass) run.
 struct PassResult {
-    latency: PassLatency,
+    /// Microseconds; all zero for an empty pass.
+    latency: LatencySummary,
     stats: SearchStats,
     fingerprints: Vec<Fingerprint>,
 }
@@ -214,7 +194,7 @@ fn run_pass(
         stats.trees_built += s.trees_built;
     }
     PassResult {
-        latency: latency_of(lat),
+        latency: LatencySummary::of(lat).unwrap_or_default(),
         stats,
         fingerprints,
     }
@@ -224,8 +204,8 @@ fn run_pass(
 struct AlgoReport {
     algo: String,
     queries: usize,
-    cold: PassLatency,
-    warm: PassLatency,
+    cold: LatencySummary,
+    warm: LatencySummary,
     speedup_median: f64,
     identical: bool,
     labels_created: u64,
@@ -237,11 +217,11 @@ struct AlgoReport {
     warm_hit_rate: f64,
 }
 
-fn latency_json(l: &PassLatency) -> JsonValue {
+fn latency_json(l: &LatencySummary) -> JsonValue {
     JsonValue::obj([
-        ("median_us", l.median_us.into()),
-        ("mean_us", l.mean_us.into()),
-        ("p95_us", l.p95_us.into()),
+        ("median_us", l.p50.into()),
+        ("mean_us", l.mean.into()),
+        ("p95_us", l.p95.into()),
     ])
 }
 
@@ -269,9 +249,9 @@ pub fn run_bench(graph: &Graph, cfg: &BenchConfig) -> JsonValue {
         eprintln!(
             "[bench] {:<24} cold p50 {:>9.1}us | warm p50 {:>9.1}us | ×{:.2} | hits {} misses {} | identical: {identical}",
             name,
-            cold.latency.median_us,
-            warm.latency.median_us,
-            cold.latency.median_us / warm.latency.median_us.max(f64::MIN_POSITIVE),
+            cold.latency.p50,
+            warm.latency.p50,
+            cold.latency.p50 / warm.latency.p50.max(f64::MIN_POSITIVE),
             warm.stats.cache_hits,
             warm.stats.cache_misses,
         );
@@ -280,7 +260,7 @@ pub fn run_bench(graph: &Graph, cfg: &BenchConfig) -> JsonValue {
             queries: queries.len(),
             cold: cold.latency,
             warm: warm.latency,
-            speedup_median: cold.latency.median_us / warm.latency.median_us.max(f64::MIN_POSITIVE),
+            speedup_median: cold.latency.p50 / warm.latency.p50.max(f64::MIN_POSITIVE),
             identical,
             labels_created: warm.stats.labels_created,
             labels_pruned: warm.stats.labels_pruned,

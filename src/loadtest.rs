@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use kor_data::snapshot::Snapshot;
 
 use crate::json::JsonValue;
+use crate::percentile::LatencySummary;
 use crate::serve::registry::Dataset;
 use crate::serve::{ServeConfig, Server};
 
@@ -351,19 +352,16 @@ fn request_lines(world: &Snapshot, name: &str) -> Vec<String> {
     lines
 }
 
-/// Sorted-percentile helper over the merged latency samples.
-fn latency_json(mut ms: Vec<f64>) -> JsonValue {
-    if ms.is_empty() {
-        return JsonValue::Null;
-    }
-    crate::percentile::sort_samples(&mut ms);
-    let pct = |p: f64| crate::percentile::percentile_sorted(&ms, p);
-    JsonValue::obj([
-        ("p50", pct(0.50).into()),
-        ("p95", pct(0.95).into()),
-        ("p99", pct(0.99).into()),
-        ("max", ms[ms.len() - 1].into()),
-    ])
+/// The merged latency samples' summary; `null` when there are none.
+fn latency_json(ms: Vec<f64>) -> JsonValue {
+    LatencySummary::of(ms).map_or(JsonValue::Null, |l| {
+        JsonValue::obj([
+            ("p50", l.p50.into()),
+            ("p95", l.p95.into()),
+            ("p99", l.p99.into()),
+            ("max", l.max.into()),
+        ])
+    })
 }
 
 /// Asks the (still running) server for its own view of the run.

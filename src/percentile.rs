@@ -1,5 +1,5 @@
-//! Percentile extraction over latency samples, shared by `kor bench`,
-//! `kor batch` and `kor loadtest`.
+//! Percentile extraction over latency samples, and the one latency
+//! summary `kor bench`, `kor batch` and `kor loadtest` report.
 //!
 //! The harnesses previously inlined the same nearest-rank closure; the
 //! copies drifted on the degenerate inputs a smoke run can produce (a
@@ -38,6 +38,40 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// Summary of one latency sample set, in the samples' unit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LatencySummary {
+    /// Smallest sample.
+    pub min: f64,
+    /// Arithmetic mean (summed in ascending order).
+    pub mean: f64,
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl LatencySummary {
+    /// Summarises `samples`; `None` when there are none.
+    pub fn of(mut samples: Vec<f64>) -> Option<Self> {
+        sort_samples(&mut samples);
+        let (&min, &max) = (samples.first()?, samples.last()?);
+        let pct = |p: f64| percentile_sorted(&samples, p);
+        Some(Self {
+            min,
+            mean: samples.iter().sum::<f64>() / samples.len() as f64,
+            p50: pct(0.50),
+            p95: pct(0.95),
+            p99: pct(0.99),
+            max,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +88,14 @@ mod tests {
             assert!(p50 <= p95, "{samples:?}: p50 {p50} > p95 {p95}");
             assert!(p95 <= p99, "{samples:?}: p95 {p95} > p99 {p99}");
         }
+    }
+
+    #[test]
+    fn summary_of_samples() {
+        assert_eq!(LatencySummary::of(Vec::new()), None);
+        let s = LatencySummary::of((1..=100).rev().map(f64::from).collect()).unwrap();
+        assert_eq!((s.min, s.p50, s.p95, s.max), (1.0, 51.0, 95.0, 100.0));
+        assert_eq!(s.mean, 50.5);
     }
 
     #[test]

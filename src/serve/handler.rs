@@ -1048,6 +1048,8 @@ mod tests {
         for params in [
             r#""algo":"os-scaling","epsilon":0.3,"k":2"#,
             r#""algo":"bucket-bound","epsilon":0.3,"beta":1.5"#,
+            // A β this close to 1 makes bucket indices around 10⁹.
+            r#""algo":"bucket-bound","beta":1.000000001"#,
             r#""algo":"greedy","alpha":0.7,"beam":2"#,
             r#""algo":"exact","deadline_ms":60000"#,
         ] {

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 #[allow(dead_code)]
 mod common;
 
-use common::{keys, label, requests};
+use common::{canned_queries, keys, label, requests, worlds};
 use kor::prelude::*;
 
 /// A deterministic repeated-target workload over a small road network.
@@ -268,4 +268,63 @@ fn expired_deadline_aborts_before_any_pop() {
             Err(KorError::DeadlineExceeded)
         ));
     }
+}
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv1a(h: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        for b in w.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Every counter of `s`, in declaration order.
+fn stat_words(s: &SearchStats) -> [u64; 14] {
+    [
+        s.labels_created,
+        s.labels_dominated,
+        s.labels_pruned,
+        s.labels_evicted,
+        s.labels_expanded,
+        s.labels_skipped,
+        s.queue_pushes,
+        s.upper_bound_updates,
+        s.opt2_discards,
+        s.opt1_jumps,
+        s.buckets_created,
+        s.cache_hits,
+        s.cache_misses,
+        s.trees_built,
+    ]
+}
+
+#[test]
+fn label_searches_pin_answers_and_label_counts() {
+    // One digest over the answers and every search counter of each label
+    // search on the oracle worlds, cold and then warm. A change to the
+    // engine's internals that keeps answers but moves a label count —
+    // one more label created, pruned or skipped — changes the digest.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for config in worlds() {
+        let world = generate_world(&config);
+        let graph = &world.graph;
+        let index = InvertedIndex::build(graph);
+        let engine = KorEngine::new(graph);
+        for query in canned_queries(graph, &world.query_sets) {
+            for request in &label_searches() {
+                let cold = search_uncached(graph, &index, &query, request).unwrap();
+                let warm = engine.search(&query, request).unwrap();
+                for outcome in [&cold, &warm] {
+                    fnv1a(&mut h, [outcome.routes.len() as u64]);
+                    for (nodes, objective, budget) in keys(outcome) {
+                        fnv1a(&mut h, [nodes.len() as u64, objective, budget]);
+                        fnv1a(&mut h, nodes.into_iter().map(u64::from));
+                    }
+                    fnv1a(&mut h, stat_words(&outcome.stats));
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0xf25e_cfec_60d5_8ca0, "label-search digest {h:#018x}");
 }
