@@ -3,19 +3,17 @@
 //! Faithful to §3.1: for every node pair the objective/budget scores of
 //! the minimum-objective path `τ_{i,j}` and the minimum-budget path
 //! `σ_{i,j}`, with next-hop matrices so that the paths themselves can be
-//! reconstructed (needed to materialize result routes). Two builders:
+//! reconstructed (needed to materialize result routes), built with the
+//! paper's `O(|V|³)` Floyd–Warshall algorithm.
 //!
-//! * [`DenseApsp::floyd_warshall`] — the paper's `O(|V|³)` algorithm;
-//! * [`DenseApsp::by_dijkstra`] — `O(|V|·(|E| + |V| log |V|))`, better for
-//!   sparse graphs; produces identical values (cross-checked in tests).
-//!
-//! Space is `O(|V|²)`; intended for graphs up to a few thousand nodes.
-//! Larger experiments use the lazy per-query structures instead.
+//! Space is `O(|V|²)`; intended for small graphs. The search algorithms
+//! use the lazy per-query trees instead, and this module is the oracle
+//! they are checked against.
 
 use kor_graph::{Graph, NodeId};
 
-use crate::pair::{PairCosts, PathCost};
-use crate::tree::{forward_tree, Metric, NO_NODE};
+use crate::query::PathCost;
+use crate::tree::NO_NODE;
 
 /// Dense `τ`/`σ` matrices with next-hop path reconstruction.
 #[derive(Debug, Clone)]
@@ -94,68 +92,6 @@ impl DenseApsp {
         apsp
     }
 
-    /// Builds the same matrices with one forward Dijkstra per node and
-    /// metric; preferable for sparse graphs.
-    pub fn by_dijkstra(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let mut apsp = Self::empty(n);
-        for v in graph.nodes() {
-            let i = v.index();
-            for (metric, obj, bud, next) in [
-                (
-                    Metric::Objective,
-                    &mut apsp.tau_obj,
-                    &mut apsp.tau_bud,
-                    &mut apsp.tau_next,
-                ),
-                (
-                    Metric::Budget,
-                    &mut apsp.sigma_obj,
-                    &mut apsp.sigma_bud,
-                    &mut apsp.sigma_next,
-                ),
-            ] {
-                let tree = forward_tree(graph, metric, v);
-                for u in graph.nodes() {
-                    let j = u.index();
-                    let spt = tree.node(u);
-                    obj[i * n + j] = spt.objective;
-                    bud[i * n + j] = spt.budget;
-                }
-                // First hops: next[i][j] = j if parent(j) == i, else the
-                // first hop toward parent(j); resolved iteratively with
-                // memoization inside the row.
-                for u in graph.nodes() {
-                    if u == v || !tree.is_reachable(u) {
-                        continue;
-                    }
-                    if next[i * n + u.index()] != NO_NODE {
-                        continue;
-                    }
-                    // Walk up to a node whose first hop is known (or to v).
-                    let mut chain = vec![u];
-                    let mut cur = u;
-                    let hop = loop {
-                        let parent = NodeId(tree.node(cur).link);
-                        if parent == v {
-                            break cur; // cur is the first hop itself
-                        }
-                        let known = next[i * n + parent.index()];
-                        if known != NO_NODE {
-                            break NodeId(known);
-                        }
-                        chain.push(parent);
-                        cur = parent;
-                    };
-                    for node in chain {
-                        next[i * n + node.index()] = hop.0;
-                    }
-                }
-            }
-        }
-        apsp
-    }
-
     fn empty(n: usize) -> Self {
         Self {
             n,
@@ -171,6 +107,34 @@ impl DenseApsp {
     /// Number of nodes covered by the matrices.
     pub fn node_count(&self) -> usize {
         self.n
+    }
+
+    /// Scores of `τ_{i,j}`, or `None` if `j` is unreachable from `i`.
+    pub fn tau(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
+        let o = self.tau_obj[i.index() * self.n + j.index()];
+        o.is_finite().then(|| PathCost {
+            objective: o,
+            budget: self.tau_bud[i.index() * self.n + j.index()],
+        })
+    }
+
+    /// Scores of `σ_{i,j}`, or `None` if unreachable.
+    pub fn sigma(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
+        let b = self.sigma_bud[i.index() * self.n + j.index()];
+        b.is_finite().then(|| PathCost {
+            objective: self.sigma_obj[i.index() * self.n + j.index()],
+            budget: b,
+        })
+    }
+
+    /// Node sequence of `τ_{i,j}` (inclusive), or `None` if unreachable.
+    pub fn tau_path(&self, i: NodeId, j: NodeId) -> Option<Vec<NodeId>> {
+        self.path_from_next(&self.tau_next, i, j)
+    }
+
+    /// Node sequence of `σ_{i,j}` (inclusive), or `None` if unreachable.
+    pub fn sigma_path(&self, i: NodeId, j: NodeId) -> Option<Vec<NodeId>> {
+        self.path_from_next(&self.sigma_next, i, j)
     }
 
     fn path_from_next(&self, next: &[u32], i: NodeId, j: NodeId) -> Option<Vec<NodeId>> {
@@ -189,32 +153,6 @@ impl DenseApsp {
             debug_assert!(path.len() <= self.n, "next-hop matrix contains a cycle");
         }
         Some(path)
-    }
-}
-
-impl PairCosts for DenseApsp {
-    fn tau(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
-        let o = self.tau_obj[i.index() * self.n + j.index()];
-        o.is_finite().then(|| PathCost {
-            objective: o,
-            budget: self.tau_bud[i.index() * self.n + j.index()],
-        })
-    }
-
-    fn sigma(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
-        let b = self.sigma_bud[i.index() * self.n + j.index()];
-        b.is_finite().then(|| PathCost {
-            objective: self.sigma_obj[i.index() * self.n + j.index()],
-            budget: b,
-        })
-    }
-
-    fn tau_path(&self, i: NodeId, j: NodeId) -> Option<Vec<NodeId>> {
-        self.path_from_next(&self.tau_next, i, j)
-    }
-
-    fn sigma_path(&self, i: NodeId, j: NodeId) -> Option<Vec<NodeId>> {
-        self.path_from_next(&self.sigma_next, i, j)
     }
 }
 
@@ -264,36 +202,31 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_builder_agrees_with_floyd_on_fixture() {
+    fn forward_trees_agree_with_floyd() {
+        // The lazy forward trees greedy reads must give the oracle's
+        // scores bit for bit, and paths that re-walk to those scores.
+        use crate::tree::{forward_tree, Metric};
         let g = figure1();
-        let a = DenseApsp::floyd_warshall(&g);
-        let b = DenseApsp::by_dijkstra(&g);
+        let apsp = DenseApsp::floyd_warshall(&g);
         for i in g.nodes() {
+            let tau = forward_tree(&g, Metric::Objective, i);
+            let sigma = forward_tree(&g, Metric::Budget, i);
             for j in g.nodes() {
-                assert_eq!(a.tau(i, j), b.tau(i, j), "tau {i}->{j}");
-                assert_eq!(a.sigma(i, j), b.sigma(i, j), "sigma {i}->{j}");
-            }
-        }
-    }
-
-    #[test]
-    fn dijkstra_paths_are_valid_and_score_correctly() {
-        let g = figure1();
-        let apsp = DenseApsp::by_dijkstra(&g);
-        for i in g.nodes() {
-            for j in g.nodes() {
-                if let Some(cost) = apsp.tau(i, j) {
-                    let path = apsp.tau_path(i, j).expect("cost implies path");
-                    let r = Route::new(path);
-                    let (os, bs) = r.scores(&g).expect("path must be valid");
-                    assert!((os - cost.objective).abs() < 1e-9, "tau OS {i}->{j}");
-                    assert!((bs - cost.budget).abs() < 1e-9, "tau BS {i}->{j}");
-                }
-                if let Some(cost) = apsp.sigma(i, j) {
-                    let path = apsp.sigma_path(i, j).expect("cost implies path");
-                    let (os, bs) = Route::new(path).scores(&g).unwrap();
-                    assert!((os - cost.objective).abs() < 1e-9, "sigma OS {i}->{j}");
-                    assert!((bs - cost.budget).abs() < 1e-9, "sigma BS {i}->{j}");
+                for (tree, dense, path) in [
+                    (&tau, apsp.tau(i, j), apsp.tau_path(i, j)),
+                    (&sigma, apsp.sigma(i, j), apsp.sigma_path(i, j)),
+                ] {
+                    let lazy = tree.is_reachable(j).then(|| PathCost {
+                        objective: tree.objective(j),
+                        budget: tree.budget(j),
+                    });
+                    assert_eq!(lazy, dense, "{:?} {i}->{j}", tree.metric());
+                    assert_eq!(tree.walk_from_source(j).is_some(), path.is_some());
+                    if let (Some(cost), Some(path)) = (dense, path) {
+                        let (os, bs) = Route::new(path).scores(&g).expect("valid path");
+                        assert!((os - cost.objective).abs() < 1e-9, "OS {i}->{j}");
+                        assert!((bs - cost.budget).abs() < 1e-9, "BS {i}->{j}");
+                    }
                 }
             }
         }

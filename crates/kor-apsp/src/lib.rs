@@ -5,27 +5,25 @@
 //! with the smallest **budget** score (only their scores are consumed by
 //! the algorithms). This crate provides that information in two forms:
 //!
-//! * [`DenseApsp`] — the faithful all-pairs matrices, computed either with
-//!   Floyd–Warshall (as in the paper) or with repeated Dijkstra, including
-//!   next-hop matrices for path reconstruction;
-//! * lazy per-query structures that deliver exactly the values the search
-//!   algorithms read, without `O(|V|²)` space:
-//!   [`QueryContext`] (to-target `τ`/`σ` trees), [`KeywordReach`]
-//!   (per-query-keyword nearest-node trees for Optimization Strategy 1),
-//!   and [`CachedPairCosts`] (memoized forward trees for the greedy
-//!   algorithm).
+//! * [`DenseApsp`] — the faithful all-pairs matrices, computed with
+//!   Floyd–Warshall as in the paper, including next-hop matrices for
+//!   path reconstruction;
+//! * lazy trees that deliver exactly the values the search algorithms
+//!   read, without `O(|V|²)` space: [`QueryContext`] (to-target `τ`/`σ`
+//!   trees), [`KeywordReach`] (per-query-keyword nearest-node trees for
+//!   Optimization Strategy 1), and [`forward_tree`] (the from-source `τ`
+//!   trees the greedy algorithm reads; `kor_core`'s pre-processing cache
+//!   memoizes them).
 //!
-//! Both forms agree exactly; `DenseApsp` doubles as the test oracle for
-//! the lazy structures. [`PartitionedApsp`] additionally implements the
-//! paper's §6 future-work scheme: partition the graph, pre-process within
-//! clusters, and keep an all-pairs table only over border nodes.
+//! Both forms agree exactly; `DenseApsp` is the test oracle for the lazy
+//! trees. [`Landmarks`] adds ALT lower bounds, and [`partition`] cuts a
+//! graph into node groups for landmark selection and sharding.
 
 #![deny(unsafe_code)]
 
 mod dense;
 mod keyword_reach;
 mod landmark;
-mod pair;
 mod partition;
 mod query;
 mod tree;
@@ -33,7 +31,6 @@ mod tree;
 pub use dense::DenseApsp;
 pub use keyword_reach::KeywordReach;
 pub use landmark::{Landmarks, TargetBounds, DEFAULT_LANDMARKS};
-pub use pair::{CachedPairCosts, PairCosts, PathCost};
-pub use partition::{partition, PartitionConfig, PartitionedApsp};
-pub use query::QueryContext;
+pub use partition::partition;
+pub use query::{PathCost, QueryContext};
 pub use tree::{backward_tree, forward_tree, Metric, SptNode, Tree, NO_NODE};

@@ -1,260 +1,10 @@
-//! Partition-based pre-processing (the paper's §6 future work).
-//!
-//! The paper's conclusion sketches a cheaper pre-processing scheme:
-//! *"employ a graph partition algorithm to divide a large graph into
-//! several subgraphs … only do the pre-processing within each subgraph …
-//! compute and store the best objective and budget score between every
-//! pair of border nodes"*. This module implements that scheme:
-//!
-//! * nodes are partitioned into clusters (by spatial grid when positions
-//!   exist, else by BFS chunks);
-//! * **intra tables** hold cluster-restricted path costs (node→border,
-//!   border→node, node→node within one cluster);
-//! * an **overlay graph** over all border nodes — cluster-restricted
-//!   border→border costs plus the original inter-cluster edges — is
-//!   solved all-pairs;
-//! * a query `cost(i, j)` minimizes over
-//!   `intra(i, b₁) + overlay(b₁, b₂) + intra(b₂, j)` and, for same-cluster
-//!   pairs, the direct intra cost.
-//!
-//! This yields the **exact** minimum objective (τ) / budget (σ) scores —
-//! any path decomposes at its border crossings — while storing
-//! `O(Σ|C|² + |B|²)` entries instead of `O(|V|²)`. Like the paper's
-//! pre-processing, only *scores* are produced, not paths.
-//!
-//! Tie-breaking caveat: the secondary score (e.g. `BS(τ)`) is the weight
-//! of *a* minimum-primary path, which may differ from [`crate::DenseApsp`]'s
-//! lexicographically minimal choice when several optimal paths exist.
+//! Node partitioning for landmark selection and sharding.
 
 use std::collections::HashMap;
 
-use kor_graph::{Graph, NodeId};
+use kor_graph::Graph;
 
-use crate::pair::PathCost;
-use crate::tree::Metric;
-
-/// Configuration for the partitioning.
-#[derive(Debug, Clone)]
-pub struct PartitionConfig {
-    /// Target number of clusters (actual count may differ slightly).
-    pub clusters: usize,
-}
-
-impl PartitionConfig {
-    /// Roughly `√|V|` clusters — balances intra-table and overlay sizes.
-    pub fn auto(graph: &Graph) -> Self {
-        Self {
-            clusters: (graph.node_count() as f64).sqrt().ceil() as usize,
-        }
-    }
-}
-
-/// A `(objective, budget)` cost pair under one lexicographic metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Cost {
-    primary: f64,
-    secondary: f64,
-}
-
-impl Cost {
-    const INF: Cost = Cost {
-        primary: f64::INFINITY,
-        secondary: f64::INFINITY,
-    };
-
-    #[inline]
-    fn better_than(&self, other: &Cost) -> bool {
-        self.primary < other.primary
-            || (self.primary == other.primary && self.secondary < other.secondary)
-    }
-
-    #[inline]
-    fn plus(&self, other: &Cost) -> Cost {
-        Cost {
-            primary: self.primary + other.primary,
-            secondary: self.secondary + other.secondary,
-        }
-    }
-}
-
-/// Per-metric tables (one instance for τ, one for σ).
-struct MetricTables {
-    /// `intra[c]`: dense `|C|×|C|` cluster-restricted costs.
-    intra: Vec<Vec<Cost>>,
-    /// `overlay[b1 * nb + b2]`: all-pairs costs over border nodes.
-    overlay: Vec<Cost>,
-}
-
-/// Partition-based replacement for dense APSP (scores only).
-pub struct PartitionedApsp {
-    cluster_of: Vec<u32>,
-    /// Node's index within its cluster.
-    local_of: Vec<u32>,
-    /// Nodes per cluster.
-    members: Vec<Vec<NodeId>>,
-    /// Border list per cluster (indices into `borders`).
-    cluster_borders: Vec<Vec<u32>>,
-    /// All border nodes.
-    borders: Vec<NodeId>,
-    border_index: HashMap<NodeId, u32>,
-    tau: MetricTables,
-    sigma: MetricTables,
-}
-
-impl PartitionedApsp {
-    /// Builds the tables.
-    pub fn build(graph: &Graph, config: &PartitionConfig) -> Self {
-        let cluster_of = partition(graph, config.clusters.max(1));
-        let n_clusters = cluster_of
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); n_clusters];
-        let mut local_of = vec![0u32; graph.node_count()];
-        for v in graph.nodes() {
-            let c = cluster_of[v.index()] as usize;
-            local_of[v.index()] = members[c].len() as u32;
-            members[c].push(v);
-        }
-
-        // Border nodes: endpoints of inter-cluster edges.
-        let mut borders: Vec<NodeId> = Vec::new();
-        let mut border_index: HashMap<NodeId, u32> = HashMap::new();
-        let add_border = |v: NodeId, borders: &mut Vec<NodeId>, idx: &mut HashMap<NodeId, u32>| {
-            idx.entry(v).or_insert_with(|| {
-                borders.push(v);
-                (borders.len() - 1) as u32
-            });
-        };
-        for v in graph.nodes() {
-            for e in graph.out_edges(v) {
-                if cluster_of[v.index()] != cluster_of[e.node.index()] {
-                    add_border(v, &mut borders, &mut border_index);
-                    add_border(e.node, &mut borders, &mut border_index);
-                }
-            }
-        }
-        let mut cluster_borders: Vec<Vec<u32>> = vec![Vec::new(); n_clusters];
-        for (bi, &b) in borders.iter().enumerate() {
-            cluster_borders[cluster_of[b.index()] as usize].push(bi as u32);
-        }
-
-        let tau = build_metric(
-            graph,
-            Metric::Objective,
-            &cluster_of,
-            &local_of,
-            &members,
-            &borders,
-            &border_index,
-        );
-        let sigma = build_metric(
-            graph,
-            Metric::Budget,
-            &cluster_of,
-            &local_of,
-            &members,
-            &borders,
-            &border_index,
-        );
-
-        Self {
-            cluster_of,
-            local_of,
-            members,
-            cluster_borders,
-            borders,
-            border_index,
-            tau,
-            sigma,
-        }
-    }
-
-    /// Number of border nodes (the overlay dimension).
-    pub fn border_count(&self) -> usize {
-        self.borders.len()
-    }
-
-    /// Number of clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Stored table entries (for comparing against `|V|²` dense storage).
-    pub fn stored_entries(&self) -> usize {
-        let intra: usize = self.members.iter().map(|m| m.len() * m.len()).sum();
-        2 * (intra + self.borders.len() * self.borders.len())
-    }
-
-    /// Scores of the minimum-objective path `τ(i, j)`.
-    pub fn tau_cost(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
-        self.query(&self.tau, i, j).map(|c| PathCost {
-            objective: c.primary,
-            budget: c.secondary,
-        })
-    }
-
-    /// Scores of the minimum-budget path `σ(i, j)`.
-    pub fn sigma_cost(&self, i: NodeId, j: NodeId) -> Option<PathCost> {
-        self.query(&self.sigma, i, j).map(|c| PathCost {
-            objective: c.secondary,
-            budget: c.primary,
-        })
-    }
-
-    fn query(&self, tables: &MetricTables, i: NodeId, j: NodeId) -> Option<Cost> {
-        let ci = self.cluster_of[i.index()] as usize;
-        let cj = self.cluster_of[j.index()] as usize;
-        let mut best = Cost::INF;
-        if ci == cj {
-            let size = self.members[ci].len();
-            let c = tables.intra[ci]
-                [self.local_of[i.index()] as usize * size + self.local_of[j.index()] as usize];
-            if c.better_than(&best) {
-                best = c;
-            }
-        }
-        // Through the overlay: i → b1 (intra), b1 → b2 (overlay), b2 → j
-        // (intra). Border nodes of the own cluster include i itself when
-        // i is a border.
-        let nb = self.borders.len();
-        let size_i = self.members[ci].len();
-        let size_j = self.members[cj].len();
-        for &b1 in &self.cluster_borders[ci] {
-            let b1_node = self.borders[b1 as usize];
-            let leg1 = tables.intra[ci][self.local_of[i.index()] as usize * size_i
-                + self.local_of[b1_node.index()] as usize];
-            if !leg1.primary.is_finite() {
-                continue;
-            }
-            for &b2 in &self.cluster_borders[cj] {
-                let b2_node = self.borders[b2 as usize];
-                let mid = tables.overlay[b1 as usize * nb + b2 as usize];
-                if !mid.primary.is_finite() {
-                    continue;
-                }
-                let leg2 = tables.intra[cj][self.local_of[b2_node.index()] as usize * size_j
-                    + self.local_of[j.index()] as usize];
-                if !leg2.primary.is_finite() {
-                    continue;
-                }
-                let total = leg1.plus(&mid).plus(&leg2);
-                if total.better_than(&best) {
-                    best = total;
-                }
-            }
-        }
-        best.primary.is_finite().then_some(best)
-    }
-
-    /// The border index of a node, if it is a border.
-    pub fn is_border(&self, v: NodeId) -> bool {
-        self.border_index.contains_key(&v)
-    }
-}
-
-/// Splits `graph` into at most `clusters` node groups and returns the
+/// Splits `graph` into roughly `clusters` node groups and returns the
 /// per-node assignment (`assignment[v] = cluster id`, ids dense in
 /// `0..k` with every id non-empty).
 ///
@@ -265,10 +15,8 @@ impl PartitionedApsp {
 /// undirected structure, so chunks stay connected where the topology
 /// allows.
 ///
-/// This is the same assignment [`PartitionedApsp::build`] uses
-/// internally; it is exported so front ends (the shard splitter, the
-/// scatter-gather router) can partition a dataset without paying for
-/// the border-overlay tables.
+/// Landmark selection and the shard splitter both cut the graph with
+/// it.
 pub fn partition(graph: &Graph, clusters: usize) -> Vec<u32> {
     let clusters = clusters.max(1);
     let n = graph.node_count();
@@ -338,316 +86,46 @@ fn compact(assignment: &mut [u32]) {
     }
 }
 
-/// Cluster-restricted Dijkstra from `source` (forward edges, staying
-/// inside `cluster`).
-fn restricted_dijkstra(
-    graph: &Graph,
-    metric: Metric,
-    cluster_of: &[u32],
-    local_of: &[u32],
-    members: &[NodeId],
-    source: NodeId,
-) -> Vec<Cost> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let cluster = cluster_of[source.index()];
-    let mut dist = vec![Cost::INF; members.len()];
-    let key = |c: &Cost| (c.primary, c.secondary);
-    let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    let pack = |c: &Cost, v: NodeId| {
-        // Non-negative finite floats order like their bit patterns.
-        Reverse((c.primary.to_bits(), c.secondary.to_bits(), v.0))
-    };
-    dist[local_of[source.index()] as usize] = Cost {
-        primary: 0.0,
-        secondary: 0.0,
-    };
-    heap.push(pack(&dist[local_of[source.index()] as usize], source));
-    while let Some(Reverse((p, s, raw))) = heap.pop() {
-        let v = NodeId(raw);
-        let cur = dist[local_of[v.index()] as usize];
-        if (f64::from_bits(p), f64::from_bits(s)) != key(&cur) {
-            continue;
-        }
-        for e in graph.out_edges(v) {
-            if cluster_of[e.node.index()] != cluster {
-                continue;
-            }
-            let (ep, es) = match metric {
-                Metric::Objective => (e.objective, e.budget),
-                Metric::Budget => (e.budget, e.objective),
-            };
-            let cand = Cost {
-                primary: cur.primary + ep,
-                secondary: cur.secondary + es,
-            };
-            let slot = &mut dist[local_of[e.node.index()] as usize];
-            if cand.better_than(slot) {
-                *slot = cand;
-                heap.push(pack(&cand, e.node));
-            }
-        }
-    }
-    dist
-}
-
-fn build_metric(
-    graph: &Graph,
-    metric: Metric,
-    cluster_of: &[u32],
-    local_of: &[u32],
-    members: &[Vec<NodeId>],
-    borders: &[NodeId],
-    border_index: &HashMap<NodeId, u32>,
-) -> MetricTables {
-    // Intra tables: restricted Dijkstra from every node of every cluster.
-    let mut intra: Vec<Vec<Cost>> = Vec::with_capacity(members.len());
-    for cluster_members in members {
-        let size = cluster_members.len();
-        let mut table = vec![Cost::INF; size * size];
-        for (li, &node) in cluster_members.iter().enumerate() {
-            let row =
-                restricted_dijkstra(graph, metric, cluster_of, local_of, cluster_members, node);
-            table[li * size..(li + 1) * size].copy_from_slice(&row);
-        }
-        intra.push(table);
-    }
-
-    // Overlay adjacency: restricted border→border costs + crossing edges.
-    let nb = borders.len();
-    let mut adj: Vec<Vec<(u32, Cost)>> = vec![Vec::new(); nb];
-    for (bi, &b) in borders.iter().enumerate() {
-        let c = cluster_of[b.index()] as usize;
-        let size = members[c].len();
-        for &other in borders {
-            if cluster_of[other.index()] as usize != c || other == b {
-                continue;
-            }
-            let cost =
-                intra[c][local_of[b.index()] as usize * size + local_of[other.index()] as usize];
-            if cost.primary.is_finite() {
-                adj[bi].push((border_index[&other], cost));
-            }
-        }
-        for e in graph.out_edges(b) {
-            if cluster_of[e.node.index()] != cluster_of[b.index()] {
-                let (p, s) = match metric {
-                    Metric::Objective => (e.objective, e.budget),
-                    Metric::Budget => (e.budget, e.objective),
-                };
-                adj[bi].push((
-                    border_index[&e.node],
-                    Cost {
-                        primary: p,
-                        secondary: s,
-                    },
-                ));
-            }
-        }
-    }
-
-    // All-pairs over the overlay: Dijkstra from every border.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut overlay = vec![Cost::INF; nb * nb];
-    for src in 0..nb {
-        let dist = &mut overlay[src * nb..(src + 1) * nb];
-        dist[src] = Cost {
-            primary: 0.0,
-            secondary: 0.0,
-        };
-        let mut heap = BinaryHeap::from([Reverse((0u64, 0u64, src as u32))]);
-        while let Some(Reverse((p, s, at))) = heap.pop() {
-            let cur = dist[at as usize];
-            if (f64::from_bits(p), f64::from_bits(s)) != (cur.primary, cur.secondary) {
-                continue;
-            }
-            for &(to, ref w) in &adj[at as usize] {
-                let cand = cur.plus(w);
-                if cand.better_than(&dist[to as usize]) {
-                    dist[to as usize] = cand;
-                    heap.push(Reverse((
-                        cand.primary.to_bits(),
-                        cand.secondary.to_bits(),
-                        to,
-                    )));
-                }
-            }
-        }
-    }
-
-    MetricTables { intra, overlay }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseApsp;
-    use crate::pair::PairCosts;
     use kor_graph::fixtures::figure1;
     use kor_graph::GraphBuilder;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
-    fn random_graph(n: usize, edges: usize, seed: u64, with_positions: bool) -> kor_graph::Graph {
-        let mut rng = StdRng::seed_from_u64(seed);
+    /// The documented contract: one id per node, ids dense in `0..k`,
+    /// and every id used.
+    fn assert_dense_and_non_empty(graph: &Graph, clusters: usize) {
+        let assignment = partition(graph, clusters);
+        assert_eq!(assignment.len(), graph.node_count());
+        let k = assignment.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut used = vec![false; k];
+        for &id in &assignment {
+            used[id as usize] = true;
+        }
+        assert!(used.iter().all(|&u| u), "an id in 0..{k} is empty");
+    }
+
+    #[test]
+    fn ids_are_dense_and_non_empty_on_both_branches() {
+        // BFS branch: figure 1 carries no positions.
+        let plain = figure1();
+        assert!(!plain.has_positions());
+        // Positional branch: nodes on the diagonal, so only the grid's
+        // diagonal cells are occupied and the rest compact away.
         let mut b = GraphBuilder::new();
-        for i in 0..n {
-            let tag = format!("t{}", i % 5);
-            if with_positions {
-                let (x, y) = (rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
-                b.add_node_at([tag.as_str()], x, y);
-            } else {
-                b.add_node([tag.as_str()]);
-            }
+        for i in 0..25 {
+            b.add_node_at(["t"], f64::from(i), f64::from(i));
         }
-        let mut added = 0;
-        while added < edges {
-            let u = rng.gen_range(0..n as u32);
-            let v = rng.gen_range(0..n as u32);
-            if u == v {
-                continue;
-            }
-            let o = rng.gen_range(0.1..5.0);
-            let bu = rng.gen_range(0.1..5.0);
-            if b.add_edge(kor_graph::NodeId(u), kor_graph::NodeId(v), o, bu)
-                .is_ok()
-            {
-                added += 1;
-            }
+        for i in 0..24u32 {
+            b.add_edge(kor_graph::NodeId(i), kor_graph::NodeId(i + 1), 1.0, 1.0)
+                .unwrap();
         }
-        b.build().unwrap()
-    }
-
-    fn check_against_dense(graph: &kor_graph::Graph, clusters: usize) {
-        let dense = DenseApsp::by_dijkstra(graph);
-        let part = PartitionedApsp::build(graph, &PartitionConfig { clusters });
-        for i in graph.nodes() {
-            for j in graph.nodes() {
-                let (d_tau, p_tau) = (dense.tau(i, j), part.tau_cost(i, j));
-                match (d_tau, p_tau) {
-                    (None, None) => {}
-                    (Some(d), Some(p)) => {
-                        assert!(
-                            (d.objective - p.objective).abs() < 1e-9,
-                            "tau objective mismatch {i}->{j}: dense {} vs partitioned {}",
-                            d.objective,
-                            p.objective
-                        );
-                        // Secondary may differ in ties but never beats the
-                        // lexicographic minimum.
-                        assert!(p.budget >= d.budget - 1e-9);
-                    }
-                    (d, p) => panic!("tau reachability mismatch {i}->{j}: {d:?} vs {p:?}"),
-                }
-                let (d_sig, p_sig) = (dense.sigma(i, j), part.sigma_cost(i, j));
-                match (d_sig, p_sig) {
-                    (None, None) => {}
-                    (Some(d), Some(p)) => {
-                        assert!(
-                            (d.budget - p.budget).abs() < 1e-9,
-                            "sigma budget mismatch {i}->{j}"
-                        );
-                        assert!(p.objective >= d.objective - 1e-9);
-                    }
-                    (d, p) => panic!("sigma reachability mismatch {i}->{j}: {d:?} vs {p:?}"),
-                }
-            }
+        let placed = b.build().unwrap();
+        assert!(placed.has_positions());
+        for clusters in [0, 1, 2, 3, 4, 9, 30] {
+            assert_dense_and_non_empty(&plain, clusters);
+            assert_dense_and_non_empty(&placed, clusters);
         }
-    }
-
-    #[test]
-    fn matches_dense_on_figure1() {
-        let g = figure1();
-        for clusters in [1, 2, 3, 8] {
-            check_against_dense(&g, clusters);
-        }
-    }
-
-    #[test]
-    fn matches_dense_on_random_graphs_without_positions() {
-        for seed in 0..4 {
-            let g = random_graph(40, 160, seed, false);
-            check_against_dense(&g, 6);
-        }
-    }
-
-    #[test]
-    fn matches_dense_on_random_geometric_graphs() {
-        for seed in 0..3 {
-            let g = random_graph(50, 220, 100 + seed, true);
-            check_against_dense(&g, 9);
-        }
-    }
-
-    /// A 12×12 lattice with bidirectional neighbor edges — the locality
-    /// structure of a road network, where partitioning pays off.
-    fn lattice(side: usize) -> kor_graph::Graph {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut b = GraphBuilder::new();
-        for y in 0..side {
-            for x in 0..side {
-                b.add_node_at([format!("t{}", (x + y) % 5).as_str()], x as f64, y as f64);
-            }
-        }
-        let id = |x: usize, y: usize| kor_graph::NodeId((y * side + x) as u32);
-        for y in 0..side {
-            for x in 0..side {
-                if x + 1 < side {
-                    b.add_bidirectional(id(x, y), id(x + 1, y), rng.gen_range(0.1..2.0), 1.0)
-                        .unwrap();
-                }
-                if y + 1 < side {
-                    b.add_bidirectional(id(x, y), id(x, y + 1), rng.gen_range(0.1..2.0), 1.0)
-                        .unwrap();
-                }
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn storage_is_smaller_than_dense_on_local_graphs() {
-        let g = lattice(24);
-        let part = PartitionedApsp::build(&g, &PartitionConfig { clusters: 9 });
-        let dense_entries = 2 * g.node_count() * g.node_count();
-        assert!(
-            part.stored_entries() < dense_entries / 2,
-            "partitioned {} vs dense {dense_entries}",
-            part.stored_entries()
-        );
-        assert!(part.cluster_count() > 1);
-        assert!(part.border_count() > 0);
-        assert!(part.border_count() < g.node_count());
-        assert!(part.is_border(kor_graph::NodeId(0)) || !part.is_border(kor_graph::NodeId(0)));
-    }
-
-    #[test]
-    fn matches_dense_on_lattice() {
-        let g = lattice(7);
-        check_against_dense(&g, 9);
-    }
-
-    #[test]
-    fn single_cluster_degenerates_to_plain_apsp() {
-        let g = figure1();
-        let part = PartitionedApsp::build(&g, &PartitionConfig { clusters: 1 });
-        assert_eq!(part.cluster_count(), 1);
-        assert_eq!(part.border_count(), 0);
-        let c = part
-            .tau_cost(kor_graph::NodeId(0), kor_graph::NodeId(7))
-            .unwrap();
-        assert_eq!((c.objective, c.budget), (4.0, 7.0));
-    }
-
-    #[test]
-    fn self_pairs_are_zero() {
-        let g = figure1();
-        let part = PartitionedApsp::build(&g, &PartitionConfig { clusters: 4 });
-        for v in g.nodes() {
-            let c = part.tau_cost(v, v).unwrap();
-            assert_eq!((c.objective, c.budget), (0.0, 0.0));
-        }
+        assert_eq!(partition(&plain, 1), vec![0; plain.node_count()]);
     }
 }

@@ -2,8 +2,16 @@
 
 use kor_graph::{Graph, NodeId, Route};
 
-use crate::pair::PathCost;
 use crate::tree::{backward_tree, Metric, Tree};
+
+/// The two scores of a pre-processed path (`OS`, `BS`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathCost {
+    /// Objective score of the path.
+    pub objective: f64,
+    /// Budget score of the path.
+    pub budget: f64,
+}
 
 /// The to-target pre-processing values consumed by Algorithms 1 and 2.
 ///

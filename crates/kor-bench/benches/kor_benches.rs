@@ -14,9 +14,10 @@
 
 use std::time::{Duration, Instant};
 
-use kor_apsp::{CachedPairCosts, DenseApsp, PairCosts, QueryContext};
+use kor_apsp::{DenseApsp, QueryContext};
 use kor_core::{
-    Algo, BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams, SearchRequest,
+    Algo, BucketBoundParams, GreedyParams, KorEngine, KorQuery, OsScalingParams, PreprocessCache,
+    SearchRequest,
 };
 use kor_data::{generate_roadnet, generate_workload, QuerySpec, RoadNetConfig, WorkloadConfig};
 use kor_graph::fixtures::figure1;
@@ -237,18 +238,19 @@ fn substrates(h: &Harness) {
         InvertedIndex::build(&graph)
     });
     // Floyd–Warshall is cubic: measure it on the Figure-1 fixture where a
-    // single iteration is cheap, and Dijkstra-APSP on the big graph.
+    // single iteration is cheap.
     let small = figure1();
     h.bench("substrates", "floyd_warshall_fixture", || {
         DenseApsp::floyd_warshall(&small)
     });
-    let pairs = CachedPairCosts::new(&graph);
+    let cache = PreprocessCache::new();
     let nodes: Vec<_> = graph.nodes().take(16).collect();
     h.bench("substrates", "pairwise_tau_cached", || {
         let mut acc = 0.0;
         for &s in &nodes {
-            if let Some(c) = pairs.tau(s, kor_graph::NodeId(0)) {
-                acc += c.objective;
+            let (tree, _) = cache.forward_tree(&graph, s);
+            if tree.is_reachable(target) {
+                acc += tree.objective(target);
             }
         }
         acc

@@ -1,13 +1,14 @@
-//! The shared per-query pre-processing cache.
+//! The shared pre-processing cache.
 //!
 //! The paper's cost model assumes the `τ`/`σ` pre-processing is amortized
 //! across queries, but a naive engine rebuilds it per call: every label
-//! search starts with two full backward Dijkstras ([`QueryContext`]) and
-//! Optimization Strategy 2 runs two more. Under serve/batch traffic many
-//! queries share popular targets and keyword sets, so those trees are
-//! pure recomputation.
+//! search starts with two full backward Dijkstras ([`QueryContext`]),
+//! Optimization Strategy 2 runs two more, and the greedy heuristic runs a
+//! forward Dijkstra from every waypoint it picks. Under serve/batch
+//! traffic many queries share popular targets, keyword sets and
+//! waypoints, so those trees are pure recomputation.
 //!
-//! [`PreprocessCache`] memoizes both products behind `Arc`-cloned
+//! [`PreprocessCache`] memoizes four tree families behind `Arc`-cloned
 //! entries:
 //!
 //! * **query contexts** — the to-target `τ`/`σ` tree pair, keyed by the
@@ -21,28 +22,33 @@
 //!   set is the keyword's postings with zero potential — independent of
 //!   the query's source, target, and budget, so one build serves every
 //!   query mentioning the keyword);
-//! * **landmark vectors** — the per-dataset ALT distance vectors
-//!   ([`kor_apsp::Landmarks`]), one singleton entry built lazily on
-//!   first use and shared by every query.
+//! * **forward `τ` trees** — greedy's from-waypoint minimum-objective
+//!   tree (Equation 1's `τ_{i,j}` for every `j`), keyed by the source.
 //!
-//! Entries are evicted least-recently-used once a map exceeds its
+//! Beside them sit the **landmark vectors** — the per-dataset ALT
+//! distance vectors ([`kor_apsp::Landmarks`]), one singleton entry built
+//! lazily on first use and shared by every query.
+//!
+//! Every family goes through one lookup-or-build routine: one `Mutex`
+//! around the memo tables, shared by any number of worker threads, with
+//! the expensive tree construction performed *outside* the lock so
+//! concurrent misses on different keys never serialize on Dijkstra.
+//! Entries are evicted least-recently-used once a family exceeds the
 //! capacity, bounding memory at roughly
-//! `capacity × 4 trees × node_count × sizeof(SptNode)`. The design
-//! mirrors [`kor_apsp::CachedPairCosts`]: one `Mutex` around a memo
-//! table, shared by any number of worker threads, with the expensive
-//! tree construction performed *outside* the lock so concurrent misses
-//! on different keys never serialize on Dijkstra.
+//! `capacity × 6 trees × node_count × sizeof(SptNode)`.
 //!
 //! Cached and cold searches are byte-identical by construction: a cache
 //! hit returns the same deterministic `Tree` values a fresh build would
 //! produce (pinned down by the equivalence tests in
 //! `tests/cache_equivalence.rs`).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use kor_apsp::{backward_tree, KeywordReach, Landmarks, Metric, QueryContext, Tree};
-use kor_graph::{Graph, KeywordId, NodeId};
+use kor_apsp::{backward_tree, forward_tree, KeywordReach, Landmarks, Metric, QueryContext, Tree};
+use kor_graph::{EdgeMutation, Graph, KeywordId, NodeId};
 use kor_index::InvertedIndex;
 
 /// The two Optimization-Strategy-2 lower-bound trees for one
@@ -82,20 +88,22 @@ pub(crate) fn build_opt2_trees(
     }
 }
 
-/// Compact invalidation stamp for one cached tree family: the set of
-/// nodes the family's backward Dijkstras relaxed (one bit per node).
+/// Compact invalidation stamp for one cached entry: the set of nodes its
+/// Dijkstras relaxed (one bit per node).
 ///
 /// A mutation of edge `u → v` can change a backward tree only if the
 /// edge's *head* `v` is in the tree's relaxed set — otherwise the edge
 /// was never scanned, and (because mutation rebuilds preserve the
 /// relative CSR order of surviving edges) the tree a cold engine would
 /// build on the mutated graph scans the exact same edge sequence and is
-/// bit-for-bit identical. One stamp per target covers every cache
-/// family keyed by that target: the `τ`/`σ` context trees directly, and
-/// the Opt-2 bound trees because their reachable sets *and* their seed
-/// potentials both live inside the context's relaxed set (any node that
-/// reaches a seeded posting also reaches the target). The Opt-2 stamp
-/// still unions its own trees' reachability as a belt-and-braces check.
+/// bit-for-bit identical. A forward tree is the mirror image: it can
+/// change only if the edge's *tail* `u` is among the nodes it reached.
+/// One stamp per target covers every backward family keyed by that
+/// target: the `τ`/`σ` context trees directly, and the Opt-2 bound trees
+/// because their reachable sets *and* their seed potentials both live
+/// inside the context's relaxed set (any node that reaches a seeded
+/// posting also reaches the target). The Opt-2 stamp still unions its
+/// own trees' reachability as a belt-and-braces check.
 #[derive(Debug)]
 pub struct TreeStamp {
     words: Vec<u64>,
@@ -149,6 +157,13 @@ impl TreeStamp {
         s
     }
 
+    /// Stamp of one tree: the nodes it reached.
+    fn of_tree(tree: &Tree, n: usize) -> Self {
+        let mut s = Self::for_nodes(n);
+        s.union_tree(tree, n);
+        s
+    }
+
     fn union_tree(&mut self, tree: &Tree, n: usize) {
         for i in 0..n as u32 {
             let v = NodeId(i);
@@ -159,13 +174,16 @@ impl TreeStamp {
     }
 }
 
-/// Per-family retain/evict counts reported by
-/// [`PreprocessCache::carry_over`].
+/// What one mutation batch ([`crate::KorEngine::apply_edge_mutations`])
+/// did to the warm state: the new graph epoch plus retain/evict counts
+/// per cache family, as filled in by [`PreprocessCache::carry_over`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InvalidationCounts {
-    /// Query contexts whose stamp avoided every changed edge head.
+pub struct MutationReport {
+    /// Epoch of the mutated graph (old epoch + 1).
+    pub epoch: u64,
+    /// Query contexts carried over warm.
     pub contexts_retained: usize,
-    /// Query contexts evicted because a changed edge head was stamped.
+    /// Query contexts evicted by incremental invalidation.
     pub contexts_evicted: usize,
     /// Opt-2 tree pairs carried over warm.
     pub opt2_retained: usize,
@@ -175,9 +193,30 @@ pub struct InvalidationCounts {
     pub reach_retained: usize,
     /// Keyword reach trees evicted.
     pub reach_evicted: usize,
+    /// Greedy forward trees carried over warm.
+    pub pair_trees_retained: usize,
+    /// Greedy forward trees evicted.
+    pub pair_trees_evicted: usize,
+}
+
+impl MutationReport {
+    /// Total entries (all families) that survived the batch warm.
+    pub fn total_retained(&self) -> usize {
+        self.contexts_retained + self.opt2_retained + self.reach_retained + self.pair_trees_retained
+    }
+
+    /// Total entries (all families) evicted by the batch.
+    pub fn total_evicted(&self) -> usize {
+        self.contexts_evicted + self.opt2_evicted + self.reach_evicted + self.pair_trees_evicted
+    }
 }
 
 /// Point-in-time counters describing cache effectiveness.
+///
+/// The hit/miss, `trees_built`, `invalidated` and `retained` counters
+/// describe the label-search families (contexts, Opt-2 pairs, reach
+/// trees); greedy's forward trees show up only in `evictions`, in
+/// [`PreprocessCache::forward_entries`] and in [`MutationReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Query-context lookups answered from the cache.
@@ -197,28 +236,29 @@ pub struct CacheStats {
     /// **Exclusive** with `invalidated`: one removed entry increments
     /// exactly one of the two counters. [`PreprocessCache::carry_over`]
     /// filters by invalidation stamp first — stamped entries count only
-    /// here-under `invalidated` — and applies the LRU cap only to the
+    /// there, under `invalidated` — and applies the LRU cap only to the
     /// survivors, so an entry that is both stale and over-cap is counted
     /// once, as invalidated.
     pub evictions: u64,
-    /// Dijkstra trees built on behalf of this cache (two per context
-    /// miss, two per Opt-2 miss, one per reach miss — including builds
-    /// that lost a concurrent race and were discarded). Landmark builds
-    /// are tracked separately in `landmark_trees_built`: query-serving
-    /// trees and dataset-level ALT vectors have different lifecycles,
-    /// and conflating them would make "no per-query rebuild happened"
-    /// unobservable.
+    /// Dijkstra trees built on behalf of the label searches (two per
+    /// context miss, two per Opt-2 miss, one per reach miss — including
+    /// builds that lost a concurrent race and were discarded). Landmark
+    /// builds are tracked separately in `landmark_trees_built`:
+    /// query-serving trees and dataset-level ALT vectors have different
+    /// lifecycles, and conflating them would make "no per-query rebuild
+    /// happened" unobservable.
     pub trees_built: u64,
     /// Dijkstra trees built for the landmark (ALT) singleton: four per
     /// landmark (forward + backward × objective + budget), rebuilt from
     /// scratch after every mutation batch.
     pub landmark_trees_built: u64,
-    /// Entries evicted by mutation-driven incremental invalidation
-    /// ([`PreprocessCache::carry_over`]), all families alike. Distinct
-    /// from — and exclusive with — `evictions`, which counts the LRU
-    /// cap (see `evictions`).
+    /// Label-search entries evicted by mutation-driven incremental
+    /// invalidation ([`PreprocessCache::carry_over`]). Distinct from —
+    /// and exclusive with — `evictions`, which counts the LRU cap (see
+    /// `evictions`).
     pub invalidated: u64,
-    /// Entries that survived mutation-driven invalidation warm.
+    /// Label-search entries that survived mutation-driven invalidation
+    /// warm.
     pub retained: u64,
 }
 
@@ -243,6 +283,66 @@ struct Slot<T> {
     last_used: u64,
 }
 
+/// One tree family: its memoized entries and its lookup counters.
+struct Family<K, T> {
+    slots: HashMap<K, Slot<T>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<K: Hash + Eq + Copy, T> Family<K, T> {
+    fn new() -> Self {
+        Self {
+            slots: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The stamp filter: the entries whose stamp avoids every node of
+    /// `changed`, with the counters carried, plus the `(retained,
+    /// dropped)` entry counts.
+    fn carry_over(&self, changed: &[NodeId]) -> (Self, usize, usize) {
+        let slots: HashMap<K, Slot<T>> = self
+            .slots
+            .iter()
+            .filter(|(_, slot)| !slot.stamp.touches_any(changed))
+            .map(|(&key, slot)| {
+                let slot = Slot {
+                    value: slot.value.clone(),
+                    stamp: slot.stamp.clone(),
+                    last_used: slot.last_used,
+                };
+                (key, slot)
+            })
+            .collect();
+        let retained = slots.len();
+        let family = Self {
+            slots,
+            hits: self.hits,
+            misses: self.misses,
+        };
+        (family, retained, self.slots.len() - retained)
+    }
+
+    /// Removes least-recently-used entries until the family fits
+    /// `capacity`; returns how many were removed.
+    fn evict_lru(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.slots.len() > capacity {
+            let oldest = self
+                .slots
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(&k, _)| k)
+                .expect("family is non-empty");
+            self.slots.remove(&oldest);
+            evicted += 1;
+        }
+        evicted
+    }
+}
+
 struct Inner {
     /// Monotone logical clock for LRU ordering.
     tick: u64,
@@ -251,12 +351,19 @@ struct Inner {
     /// would silently answer queries on another — a shape mismatch is a
     /// caller bug and panics instead.
     graph_shape: Option<(usize, usize)>,
-    contexts: HashMap<NodeId, Slot<QueryContext>>,
-    opt2: HashMap<(NodeId, KeywordId), Slot<Opt2Trees>>,
-    reach: HashMap<KeywordId, Slot<Tree>>,
+    contexts: Family<NodeId, QueryContext>,
+    opt2: Family<(NodeId, KeywordId), Opt2Trees>,
+    reach: Family<KeywordId, Tree>,
+    /// Greedy's forward `τ` trees, keyed by source.
+    forward: Family<NodeId, Tree>,
     /// Per-dataset landmark (ALT) vectors: a singleton, so no LRU slot.
     landmarks: Option<Arc<Landmarks>>,
-    stats: CacheStats,
+    /// The [`CacheStats`] counters no single family owns.
+    evictions: u64,
+    trees_built: u64,
+    landmark_trees_built: u64,
+    invalidated: u64,
+    retained: u64,
 }
 
 impl Inner {
@@ -285,8 +392,8 @@ impl Inner {
 ///
 /// See the module documentation for the design. One cache per
 /// dataset is meant to be shared by reference across worker threads;
-/// [`crate::KorEngine`] owns one and threads it through every label
-/// search automatically.
+/// [`crate::KorEngine`] owns one and threads it through every search
+/// automatically.
 pub struct PreprocessCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -297,11 +404,11 @@ impl std::fmt::Debug for PreprocessCache {
         let inner = self.inner.lock().unwrap();
         f.debug_struct("PreprocessCache")
             .field("capacity", &self.capacity)
-            .field("contexts", &inner.contexts.len())
-            .field("opt2", &inner.opt2.len())
-            .field("reach", &inner.reach.len())
+            .field("contexts", &inner.contexts.slots.len())
+            .field("opt2", &inner.opt2.slots.len())
+            .field("reach", &inner.reach.slots.len())
+            .field("forward", &inner.forward.slots.len())
             .field("landmarks", &inner.landmarks.is_some())
-            .field("stats", &inner.stats)
             .finish()
     }
 }
@@ -313,7 +420,7 @@ impl Default for PreprocessCache {
 }
 
 impl PreprocessCache {
-    /// Default number of targets (and Opt-2 pairs) kept warm.
+    /// Default number of entries kept warm per tree family.
     pub const DEFAULT_CAPACITY: usize = 128;
 
     /// A cache with [`Self::DEFAULT_CAPACITY`].
@@ -321,8 +428,9 @@ impl PreprocessCache {
         Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// A cache holding at most `capacity` query contexts and `capacity`
-    /// Opt-2 tree pairs (each map is capped independently).
+    /// A cache holding at most `capacity` entries in each tree family
+    /// (query contexts, Opt-2 pairs, reach trees and forward trees are
+    /// capped independently).
     ///
     /// # Panics
     ///
@@ -335,57 +443,75 @@ impl PreprocessCache {
             inner: Mutex::new(Inner {
                 tick: 0,
                 graph_shape: None,
-                contexts: HashMap::new(),
-                opt2: HashMap::new(),
-                reach: HashMap::new(),
+                contexts: Family::new(),
+                opt2: Family::new(),
+                reach: Family::new(),
+                forward: Family::new(),
                 landmarks: None,
-                stats: CacheStats::default(),
+                evictions: 0,
+                trees_built: 0,
+                landmark_trees_built: 0,
+                invalidated: 0,
+                retained: 0,
             }),
         }
     }
 
-    /// The configured per-map entry cap.
+    /// The configured per-family entry cap.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// The to-target context for `target`, built on first use.
+    /// The one lookup-or-build routine every tree family runs through.
     ///
-    /// Returns the shared context and whether this lookup was a hit.
-    /// Tree construction happens outside the cache lock; when two
-    /// threads miss the same target concurrently, the first insert wins
-    /// and the loser's build is discarded (both count as misses).
+    /// Looks `key` up in the family `select` picks and returns the
+    /// shared entry and whether this lookup was a hit. On a miss the
+    /// entry is built *outside* the lock; when two threads miss the
+    /// same key concurrently, the first insert wins and the loser adopts
+    /// it and drops its own build (both count as misses). The family's
+    /// least-recently-used overflow is then evicted. `trees` is what one
+    /// build adds to `trees_built`.
     ///
     /// # Panics
     ///
     /// If `graph` differs in shape from the graph this cache served
     /// first — one cache serves exactly one dataset.
-    pub fn context(&self, graph: &Graph, target: NodeId) -> (Arc<QueryContext>, bool) {
+    fn lookup_or_build<K: Hash + Eq + Copy, T>(
+        &self,
+        graph: &Graph,
+        select: fn(&mut Inner) -> &mut Family<K, T>,
+        key: K,
+        trees: u64,
+        build: impl FnOnce() -> (T, TreeStamp),
+    ) -> (Arc<T>, bool) {
         {
-            let mut inner = self.inner.lock().unwrap();
+            let mut guard = self.inner.lock().unwrap();
+            let inner = &mut *guard;
             inner.check_graph(graph);
             let tick = inner.next_tick();
-            if let Some(slot) = inner.contexts.get_mut(&target) {
+            let family = select(inner);
+            if let Some(slot) = family.slots.get_mut(&key) {
                 slot.last_used = tick;
-                let value = slot.value.clone();
-                inner.stats.ctx_hits += 1;
-                return (value, true);
+                family.hits += 1;
+                return (slot.value.clone(), true);
             }
         }
-        let built = Arc::new(QueryContext::new(graph, target));
-        let stamp = Arc::new(TreeStamp::from_context(&built, graph.node_count()));
-        let mut inner = self.inner.lock().unwrap();
+        let (value, stamp) = build();
+        let (built, stamp) = (Arc::new(value), Arc::new(stamp));
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         let tick = inner.next_tick();
-        inner.stats.ctx_misses += 1;
-        inner.stats.trees_built += 2;
-        let value = match inner.contexts.entry(target) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+        inner.trees_built += trees;
+        let family = select(inner);
+        family.misses += 1;
+        let value = match family.slots.entry(key) {
+            Entry::Occupied(mut e) => {
                 // A concurrent miss inserted first; converge on its trees
                 // so every holder shares one allocation.
                 e.get_mut().last_used = tick;
                 e.get().value.clone()
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(Slot {
                     value: built.clone(),
                     stamp,
@@ -394,9 +520,31 @@ impl PreprocessCache {
                 built
             }
         };
-        let evicted = evict_lru(&mut inner.contexts, self.capacity);
-        inner.stats.evictions += evicted;
+        let evicted = family.evict_lru(self.capacity);
+        inner.evictions += evicted;
         (value, false)
+    }
+
+    /// The to-target context for `target`, built on first use.
+    ///
+    /// Returns the shared context and whether this lookup was a hit.
+    ///
+    /// # Panics
+    ///
+    /// If `graph` differs in shape from the graph this cache served
+    /// first — one cache serves exactly one dataset.
+    pub fn context(&self, graph: &Graph, target: NodeId) -> (Arc<QueryContext>, bool) {
+        self.lookup_or_build(
+            graph,
+            |i| &mut i.contexts,
+            target,
+            2,
+            || {
+                let ctx = QueryContext::new(graph, target);
+                let stamp = TreeStamp::from_context(&ctx, graph.node_count());
+                (ctx, stamp)
+            },
+        )
     }
 
     /// The Opt-2 bound-tree pair for `(target, kw)`, built on first use
@@ -404,8 +552,7 @@ impl PreprocessCache {
     ///
     /// # Panics
     ///
-    /// If `graph` differs in shape from the graph this cache served
-    /// first — one cache serves exactly one dataset.
+    /// As [`Self::context`].
     pub fn opt2_trees(
         &self,
         graph: &Graph,
@@ -414,46 +561,22 @@ impl PreprocessCache {
         kw: KeywordId,
     ) -> (Arc<Opt2Trees>, bool) {
         let key = (ctx.target(), kw);
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.check_graph(graph);
-            let tick = inner.next_tick();
-            if let Some(slot) = inner.opt2.get_mut(&key) {
-                slot.last_used = tick;
-                let value = slot.value.clone();
-                inner.stats.opt2_hits += 1;
-                return (value, true);
-            }
-        }
-        let built = Arc::new(build_opt2_trees(graph, index, ctx, kw));
-        let n = graph.node_count();
-        // The context stamp provably covers the Opt-2 dependencies (see
-        // `TreeStamp`); union the pair's own reachability anyway.
-        let mut stamp = TreeStamp::from_context(ctx, n);
-        stamp.union_tree(&built.obj_bound, n);
-        stamp.union_tree(&built.bud_bound, n);
-        let stamp = Arc::new(stamp);
-        let mut inner = self.inner.lock().unwrap();
-        let tick = inner.next_tick();
-        inner.stats.opt2_misses += 1;
-        inner.stats.trees_built += 2;
-        let value = match inner.opt2.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().last_used = tick;
-                e.get().value.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Slot {
-                    value: built.clone(),
-                    stamp,
-                    last_used: tick,
-                });
-                built
-            }
-        };
-        let evicted = evict_lru(&mut inner.opt2, self.capacity);
-        inner.stats.evictions += evicted;
-        (value, false)
+        self.lookup_or_build(
+            graph,
+            |i| &mut i.opt2,
+            key,
+            2,
+            || {
+                let trees = build_opt2_trees(graph, index, ctx, kw);
+                let n = graph.node_count();
+                // The context stamp provably covers the Opt-2 dependencies
+                // (see `TreeStamp`); union the pair's own reachability anyway.
+                let mut stamp = TreeStamp::from_context(ctx, n);
+                stamp.union_tree(&trees.obj_bound, n);
+                stamp.union_tree(&trees.bud_bound, n);
+                (trees, stamp)
+            },
+        )
     }
 
     /// The Optimization-Strategy-1 reach tree for `kw`, built on first
@@ -462,51 +585,50 @@ impl PreprocessCache {
     ///
     /// # Panics
     ///
-    /// If `graph` differs in shape from the graph this cache served
-    /// first — one cache serves exactly one dataset.
+    /// As [`Self::context`].
     pub fn reach_tree(
         &self,
         graph: &Graph,
         kw: KeywordId,
         postings: &[NodeId],
     ) -> (Arc<Tree>, bool) {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.check_graph(graph);
-            let tick = inner.next_tick();
-            if let Some(slot) = inner.reach.get_mut(&kw) {
-                slot.last_used = tick;
-                let value = slot.value.clone();
-                inner.stats.reach_hits += 1;
-                return (value, true);
-            }
-        }
-        let built = Arc::new(KeywordReach::build_tree(graph, postings));
-        let n = graph.node_count();
-        let mut stamp = TreeStamp::for_nodes(n);
-        stamp.union_tree(&built, n);
-        let stamp = Arc::new(stamp);
-        let mut inner = self.inner.lock().unwrap();
-        let tick = inner.next_tick();
-        inner.stats.reach_misses += 1;
-        inner.stats.trees_built += 1;
-        let value = match inner.reach.entry(kw) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().last_used = tick;
-                e.get().value.clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Slot {
-                    value: built.clone(),
-                    stamp,
-                    last_used: tick,
-                });
-                built
-            }
-        };
-        let evicted = evict_lru(&mut inner.reach, self.capacity);
-        inner.stats.evictions += evicted;
-        (value, false)
+        self.lookup_or_build(
+            graph,
+            |i| &mut i.reach,
+            kw,
+            1,
+            || {
+                let tree = KeywordReach::build_tree(graph, postings);
+                let stamp = TreeStamp::of_tree(&tree, graph.node_count());
+                (tree, stamp)
+            },
+        )
+    }
+
+    /// Greedy's forward `τ` tree from `source` — the minimum-objective
+    /// paths `τ_{source,j}` to every node `j` — built on first use.
+    ///
+    /// Forward trees stay out of the label-search counters
+    /// (`trees_built`, the hit rate, `invalidated`, `retained`); they
+    /// count in `evictions` like every family, in
+    /// [`Self::forward_entries`], and in a [`MutationReport`]'s
+    /// `pair_trees_*`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::context`].
+    pub fn forward_tree(&self, graph: &Graph, source: NodeId) -> (Arc<Tree>, bool) {
+        self.lookup_or_build(
+            graph,
+            |i| &mut i.forward,
+            source,
+            0,
+            || {
+                let tree = forward_tree(graph, Metric::Objective, source);
+                let stamp = TreeStamp::of_tree(&tree, graph.node_count());
+                (tree, stamp)
+            },
+        )
     }
 
     /// The per-dataset landmark (ALT) distance vectors, built lazily on
@@ -515,8 +637,7 @@ impl PreprocessCache {
     ///
     /// # Panics
     ///
-    /// If `graph` differs in shape from the graph this cache served
-    /// first — one cache serves exactly one dataset.
+    /// As [`Self::context`].
     pub fn landmarks(&self, graph: &Graph) -> (Arc<Landmarks>, bool) {
         {
             let mut inner = self.inner.lock().unwrap();
@@ -527,7 +648,7 @@ impl PreprocessCache {
         }
         let built = Arc::new(Landmarks::build(graph, kor_apsp::DEFAULT_LANDMARKS));
         let mut inner = self.inner.lock().unwrap();
-        inner.stats.landmark_trees_built += 4 * built.len() as u64;
+        inner.landmark_trees_built += 4 * built.len() as u64;
         // Converge on a concurrent build if one landed first.
         let value = inner.landmarks.get_or_insert(built).clone();
         (value, false)
@@ -535,135 +656,124 @@ impl PreprocessCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats
+        let inner = self.inner.lock().unwrap();
+        CacheStats {
+            ctx_hits: inner.contexts.hits,
+            ctx_misses: inner.contexts.misses,
+            opt2_hits: inner.opt2.hits,
+            opt2_misses: inner.opt2.misses,
+            reach_hits: inner.reach.hits,
+            reach_misses: inner.reach.misses,
+            evictions: inner.evictions,
+            trees_built: inner.trees_built,
+            landmark_trees_built: inner.landmark_trees_built,
+            invalidated: inner.invalidated,
+            retained: inner.retained,
+        }
     }
 
     /// Number of query contexts currently cached.
     pub fn context_entries(&self) -> usize {
-        self.inner.lock().unwrap().contexts.len()
+        self.inner.lock().unwrap().contexts.slots.len()
     }
 
     /// Number of Opt-2 tree pairs currently cached.
     pub fn opt2_entries(&self) -> usize {
-        self.inner.lock().unwrap().opt2.len()
+        self.inner.lock().unwrap().opt2.slots.len()
+    }
+
+    /// Number of greedy forward trees currently cached.
+    pub fn forward_entries(&self) -> usize {
+        self.inner.lock().unwrap().forward.slots.len()
     }
 
     /// Targets of the currently cached query contexts, sorted (for
     /// instrumentation and the mutation property tests).
     pub fn cached_context_targets(&self) -> Vec<NodeId> {
         let inner = self.inner.lock().unwrap();
-        let mut out: Vec<NodeId> = inner.contexts.keys().copied().collect();
+        let mut out: Vec<NodeId> = inner.contexts.slots.keys().copied().collect();
         out.sort_by_key(|v| v.0);
         out
     }
 
-    /// Incremental invalidation: rebinds the cache to a mutated graph,
-    /// carrying over every entry whose stamp avoids all changed edge
-    /// heads and evicting the rest.
+    /// Incremental invalidation: rebinds the cache to `new_graph`, the
+    /// graph `mutations` produced, carrying over every entry whose stamp
+    /// avoids all changed edges and evicting the rest.
     ///
-    /// `changed_heads` must hold the `to` node of every mutation in the
-    /// batch. Soundness: a backward tree changes only if a mutated edge
-    /// was scanned, i.e. only if that edge's head is in the tree
-    /// family's stamp — including *reopened* edges, whose head cannot
-    /// create new paths to the target unless it already reached it.
-    /// Carried entries are bit-for-bit what a cold build on the mutated
-    /// graph would produce (see [`TreeStamp`]).
+    /// Soundness: a backward tree (contexts, Opt-2 pairs, reach trees)
+    /// changes only if a mutated edge was scanned, i.e. only if that
+    /// edge's *head* is in its stamp — including *reopened* edges, whose
+    /// head cannot create new paths to the target unless it already
+    /// reached it. A forward tree changes only if a mutated edge's
+    /// *tail* is among the nodes it reached; a reopened edge adds paths
+    /// only below its tail, so the same test covers it. Carried entries
+    /// are bit-for-bit what a cold build on the mutated graph would
+    /// produce (see [`TreeStamp`]). The new graph must have the same
+    /// node count as the old one.
     ///
     /// The returned cache is pinned to the mutated graph's shape and
     /// carries the cumulative counters forward, with `invalidated` /
-    /// `retained` updated. `self` is left untouched, still answering
+    /// `retained` updated. The report carries `new_graph`'s epoch and
+    /// the per-family counts. `self` is left untouched, still answering
     /// for the old graph.
     pub fn carry_over(
         &self,
         new_graph: &Graph,
-        changed_heads: &[NodeId],
-    ) -> (PreprocessCache, InvalidationCounts) {
+        mutations: &[EdgeMutation],
+    ) -> (PreprocessCache, MutationReport) {
+        let heads: Vec<NodeId> = mutations.iter().map(|m| m.to).collect();
+        let tails: Vec<NodeId> = mutations.iter().map(|m| m.from).collect();
         let inner = self.inner.lock().unwrap();
-        let mut counts = InvalidationCounts::default();
-        let mut contexts = HashMap::with_capacity(inner.contexts.len());
-        for (&target, slot) in &inner.contexts {
-            if slot.stamp.touches_any(changed_heads) {
-                counts.contexts_evicted += 1;
-            } else {
-                counts.contexts_retained += 1;
-                contexts.insert(
-                    target,
-                    Slot {
-                        value: slot.value.clone(),
-                        stamp: slot.stamp.clone(),
-                        last_used: slot.last_used,
-                    },
-                );
-            }
-        }
-        let mut opt2 = HashMap::with_capacity(inner.opt2.len());
-        for (&key, slot) in &inner.opt2 {
-            if slot.stamp.touches_any(changed_heads) {
-                counts.opt2_evicted += 1;
-            } else {
-                counts.opt2_retained += 1;
-                opt2.insert(
-                    key,
-                    Slot {
-                        value: slot.value.clone(),
-                        stamp: slot.stamp.clone(),
-                        last_used: slot.last_used,
-                    },
-                );
-            }
-        }
-        let mut reach = HashMap::with_capacity(inner.reach.len());
-        for (&key, slot) in &inner.reach {
-            if slot.stamp.touches_any(changed_heads) {
-                counts.reach_evicted += 1;
-            } else {
-                counts.reach_retained += 1;
-                reach.insert(
-                    key,
-                    Slot {
-                        value: slot.value.clone(),
-                        stamp: slot.stamp.clone(),
-                        last_used: slot.last_used,
-                    },
-                );
-            }
-        }
-        let mut stats = inner.stats;
-        stats.invalidated +=
-            (counts.contexts_evicted + counts.opt2_evicted + counts.reach_evicted) as u64;
-        stats.retained +=
-            (counts.contexts_retained + counts.opt2_retained + counts.reach_retained) as u64;
+        let (contexts, contexts_retained, contexts_evicted) = inner.contexts.carry_over(&heads);
+        let (opt2, opt2_retained, opt2_evicted) = inner.opt2.carry_over(&heads);
+        let (reach, reach_retained, reach_evicted) = inner.reach.carry_over(&heads);
+        let (forward, pair_trees_retained, pair_trees_evicted) = inner.forward.carry_over(&tails);
+        let report = MutationReport {
+            epoch: new_graph.epoch(),
+            contexts_retained,
+            contexts_evicted,
+            opt2_retained,
+            opt2_evicted,
+            reach_retained,
+            reach_evicted,
+            pair_trees_retained,
+            pair_trees_evicted,
+        };
+        let mut next = Inner {
+            tick: inner.tick,
+            graph_shape: Some((new_graph.node_count(), new_graph.edge_count())),
+            contexts,
+            opt2,
+            reach,
+            forward,
+            // Landmark vectors are distance tables over the *old*
+            // weights: any carried entry could overestimate a shortened
+            // distance and silently break admissibility, so the
+            // singleton is always dropped and lazily rebuilt.
+            landmarks: None,
+            evictions: inner.evictions,
+            trees_built: inner.trees_built,
+            landmark_trees_built: inner.landmark_trees_built,
+            invalidated: inner.invalidated
+                + (contexts_evicted + opt2_evicted + reach_evicted) as u64,
+            retained: inner.retained + (contexts_retained + opt2_retained + reach_retained) as u64,
+        };
         // Counter exclusivity (`evictions` vs `invalidated`): stamped
         // entries were dropped above and counted once, as invalidated;
         // the LRU cap runs only over the surviving entries, so a
-        // stale-and-over-cap entry can never be counted twice. The maps
-        // cannot normally exceed the cap here (carry-over only shrinks
-        // them), but enforcing it keeps the invariant local rather than
-        // depending on every caller's history.
-        for e in [
-            evict_lru(&mut contexts, self.capacity),
-            evict_lru(&mut opt2, self.capacity),
-            evict_lru(&mut reach, self.capacity),
-        ] {
-            stats.evictions += e;
-        }
-        // Landmark vectors are distance tables over the *old* weights:
-        // any carried entry could overestimate a shortened distance and
-        // silently break admissibility, so the singleton is always
-        // dropped and lazily rebuilt on the mutated graph.
+        // stale-and-over-cap entry can never be counted twice. The
+        // families cannot normally exceed the cap here (carry-over only
+        // shrinks them), but enforcing it keeps the invariant local
+        // rather than depending on every caller's history.
+        next.evictions += next.contexts.evict_lru(self.capacity)
+            + next.opt2.evict_lru(self.capacity)
+            + next.reach.evict_lru(self.capacity)
+            + next.forward.evict_lru(self.capacity);
         let cache = PreprocessCache {
             capacity: self.capacity,
-            inner: Mutex::new(Inner {
-                tick: inner.tick,
-                graph_shape: Some((new_graph.node_count(), new_graph.edge_count())),
-                contexts,
-                opt2,
-                reach,
-                landmarks: None,
-                stats,
-            }),
+            inner: Mutex::new(next),
         };
-        (cache, counts)
+        (cache, report)
     }
 
     /// Drops every cached entry (counters are kept). The graph binding
@@ -671,31 +781,13 @@ impl PreprocessCache {
     /// different dataset afterwards.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
-        inner.contexts.clear();
-        inner.opt2.clear();
-        inner.reach.clear();
+        inner.contexts.slots.clear();
+        inner.opt2.slots.clear();
+        inner.reach.slots.clear();
+        inner.forward.slots.clear();
         inner.landmarks = None;
         inner.graph_shape = None;
     }
-}
-
-/// Removes least-recently-used slots until `map` fits `capacity`;
-/// returns how many were evicted.
-fn evict_lru<K: std::hash::Hash + Eq + Copy, T>(
-    map: &mut HashMap<K, Slot<T>>,
-    capacity: usize,
-) -> u64 {
-    let mut evicted = 0;
-    while map.len() > capacity {
-        let oldest = map
-            .iter()
-            .min_by_key(|(_, slot)| slot.last_used)
-            .map(|(&k, _)| k)
-            .expect("map is non-empty");
-        map.remove(&oldest);
-        evicted += 1;
-    }
-    evicted
 }
 
 // Worker threads share one cache per dataset; a regression to
@@ -709,6 +801,11 @@ const _: () = {
 mod tests {
     use super::*;
     use kor_graph::fixtures::{figure1, v};
+
+    /// A batch that changes figure 1's edge `from → to` (weights kept).
+    fn touch(from: NodeId, to: NodeId) -> [EdgeMutation; 1] {
+        [EdgeMutation::scale(from, to, 1.0, 1.0)]
+    }
 
     #[test]
     fn context_is_memoized_and_shared() {
@@ -872,9 +969,9 @@ mod tests {
         cache.context(&g, v(4));
         // Mutation touching v7's tree only: v7 reaches v7, v4's τ tree
         // does not relax head v7 (no path v7 → v4).
-        let (warm, counts) = cache.carry_over(&g, &[v(7)]);
-        assert_eq!(counts.contexts_evicted, 1);
-        assert_eq!(counts.contexts_retained, 1);
+        let (warm, report) = cache.carry_over(&g, &touch(v(4), v(7)));
+        assert_eq!(report.contexts_evicted, 1);
+        assert_eq!(report.contexts_retained, 1);
         let s = warm.stats();
         assert_eq!(s.invalidated, 1, "stamped entry counts as invalidated");
         assert_eq!(s.evictions, 0, "…and never also as an LRU eviction");
@@ -897,12 +994,12 @@ mod tests {
             capacity: 1,
             inner: cache.inner,
         };
-        let (warm, counts) = cache.carry_over(&g, &[v(7)]);
+        let (warm, report) = cache.carry_over(&g, &touch(v(4), v(7)));
         // v7 is in a context's stamp iff v7 reaches that context's
         // target; v7 reaches only itself, so exactly the v7 context is
         // invalidated and the v5/v6 contexts survive the stamp filter.
-        assert_eq!(counts.contexts_evicted, 1);
-        assert_eq!(counts.contexts_retained, 2);
+        assert_eq!(report.contexts_evicted, 1);
+        assert_eq!(report.contexts_retained, 2);
         let s = warm.stats();
         assert_eq!(s.invalidated, 1);
         // Two survivors over a cap of 1: exactly one LRU eviction, and
@@ -933,8 +1030,8 @@ mod tests {
         cache.reach_tree(&g, t(1), index.postings(t(1)));
         // t1's reach tree relaxes nodes that reach {v3, v6}; v1 reaches
         // neither (no out-edges), so a change at head v1 keeps it warm.
-        let (warm, counts) = cache.carry_over(&g, &[v(1)]);
-        assert_eq!((counts.reach_retained, counts.reach_evicted), (1, 0));
+        let (warm, report) = cache.carry_over(&g, &touch(v(3), v(1)));
+        assert_eq!((report.reach_retained, report.reach_evicted), (1, 0));
         let (_, reach_hit) = warm.reach_tree(&g, t(1), index.postings(t(1)));
         assert!(reach_hit, "clean reach tree carried over warm");
         let (_, lm_hit) = warm.landmarks(&g);
@@ -954,5 +1051,83 @@ mod tests {
         // No stale trees remain, so a new dataset is fine.
         let (_, hit) = cache.context(&b, x);
         assert!(!hit);
+    }
+
+    #[test]
+    fn carry_over_keeps_only_trees_that_avoid_changed_tails() {
+        use kor_graph::GraphBuilder;
+
+        // Diamond: s -> a -> t, s -> c -> t.
+        let mut b = GraphBuilder::new();
+        let s = b.add_node(["s"]);
+        let a = b.add_node(["a"]);
+        let c = b.add_node(["c"]);
+        let t = b.add_node(["t"]);
+        b.add_edge(s, a, 1.0, 1.0).unwrap();
+        b.add_edge(s, c, 2.0, 2.0).unwrap();
+        b.add_edge(a, t, 1.0, 1.0).unwrap();
+        b.add_edge(c, t, 1.0, 1.0).unwrap();
+        let g = b.build().unwrap();
+
+        let cache = PreprocessCache::new();
+        cache.forward_tree(&g, s); // reaches tail a -> must evict
+        cache.forward_tree(&g, c); // never sees a -> retained
+        cache.forward_tree(&g, t); // only {t} -> retained
+        assert_eq!(cache.forward_entries(), 3);
+
+        let batch = [EdgeMutation::scale(a, t, 3.0, 1.0)];
+        let g2 = g.apply_mutations(&batch).unwrap();
+        let (warm, report) = cache.carry_over(&g2, &batch);
+        assert_eq!(
+            (report.pair_trees_retained, report.pair_trees_evicted),
+            (2, 1)
+        );
+        assert_eq!(warm.forward_entries(), 2);
+        // Forward trees stay out of the label-search counters.
+        assert_eq!((warm.stats().retained, warm.stats().invalidated), (0, 0));
+
+        // Every tree matches a cold build on the mutated graph, bit for
+        // bit, whether it was carried or rebuilt.
+        for i in g2.nodes() {
+            let (warm_tree, hit) = warm.forward_tree(&g2, i);
+            assert_eq!(hit, i == c || i == t, "only the clean trees stay warm");
+            let cold = forward_tree(&g2, Metric::Objective, i);
+            for j in g2.nodes() {
+                assert_eq!(warm_tree.is_reachable(j), cold.is_reachable(j));
+                assert_eq!(
+                    warm_tree.objective(j).to_bits(),
+                    cold.objective(j).to_bits()
+                );
+                assert_eq!(warm_tree.budget(j).to_bits(), cold.budget(j).to_bits());
+                assert_eq!(warm_tree.walk_from_source(j), cold.walk_from_source(j));
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_forward_trees_stay_within_capacity() {
+        use crate::greedy::GreedyParams;
+        use crate::query::KorQuery;
+        use crate::search::{run, Algo, SearchRequest};
+        use kor_graph::fixtures::t;
+
+        let g = figure1();
+        let index = InvertedIndex::build(&g);
+        let cache = PreprocessCache::with_capacity(2);
+        let request = SearchRequest::new(Algo::Greedy(GreedyParams::default()));
+        for source in g.nodes() {
+            let q = KorQuery::new(&g, source, v(7), vec![t(1), t(2)], 10.0).unwrap();
+            run(&g, &index, &q, &request, Some(&cache)).unwrap();
+            assert!(cache.forward_entries() <= 2);
+        }
+        // Seven sources reach v7 and each greedy run asks for its
+        // source's tree; every build beyond the two kept entries was
+        // evicted. The one context never overflows, so every eviction
+        // is a forward tree's.
+        let built = cache.inner.lock().unwrap().forward.misses;
+        assert!(built >= 7, "{built} forward trees built");
+        assert_eq!(cache.forward_entries(), 2);
+        assert_eq!(cache.stats().evictions, built - 2);
+        assert_eq!(cache.context_entries(), 1);
     }
 }

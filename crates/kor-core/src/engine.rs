@@ -1,13 +1,12 @@
-//! Convenience facade bundling the index and pre-processing caches.
+//! Convenience facade bundling the index and the pre-processing cache.
 
 use std::sync::Arc;
 
-use kor_apsp::CachedPairCosts;
-use kor_graph::{EdgeMutation, Graph, MutationError, NodeId};
+use kor_graph::{EdgeMutation, Graph, MutationError};
 use kor_index::InvertedIndex;
 
 use crate::brute::{brute_force, BruteForceParams};
-use crate::cache::{CacheStats, PreprocessCache};
+use crate::cache::{CacheStats, MutationReport, PreprocessCache};
 use crate::error::KorError;
 use crate::greedy::{GreedyParams, GreedyRoute};
 use crate::params::{BucketBoundParams, OsScalingParams};
@@ -15,11 +14,10 @@ use crate::query::KorQuery;
 use crate::result::SearchResult;
 use crate::search::{self, Algo, SearchOutcome, SearchRequest};
 
-/// One-stop query engine: owns the inverted index, the forward-tree
-/// cache used by the greedy algorithm, and the shared
-/// [`PreprocessCache`] of to-target `τ`/`σ` trees and Opt-2 bounds,
-/// mirroring the paper's setup where the index and pre-processing are
-/// built once per dataset.
+/// One-stop query engine: owns the inverted index and the shared
+/// [`PreprocessCache`] of to-target `τ`/`σ` trees, Opt-2 bounds, keyword
+/// reach trees and greedy's forward `τ` trees, mirroring the paper's
+/// setup where the index and pre-processing are built once per dataset.
 ///
 /// Every search goes through [`KorEngine::search`] and runs on the warm
 /// path automatically: repeat queries against a cached target skip all
@@ -37,52 +35,14 @@ use crate::search::{self, Algo, SearchOutcome, SearchRequest};
 ///
 /// Either way the engine is `Send + Sync` (asserted at compile time
 /// below): the graph and index are immutable after construction, and the
-/// only interior mutability — the memoized forward trees in
-/// [`CachedPairCosts`] — sits behind a `Mutex`. One engine per dataset is
+/// only interior mutability — the memoized trees in the
+/// [`PreprocessCache`] — sits behind a `Mutex`. One engine per dataset is
 /// meant to be shared by reference (or `Arc`) across any number of
 /// worker threads; queries never require `&mut self`.
 pub struct KorEngine<G> {
     graph: G,
     index: InvertedIndex,
-    pairs: CachedPairCosts<G>,
     prep: PreprocessCache,
-}
-
-/// What one [`KorEngine::apply_edge_mutations`] call did to the warm
-/// state: the new graph epoch plus retain/evict counts per cache
-/// family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MutationReport {
-    /// Epoch of the mutated graph (old epoch + 1).
-    pub epoch: u64,
-    /// Query contexts carried over warm.
-    pub contexts_retained: usize,
-    /// Query contexts evicted by incremental invalidation.
-    pub contexts_evicted: usize,
-    /// Opt-2 tree pairs carried over warm.
-    pub opt2_retained: usize,
-    /// Opt-2 tree pairs evicted.
-    pub opt2_evicted: usize,
-    /// Keyword reach trees carried over warm.
-    pub reach_retained: usize,
-    /// Keyword reach trees evicted.
-    pub reach_evicted: usize,
-    /// Greedy forward trees carried over warm.
-    pub pair_trees_retained: usize,
-    /// Greedy forward trees evicted.
-    pub pair_trees_evicted: usize,
-}
-
-impl MutationReport {
-    /// Total entries (all families) that survived the batch warm.
-    pub fn total_retained(&self) -> usize {
-        self.contexts_retained + self.opt2_retained + self.reach_retained + self.pair_trees_retained
-    }
-
-    /// Total entries (all families) evicted by the batch.
-    pub fn total_evicted(&self) -> usize {
-        self.contexts_evicted + self.opt2_evicted + self.reach_evicted + self.pair_trees_evicted
-    }
 }
 
 // The whole point of the engine is warm reuse across worker threads;
@@ -95,25 +55,21 @@ const _: () = {
     assert_send_sync::<KorEngine<&Graph>>();
 };
 
-impl<G: AsRef<Graph> + Clone> KorEngine<G> {
+impl<G: AsRef<Graph>> KorEngine<G> {
     /// Builds the engine (indexes the graph's keywords) with the default
-    /// pre-processing cache capacity. Only construction needs `Clone` —
-    /// the handle is duplicated into the pair-cost cache; querying is
-    /// bound-free beyond `AsRef<Graph>`.
+    /// pre-processing cache capacity.
     pub fn new(graph: G) -> Self {
         Self::with_cache_capacity(graph, PreprocessCache::DEFAULT_CAPACITY)
     }
 
     /// [`Self::new`] with an explicit pre-processing cache capacity (the
-    /// number of warm targets / Opt-2 pairs kept; each entry holds two
-    /// `O(|V|)` trees). Must be ≥ 1.
+    /// number of entries kept per tree family; each entry holds one or
+    /// two `O(|V|)` trees). Must be ≥ 1.
     pub fn with_cache_capacity(graph: G, cache_capacity: usize) -> Self {
         let index = InvertedIndex::build(graph.as_ref());
-        let pairs = CachedPairCosts::new(graph.clone());
         Self {
             graph,
             index,
-            pairs,
             prep: PreprocessCache::with_capacity(cache_capacity),
         }
     }
@@ -142,32 +98,14 @@ impl KorEngine<Arc<Graph>> {
         mutations: &[EdgeMutation],
     ) -> Result<(KorEngine<Arc<Graph>>, MutationReport), MutationError> {
         let new_graph = Arc::new(self.graph().apply_mutations(mutations)?);
-        // Backward (to-target) trees depend on edges whose head they
-        // relaxed; forward trees on edges whose tail they reached.
-        let heads: Vec<NodeId> = mutations.iter().map(|m| m.to).collect();
-        let tails: Vec<NodeId> = mutations.iter().map(|m| m.from).collect();
-        let (pairs, pair_trees_retained, pair_trees_evicted) =
-            self.pairs.carry_over(new_graph.clone(), &tails);
-        let (prep, counts) = self.prep.carry_over(&new_graph, &heads);
+        let (prep, report) = self.prep.carry_over(&new_graph, mutations);
         // Keywords are untouched by edge mutations; rebuilding the
         // index on the new graph is deterministic and identical.
         let index = InvertedIndex::build(&new_graph);
-        let report = MutationReport {
-            epoch: new_graph.epoch(),
-            contexts_retained: counts.contexts_retained,
-            contexts_evicted: counts.contexts_evicted,
-            opt2_retained: counts.opt2_retained,
-            opt2_evicted: counts.opt2_evicted,
-            reach_retained: counts.reach_retained,
-            reach_evicted: counts.reach_evicted,
-            pair_trees_retained,
-            pair_trees_evicted,
-        };
         Ok((
             KorEngine {
                 graph: new_graph,
                 index,
-                pairs,
                 prep,
             },
             report,
@@ -186,14 +124,14 @@ impl<G: AsRef<Graph>> KorEngine<G> {
         &self.index
     }
 
-    /// Number of forward trees memoized so far by the greedy algorithm's
-    /// pair-cost cache (instrumentation for long-lived services).
+    /// Number of greedy forward trees currently cached (instrumentation
+    /// for long-lived services; at most the cache capacity).
     pub fn cached_tree_count(&self) -> usize {
-        self.pairs.cached_tree_count()
+        self.prep.forward_entries()
     }
 
-    /// The shared pre-processing cache (to-target contexts and Opt-2
-    /// bound trees) this engine's queries run against.
+    /// The shared pre-processing cache this engine's queries run
+    /// against.
     pub fn preprocess_cache(&self) -> &PreprocessCache {
         &self.prep
     }
@@ -216,14 +154,7 @@ impl<G: AsRef<Graph>> KorEngine<G> {
         query: &KorQuery,
         request: &SearchRequest,
     ) -> Result<SearchOutcome, KorError> {
-        search::run(
-            self.graph(),
-            &self.index,
-            &self.pairs,
-            query,
-            request,
-            Some(&self.prep),
-        )
+        search::run(self.graph(), &self.index, query, request, Some(&self.prep))
     }
 
     /// `OSScaling` (Algorithm 1): [`Self::search`] with `k = 1`.
@@ -411,8 +342,8 @@ mod tests {
         assert_eq!(report.contexts_retained, 1);
         // Greedy's forward tree from v0 reaches tail v4 -> evicted.
         assert!(report.pair_trees_evicted >= 1);
-        // The prep-cache counters cover contexts + Opt-2 + reach trees
-        // (the greedy forward trees live in CachedPairCosts, not here).
+        // `retained`/`invalidated` cover the label-search families
+        // only; greedy's forward trees are reported as `pair_trees_*`.
         let stats = warm.preprocess_stats();
         assert_eq!(
             stats.retained,

@@ -15,7 +15,9 @@
 //! **budget-first** variant (end of §3.4) never overruns the budget but
 //! may leave keywords uncovered. Neither carries a performance guarantee.
 
-use kor_apsp::{PairCosts, QueryContext};
+use std::sync::Arc;
+
+use kor_apsp::{QueryContext, Tree};
 use kor_graph::{Graph, NodeId, Route};
 use kor_index::InvertedIndex;
 
@@ -117,23 +119,28 @@ struct State {
 /// Runs the greedy heuristic. Returns `Ok(None)` when the heuristic gets
 /// stuck (target unreachable or no admissible candidate), which the paper
 /// reports as a failed query. A supplied `cache` serves the to-target
-/// backward tree pair.
+/// backward tree pair and the forward trees from each waypoint.
 pub(crate) fn greedy_search(
     graph: &Graph,
     index: &InvertedIndex,
-    pairs: &impl PairCosts,
     query: &KorQuery,
     params: &GreedyParams,
     cache: Option<&PreprocessCache>,
 ) -> Result<Option<GreedyRoute>, KorError> {
     params.validate()?;
-    // All "to target" τ costs come from one backward tree; `pairs` only
-    // answers the source-repeating "from the current node" legs. A
-    // supplied cache makes repeat targets skip the two Dijkstras.
-    let ctx = match cache {
-        Some(cache) => cache.context(graph, query.target).0,
-        None => std::sync::Arc::new(QueryContext::new(graph, query.target)),
+    // Without a shared cache, a scratch one that never evicts holds this
+    // call's trees, so each is still built at most once.
+    let scratch;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            scratch = PreprocessCache::with_capacity(usize::MAX);
+            &scratch
+        }
     };
+    // All "to target" τ costs come from one backward tree; the forward
+    // trees only answer the "from the current waypoint" legs.
+    let (ctx, _) = cache.context(graph, query.target);
     if !ctx.reaches_target(query.source) {
         return Ok(None);
     }
@@ -147,7 +154,7 @@ pub(crate) fn greedy_search(
     explore(
         graph,
         index,
-        pairs,
+        cache,
         &ctx,
         query,
         params,
@@ -162,7 +169,7 @@ pub(crate) fn greedy_search(
             .then_with(|| a.objective.total_cmp(&b.objective))
             .then_with(|| a.budget.total_cmp(&b.budget))
     });
-    Ok(best.and_then(|s| materialize(graph, pairs, &ctx, query, &s)))
+    Ok(best.and_then(|s| materialize(graph, cache, &ctx, query, &s)))
 }
 
 /// Rank 0: feasible; 1: covers keywords only; 2: within budget only;
@@ -182,7 +189,7 @@ fn rank(query: &KorQuery, s: &State) -> u8 {
 fn explore(
     graph: &Graph,
     index: &InvertedIndex,
-    pairs: &impl PairCosts,
+    cache: &PreprocessCache,
     ctx: &QueryContext,
     query: &KorQuery,
     params: &GreedyParams,
@@ -195,26 +202,30 @@ fn explore(
         return;
     }
     // Candidate nodes: all locations holding an uncovered query keyword
-    // (Algorithm 3 lines 3–5), scored by Equation 1.
+    // (Algorithm 3 lines 3–5), scored by Equation 1. The `τ` legs from
+    // `cur` come from one forward tree, fetched on the first candidate.
+    let mut legs: Option<Arc<Tree>> = None;
     let mut scored: Vec<(f64, NodeId, f64, f64)> = Vec::new();
     for (_, kw) in query.keywords.uncovered(state.mask) {
         for &j in index.postings(kw) {
             if scored.iter().any(|&(_, n, _, _)| n == j) {
                 continue;
             }
-            let Some(leg) = pairs.tau(cur, j) else {
+            let legs = legs.get_or_insert_with(|| cache.forward_tree(graph, cur).0);
+            if !legs.is_reachable(j) {
                 continue;
-            };
+            }
             let Some(finish) = ctx.tau_to_target(j) else {
                 continue;
             };
-            let total_bud = state.budget + leg.budget + finish.budget;
+            let (leg_obj, leg_bud) = (legs.objective(j), legs.budget(j));
+            let total_bud = state.budget + leg_bud + finish.budget;
             if params.mode == GreedyMode::BudgetFirst && total_bud > query.budget {
                 continue;
             }
-            let total_obj = state.objective + leg.objective + finish.objective;
+            let total_obj = state.objective + leg_obj + finish.objective;
             let score = params.alpha * total_obj + (1.0 - params.alpha) * total_bud;
-            scored.push((score, j, leg.objective, leg.budget));
+            scored.push((score, j, leg_obj, leg_bud));
         }
     }
     if scored.is_empty() {
@@ -230,7 +241,7 @@ fn explore(
         next.mask |= query.keywords.mask_of(graph.keywords(j));
         next.objective += leg_obj;
         next.budget += leg_bud;
-        explore(graph, index, pairs, ctx, query, params, next, complete);
+        explore(graph, index, cache, ctx, query, params, next, complete);
     }
 }
 
@@ -262,7 +273,7 @@ fn finalize(
 /// route and re-derives exact scores and coverage from the graph.
 fn materialize(
     graph: &Graph,
-    pairs: &impl PairCosts,
+    cache: &PreprocessCache,
     ctx: &QueryContext,
     query: &KorQuery,
     state: &State,
@@ -275,7 +286,8 @@ fn materialize(
         let leg = if i + 2 == n {
             ctx.tau_route(w[0])?.nodes().to_vec()
         } else {
-            pairs.tau_path(w[0], w[1])?
+            let (tree, _) = cache.forward_tree(graph, w[0]);
+            tree.walk_from_source(w[1])?
         };
         route.extend_with(&Route::new(leg));
     }
@@ -295,7 +307,6 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kor_apsp::CachedPairCosts;
     use kor_graph::fixtures::{figure1, t, v};
 
     fn setup() -> (Graph, InvertedIndex) {
@@ -310,8 +321,7 @@ mod tests {
         q: &KorQuery,
         params: &GreedyParams,
     ) -> Option<GreedyRoute> {
-        let pairs = CachedPairCosts::new(g);
-        greedy_search(g, idx, &pairs, q, params, None).unwrap()
+        greedy_search(g, idx, q, params, None).unwrap()
     }
 
     #[test]
@@ -429,12 +439,10 @@ mod tests {
     fn invalid_params_rejected() {
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1)], 10.0).unwrap();
-        let pairs = CachedPairCosts::new(&g);
         assert!(matches!(
             greedy_search(
                 &g,
                 &idx,
-                &pairs,
                 &q,
                 &GreedyParams {
                     alpha: 1.5,
@@ -448,7 +456,6 @@ mod tests {
             greedy_search(
                 &g,
                 &idx,
-                &pairs,
                 &q,
                 &GreedyParams {
                     beam_width: 0,

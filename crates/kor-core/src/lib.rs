@@ -65,9 +65,9 @@ mod search;
 mod stats;
 
 pub use brute::{brute_force, BruteForceParams};
-pub use cache::{CacheStats, InvalidationCounts, Opt2Trees, PreprocessCache, TreeStamp};
+pub use cache::{CacheStats, MutationReport, Opt2Trees, PreprocessCache, TreeStamp};
 pub use dominance::{DomMode, LabelStore};
-pub use engine::{KorEngine, MutationReport};
+pub use engine::KorEngine;
 pub use error::KorError;
 pub use greedy::{GreedyMode, GreedyParams, GreedyRoute};
 pub use label::{Label, LabelArena, LabelSnapshot, NO_LABEL};

@@ -12,7 +12,6 @@
 
 use std::time::Instant;
 
-use kor_apsp::{CachedPairCosts, PairCosts};
 use kor_graph::Graph;
 use kor_index::InvertedIndex;
 
@@ -111,7 +110,7 @@ impl Algo {
     }
 
     /// Whether the algorithm can answer on a shard subgraph: the label
-    /// searches can; greedy cannot, because its pair-cost trees consult
+    /// searches can; greedy cannot, because its forward `τ` trees consult
     /// paths that may cross shards even when the final route would not.
     pub fn runs_shard_locally(&self) -> bool {
         !matches!(self, Algo::Greedy(_))
@@ -239,7 +238,7 @@ impl From<SearchOutcome> for SearchResult {
 
 /// Runs `request` with no warm state: every backward tree is rebuilt,
 /// no landmark bounds are consulted, keyword reach is computed in one
-/// combined pass, and greedy gets a fresh pair-cost cache. Answers are
+/// combined pass, and greedy builds each forward tree once. Answers are
 /// byte-identical to [`crate::KorEngine::search`]; this is the reference
 /// path the warm ≡ cold checks compare against.
 ///
@@ -252,21 +251,13 @@ pub fn search_uncached(
     query: &KorQuery,
     request: &SearchRequest,
 ) -> Result<SearchOutcome, KorError> {
-    run(
-        graph,
-        index,
-        &CachedPairCosts::new(graph),
-        query,
-        request,
-        None,
-    )
+    run(graph, index, query, request, None)
 }
 
 /// Validates `request` and dispatches it to its algorithm.
 pub(crate) fn run(
     graph: &Graph,
     index: &InvertedIndex,
-    pairs: &impl PairCosts,
     query: &KorQuery,
     request: &SearchRequest,
     cache: Option<&PreprocessCache>,
@@ -295,7 +286,7 @@ pub(crate) fn run(
         }
         Algo::Exact => labels(LabelAlgo::Exact, &OsScalingParams::default()),
         Algo::Greedy(p) => {
-            greedy_search(graph, index, pairs, query, p, cache).map(SearchOutcome::from_greedy)
+            greedy_search(graph, index, query, p, cache).map(SearchOutcome::from_greedy)
         }
     }
 }

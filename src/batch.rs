@@ -2,7 +2,7 @@
 //!
 //! This is the first scale-oriented layer on top of the paper
 //! reproduction: load a dataset once, build the [`KorEngine`] (inverted
-//! index + forward-tree cache) once, then answer a whole
+//! index + pre-processing cache) once, then answer a whole
 //! [`WorkloadConfig`] of KOR queries concurrently and report per-query
 //! latencies plus an aggregate JSON summary — the harness every later
 //! performance PR benchmarks against.
@@ -10,10 +10,9 @@
 //! Parallelism is plain `std::thread::scope` with an atomic work queue:
 //! the build environment vendors no `rayon`, and self-scheduling workers
 //! over a shared `&KorEngine` give the same dynamic load balancing for
-//! this shape of work. The engine's `CachedPairCosts` (used by the
-//! greedy algorithm) is behind a mutex and is shared by all workers, so
-//! forward trees computed for one query are reused by every later query
-//! regardless of which thread runs it.
+//! this shape of work. The engine's `PreprocessCache` is behind a mutex
+//! and is shared by all workers, so trees computed for one query are
+//! reused by every later query regardless of which thread runs it.
 //!
 //! ```no_run
 //! use kor::batch::{run_batch, BatchConfig};
@@ -320,7 +319,7 @@ struct WorkItem {
 
 /// Generate the workload and answer every query in parallel.
 ///
-/// The engine (inverted index + shared `CachedPairCosts`) is built once
+/// The engine (inverted index + shared `PreprocessCache`) is built once
 /// before the parallel section; workers pull queries off an atomic
 /// cursor, so long-running stragglers never idle the other threads.
 pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {

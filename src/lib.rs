@@ -96,10 +96,7 @@ pub mod shard;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use kor_apsp::{
-        CachedPairCosts, DenseApsp, Landmarks, PairCosts, PartitionConfig, PartitionedApsp,
-        QueryContext, DEFAULT_LANDMARKS,
-    };
+    pub use kor_apsp::{DenseApsp, Landmarks, QueryContext, DEFAULT_LANDMARKS};
     pub use kor_core::{
         brute_force, search_uncached, Algo, BruteForceParams, BucketBoundParams, CacheStats,
         GreedyMode, GreedyParams, GreedyRoute, KorEngine, KorError, KorQuery, OsScalingParams,

@@ -166,7 +166,7 @@ impl ShardRouter {
     ///
     /// `local_capable` says whether the caller can answer this query
     /// shard-locally (all label-search algorithms can; the greedy
-    /// heuristic cannot — its pair-cost trees consult paths that may
+    /// heuristic cannot — its forward `τ` trees consult paths that may
     /// cross shards even when the final route would not, so it always
     /// fans out to the fused engine).
     ///

@@ -328,3 +328,40 @@ fn label_searches_pin_answers_and_label_counts() {
     }
     assert_eq!(h, 0xf25e_cfec_60d5_8ca0, "label-search digest {h:#018x}");
 }
+
+#[test]
+fn greedy_pins_answers() {
+    // One digest over every greedy answer on the oracle worlds — route
+    // bits and both constraint flags — cold and then warm, for both beam
+    // widths the paper evaluates and both hard-constraint priorities.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for config in worlds() {
+        let world = generate_world(&config);
+        let graph = &world.graph;
+        let index = InvertedIndex::build(graph);
+        let engine = KorEngine::new(graph);
+        for query in canned_queries(graph, &world.query_sets) {
+            for beam_width in [1, 2] {
+                for mode in [GreedyMode::KeywordsFirst, GreedyMode::BudgetFirst] {
+                    let request = SearchRequest::new(Algo::Greedy(GreedyParams {
+                        beam_width,
+                        mode,
+                        ..GreedyParams::default()
+                    }));
+                    let cold = search_uncached(graph, &index, &query, &request).unwrap();
+                    let warm = engine.search(&query, &request).unwrap();
+                    for outcome in [&cold, &warm] {
+                        fnv1a(&mut h, [outcome.routes.len() as u64]);
+                        for (nodes, objective, budget) in keys(outcome) {
+                            fnv1a(&mut h, [nodes.len() as u64, objective, budget]);
+                            fnv1a(&mut h, nodes.into_iter().map(u64::from));
+                        }
+                        let (covers, within) = outcome.greedy_flags.unwrap_or((false, false));
+                        fnv1a(&mut h, [u64::from(covers), u64::from(within)]);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0x0ed8_be82_8412_b071, "greedy digest {h:#018x}");
+}

@@ -303,37 +303,3 @@ fn graph_io_round_trip_preserves_query_answers() {
         );
     }
 }
-
-#[test]
-fn partitioned_preprocessing_matches_dense_on_road_network() {
-    // The paper's §6 future work: partition-based pre-processing must
-    // produce the same τ/σ scores as the dense matrices.
-    let graph = generate_roadnet(&RoadNetConfig {
-        nodes: 120,
-        area_km: 10.0,
-        vocab_size: 50,
-        seed: 21,
-        ..RoadNetConfig::small()
-    });
-    let dense = DenseApsp::by_dijkstra(&graph);
-    let part = PartitionedApsp::build(&graph, &PartitionConfig::auto(&graph));
-    assert!(part.stored_entries() < 2 * graph.node_count() * graph.node_count());
-    for i in graph.nodes() {
-        for j in graph.nodes() {
-            match (dense.tau(i, j), part.tau_cost(i, j)) {
-                (None, None) => {}
-                (Some(d), Some(p)) => {
-                    assert!((d.objective - p.objective).abs() < 1e-9, "{i}->{j}");
-                }
-                (d, p) => panic!("{i}->{j}: dense {d:?} vs partitioned {p:?}"),
-            }
-            match (dense.sigma(i, j), part.sigma_cost(i, j)) {
-                (None, None) => {}
-                (Some(d), Some(p)) => {
-                    assert!((d.budget - p.budget).abs() < 1e-9, "{i}->{j}");
-                }
-                (d, p) => panic!("{i}->{j}: dense {d:?} vs partitioned {p:?}"),
-            }
-        }
-    }
-}

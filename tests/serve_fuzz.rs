@@ -4,7 +4,8 @@
 //! asserts the server never dies, every well-formed request line gets
 //! exactly one well-formed JSON reply (with its id echoed), and
 //! malformed input yields `parse_error` — not silence, not a dropped
-//! connection.
+//! connection. Fuzzed queries cycle through every algorithm, and no
+//! fuzzed line may make a handler panic.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -52,6 +53,9 @@ struct FuzzLine {
     expect: Expect,
 }
 
+/// The wire names of every search algorithm.
+const ALGOS: [&str; 4] = ["os-scaling", "bucket-bound", "exact", "greedy"];
+
 fn gen_line(rng: &mut StdRng, next_id: &mut u64) -> FuzzLine {
     match rng.gen_range(0..6u32) {
         // Valid query with randomized endpoints/keywords/budget; any
@@ -66,8 +70,11 @@ fn gen_line(rng: &mut StdRng, next_id: &mut u64) -> FuzzLine {
                 .map(|_| format!("\"t{}\"", rng.gen_range(1..6u32)))
                 .collect();
             let budget = rng.gen_range(3..15u32);
+            // Picked by id, so the RNG stream (and every other fuzzed
+            // line) is what it was before queries named an algorithm.
+            let algo = ALGOS[id as usize % ALGOS.len()];
             let line = format!(
-                r#"{{"id":{id},"method":"query","params":{{"from":{from},"to":{to},"keywords":[{}],"budget":{budget}}}}}"#,
+                r#"{{"id":{id},"method":"query","params":{{"from":{from},"to":{to},"keywords":[{}],"budget":{budget},"algo":"{algo}"}}}}"#,
                 kws.join(",")
             );
             FuzzLine {
@@ -222,10 +229,24 @@ fn run_fuzz(seed: u64, connections: usize) {
         .unwrap();
     conn.write_all(b"{\"id\":424242,\"method\":\"health\"}\n")
         .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
     let mut resp = String::new();
-    BufReader::new(conn).read_line(&mut resp).unwrap();
+    reader.read_line(&mut resp).unwrap();
     assert!(resp.contains("\"ok\":true"), "{resp}");
     assert!(resp.contains("424242"), "{resp}");
+
+    // No fuzzed line reached a panic in any handler.
+    conn.write_all(b"{\"id\":424243,\"method\":\"stats\"}\n")
+        .unwrap();
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    let stats = JsonValue::parse(resp.trim_end()).expect("stats reply is JSON");
+    let panics = stats
+        .get("result")
+        .and_then(|r| r.get("server"))
+        .and_then(|s| s.get("panics"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(panics, Some(0), "{resp}");
     handle.shutdown();
 }
 

@@ -19,9 +19,12 @@ use kor::serve::registry::Dataset;
 use kor::serve::{ServeConfig, Server, ServerHandle};
 
 fn start_server() -> (SocketAddr, ServerHandle) {
+    // One worker: the one-shot panic fires on whichever pipelined
+    // request a worker reaches first, so with a single worker that is
+    // always the first line written — the victim query.
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads: 2,
+        threads: 1,
         queue_capacity: 64,
         ..ServeConfig::default()
     })
