@@ -182,7 +182,7 @@ pub fn read_world_auto(path: &Path) -> Result<crate::snapshot::Snapshot, LoadErr
 }
 
 /// [`read_world_auto`] keeping only the graph — what every front end
-/// (`kor query/batch/bench`, `kor serve`'s `load_dataset`) loads
+/// (`kor query/batch`, `kor serve`'s `load_dataset`) loads
 /// through, so one generated artifact feeds them all regardless of its
 /// file name.
 pub fn load_graph_auto(path: &Path) -> Result<Graph, LoadError> {

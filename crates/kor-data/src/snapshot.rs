@@ -2,7 +2,7 @@
 //!
 //! One file carries a whole *world* — the CSR graph, the keyword
 //! postings, and optional canned query sets — so a single artifact feeds
-//! every front end (`kor gen` → `kor serve` / `kor batch` / `kor bench`)
+//! every front end (`kor gen` → `kor serve` / `kor batch` / `kor mutate`)
 //! without re-parsing text or re-deriving workloads. Loading is O(V + E)
 //! straight into [`Graph::from_csr_parts`], which re-validates every
 //! builder invariant, so a corrupt file can never produce a graph the

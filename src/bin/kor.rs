@@ -55,11 +55,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use kor::batch::{run_batch, BatchConfig};
-use kor::bench::{run_bench_to_file, BenchConfig};
 use kor::data::gen::{generate_world, GenConfig, Topology};
 use kor::data::snapshot::{read_snapshot, write_snapshot};
 use kor::data::{generate_traffic, TrafficConfig};
-use kor::loadtest::{run_loadtest_to_file, LoadtestConfig};
 use kor::mutate::{run_mutate, MutateConfig};
 use kor::prelude::*;
 use kor::recover::{run_recover_to_file, RecoverConfig};
@@ -88,9 +86,7 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("batch") => batch(&args[1..]),
         Some("shard") => shard(&args[1..]),
         Some("mutate") => mutate(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("loadtest") => loadtest(&args[1..]),
         Some("recover") => recover(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", usage());
@@ -103,8 +99,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Every subcommand, for the usage screen and error messages.
-const SUBCOMMANDS: &str = "generate, gen, ingest, stats, query, batch, shard, mutate, bench, \
-     serve, loadtest, recover, help";
+const SUBCOMMANDS: &str =
+    "generate, gen, ingest, stats, query, batch, shard, mutate, serve, recover, help";
 
 fn usage() -> &'static str {
     "kor — keyword-aware optimal route search (Cao et al., VLDB 2012)\n\
@@ -133,16 +129,9 @@ fn usage() -> &'static str {
      \x20           [--no-reopen] [--verify] [--emit-script FILE.json]\n\
      \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE] [--quiet]\n\
-     \x20 kor bench [FILE] [--out BENCH_kor.json] [--nodes N] [--targets T]\n\
-     \x20           [--per-target Q] [--budget X] [--seed N]\n\
-     \x20           [--algos a,b,c] [--smoke]\n\
-     \x20           [--compare BASELINE.json] [--tolerance F]\n\
      \x20 kor serve [--addr HOST:PORT] [--threads N] [--queue N]\n\
      \x20           [--dataset [NAME=]FILE]... [--deadline-ms N]\n\
      \x20           [--max-request-bytes N] [--journal DIR]\n\
-     \x20 kor loadtest FILE.korbin [--out BENCH_serve.json] [--threads N]\n\
-     \x20           [--clients N] [--duration-ms N] [--warmup-ms N]\n\
-     \x20           [--think-ms N] [--smoke]\n\
      \x20 kor recover FILE --journal DIR [--name NAME] [--verify] [--compact]\n\
      \x20           [--algo os-scaling|bucket-bound|greedy|exact] [--epsilon E]\n\
      \x20           [--beta B] [--alpha A] [--beam N] [--json-out FILE]\n\
@@ -834,88 +823,6 @@ fn mutate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `kor bench`: run the warm-vs-cold repeated-target benchmark and
-/// write `BENCH_kor.json`.
-fn bench(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(
-        args,
-        "smoke nodes targets per-target budget seed out algos compare \
-         tolerance",
-    )?;
-    let mut cfg = if flag(&flags, "smoke").is_some() {
-        BenchConfig::smoke()
-    } else {
-        BenchConfig::default()
-    };
-    cfg.nodes = parse_num(&flags, "nodes", cfg.nodes)?;
-    cfg.targets = parse_num(&flags, "targets", cfg.targets)?;
-    cfg.per_target = parse_num(&flags, "per-target", cfg.per_target)?;
-    cfg.budget = parse_num(&flags, "budget", cfg.budget)?;
-    cfg.seed = parse_num(&flags, "seed", cfg.seed)?;
-    if cfg.targets == 0 || cfg.per_target == 0 {
-        return Err("--targets and --per-target must be ≥ 1".into());
-    }
-    if let Some(out) = flag(&flags, "out") {
-        cfg.out = PathBuf::from(out);
-    }
-    if let Some(list) = flag(&flags, "algos") {
-        cfg.algos = list
-            .split(',')
-            .filter(|a| !a.is_empty())
-            .map(kor::bench::parse_algo)
-            .collect::<Result<_, _>>()?;
-        if cfg.algos.is_empty() {
-            return Err("--algos needs at least one algorithm".into());
-        }
-    }
-    let graph = positional.first().map(|p| load(p)).transpose()?;
-    let report = run_bench_to_file(graph, &cfg)?;
-    let overall = report.get("overall").expect("report has overall");
-    let identical = overall
-        .get("all_identical")
-        .and_then(kor::json::JsonValue::as_bool)
-        .unwrap_or(false);
-    eprintln!(
-        "bench: min median speedup ×{:.2}, identical: {identical}",
-        overall
-            .get("min_speedup_median")
-            .and_then(kor::json::JsonValue::as_f64)
-            .unwrap_or(f64::NAN),
-    );
-    // Identity is deterministic (unlike the timing-based speedup): a
-    // warm/cold divergence is a cache correctness bug and must fail the
-    // run, so the CI bench-smoke step actually guards against it.
-    if !identical {
-        return Err(
-            "warm results diverged from cold (see the report's per-algo \"identical\" flags)"
-                .into(),
-        );
-    }
-    if let Some(baseline_path) = flag(&flags, "compare") {
-        let tolerance: f64 = parse_num(&flags, "tolerance", 0.6)?;
-        if !tolerance.is_finite() || tolerance < 0.0 {
-            return Err("--tolerance must be a finite number ≥ 0".into());
-        }
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading baseline {baseline_path}: {e}"))?;
-        let baseline = kor::json::JsonValue::parse(&text)
-            .map_err(|e| format!("parsing baseline {baseline_path}: {e:?}"))?;
-        let failures = kor::bench::compare_with_baseline(&report, &baseline, tolerance);
-        if failures.is_empty() {
-            eprintln!("bench: no regression vs {baseline_path} (tolerance {tolerance})");
-        } else {
-            for f in &failures {
-                eprintln!("bench regression: {f}");
-            }
-            return Err(format!(
-                "{} regression(s) vs baseline {baseline_path}",
-                failures.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// `kor serve`: run the TCP query service until a `shutdown` request.
 fn serve(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(
@@ -1025,61 +932,6 @@ fn recover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `kor loadtest`: measure `kor serve` throughput against a snapshot's
-/// canned queries and write `BENCH_serve.json`.
-fn loadtest(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(
-        args,
-        "smoke threads clients duration-ms warmup-ms think-ms out",
-    )?;
-    let path = positional
-        .first()
-        .ok_or("loadtest needs a .korbin snapshot with canned queries")?;
-    let mut cfg = if flag(&flags, "smoke").is_some() {
-        LoadtestConfig::smoke()
-    } else {
-        LoadtestConfig::default()
-    };
-    cfg.threads = parse_num(&flags, "threads", cfg.threads)?;
-    cfg.clients = parse_num(&flags, "clients", cfg.clients)?;
-    cfg.duration = std::time::Duration::from_millis(parse_num(
-        &flags,
-        "duration-ms",
-        cfg.duration.as_millis() as u64,
-    )?);
-    cfg.warmup = std::time::Duration::from_millis(parse_num(
-        &flags,
-        "warmup-ms",
-        cfg.warmup.as_millis() as u64,
-    )?);
-    cfg.think = std::time::Duration::from_millis(parse_num(
-        &flags,
-        "think-ms",
-        cfg.think.as_millis() as u64,
-    )?);
-    if cfg.threads == 0 || cfg.clients == 0 || cfg.duration.is_zero() {
-        return Err("--threads, --clients, and --duration-ms must be ≥ 1".into());
-    }
-    if let Some(out) = flag(&flags, "out") {
-        cfg.out = PathBuf::from(out);
-    }
-    let report = run_loadtest_to_file(Path::new(path), &cfg)?;
-    let num = |name: &str| report.get(name).and_then(kor::json::JsonValue::as_f64);
-    let p50 = report
-        .get("latency_ms")
-        .and_then(|l| l.get("p50"))
-        .and_then(kor::json::JsonValue::as_f64);
-    eprintln!(
-        "loadtest: {:.0} qps, p50 {:.2} ms, {} overloaded, {} io errors",
-        num("qps").unwrap_or(f64::NAN),
-        p50.unwrap_or(f64::NAN),
-        num("overloaded").unwrap_or(0.0),
-        num("io_errors").unwrap_or(0.0),
-    );
-    eprintln!("wrote {}", cfg.out.display());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1133,10 +985,16 @@ mod tests {
         let err = run(&s(&["frobnicate"])).unwrap_err();
         assert!(err.contains("frobnicate"), "{err}");
         for sub in [
-            "generate", "gen", "ingest", "stats", "query", "batch", "shard", "mutate", "bench",
-            "serve", "loadtest", "recover",
+            "generate", "gen", "ingest", "stats", "query", "batch", "shard", "mutate", "serve",
+            "recover",
         ] {
             assert!(err.contains(sub), "error must mention {sub}: {err}");
+        }
+        // Retired harnesses are not offered: the benchmark of record
+        // (`benchmark/`) replaced them.
+        for gone in ["bench", "loadtest"] {
+            assert!(!err.contains(gone), "error must not offer {gone}: {err}");
+            assert!(run(&s(&[gone])).unwrap_err().contains("unknown subcommand"));
         }
     }
 
@@ -1152,13 +1010,14 @@ mod tests {
             "kor batch",
             "kor shard",
             "kor mutate",
-            "kor bench",
             "kor serve",
-            "kor loadtest",
             "kor recover",
             "kor help",
         ] {
             assert!(usage().contains(sub), "usage must mention {sub:?}");
+        }
+        for gone in ["kor bench", "kor loadtest"] {
+            assert!(!usage().contains(gone), "usage must not mention {gone:?}");
         }
         // The seed contract is part of the CLI contract.
         assert!(usage().contains("byte-identical"));

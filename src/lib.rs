@@ -20,20 +20,15 @@
 //!   exact/brute-force baselines, and KkR top-k;
 //! * [`data`] — synthetic Flickr-like / road-network dataset generators.
 //!
-//! On top of those it adds three facade layers:
+//! On top of those it adds these facade layers:
 //!
 //! * [`batch`] — a parallel front end that answers a whole query
 //!   workload over one shared engine and reports per-query latencies
 //!   plus an aggregate JSON summary (`kor batch` on the CLI);
-//! * [`mod@bench`] — the tracked warm-vs-cold performance baseline
-//!   (`kor bench` on the CLI, emitting `BENCH_kor.json`);
 //! * [`serve`] — a TCP query service with warm per-dataset engines, a
 //!   newline-delimited JSON protocol, and a readiness-driven event
 //!   reactor (`kor serve` on the CLI; wire contract in
 //!   `docs/PROTOCOL.md`);
-//! * [`loadtest`] — a closed-loop client fleet that measures `serve`
-//!   throughput and latency (`kor loadtest` on the CLI, emitting
-//!   `BENCH_serve.json`);
 //! * [`recover`] — offline crash recovery: replay a mutation journal
 //!   over its base world, verify the recovered engine against a
 //!   never-crashed twin, and compact the journal into a checkpoint
@@ -44,7 +39,13 @@
 //!   fused-engine fanout for cross-shard queries (`kor shard` on the
 //!   CLI splits a snapshot; `serve`/`batch` route through it);
 //! * [`json`] — the strict, dependency-free JSON layer the above
-//!   share.
+//!   share;
+//! * [`percentile`] — the one latency summariser, shared by `kor batch`
+//!   and the benchmark of record.
+//!
+//! Performance is measured by the benchmark of record in `benchmark/`
+//! (see its `README.md`); CI gates on its deterministic work counters
+//! with `ci/counter_gate.py`.
 //!
 //! ## Quickstart
 //!
@@ -85,9 +86,7 @@ pub use kor_graph as graph;
 pub use kor_index as index;
 
 pub mod batch;
-pub mod bench;
 pub mod json;
-pub mod loadtest;
 pub mod mutate;
 pub mod percentile;
 pub mod recover;

@@ -1,20 +1,11 @@
 //! Percentile extraction over latency samples, and the one latency
-//! summary `kor bench`, `kor batch` and `kor loadtest` report.
+//! summary. `kor batch` reports it ([`LatencySummary`]); the benchmark
+//! of record (`benchmark/`) builds its percentiles on
+//! [`sort_samples`] and [`percentile_sorted`].
 //!
-//! The harnesses previously inlined the same nearest-rank closure; the
-//! copies drifted on the degenerate inputs a smoke run can produce (a
-//! pass aborted after 0–3 samples). This helper pins the behaviour:
-//! never panic, and stay monotone in `p` so `p50 ≤ p95 ≤ p99` holds for
-//! every sample count.
-
-/// Nearest-rank percentile of `samples` (need not be sorted; a working
-/// copy is sorted internally). Prefer [`percentile_sorted`] when taking
-/// several percentiles of one set.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sort_samples(&mut sorted);
-    percentile_sorted(&sorted, p)
-}
+//! The behaviour is pinned on the degenerate inputs a short run can
+//! produce (0–3 samples): never panic, and stay monotone in `p` so
+//! `p50 ≤ p95 ≤ p99` holds for every sample count.
 
 /// Sorts latency samples with a total order (NaN sorts last, so a NaN
 /// sample can only perturb the top percentiles, not all of them).
@@ -82,9 +73,11 @@ mod tests {
     fn tiny_sample_counts_stay_ordered() {
         let sets: [&[f64]; 4] = [&[], &[5.0], &[5.0, 1.0], &[9.0, 1.0, 5.0]];
         for samples in sets {
-            let p50 = percentile(samples, 0.50);
-            let p95 = percentile(samples, 0.95);
-            let p99 = percentile(samples, 0.99);
+            let mut sorted = samples.to_vec();
+            sort_samples(&mut sorted);
+            let p50 = percentile_sorted(&sorted, 0.50);
+            let p95 = percentile_sorted(&sorted, 0.95);
+            let p99 = percentile_sorted(&sorted, 0.99);
             assert!(p50 <= p95, "{samples:?}: p50 {p50} > p95 {p95}");
             assert!(p95 <= p99, "{samples:?}: p95 {p95} > p99 {p99}");
         }
@@ -100,32 +93,32 @@ mod tests {
 
     #[test]
     fn empty_reports_zero() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile_sorted(&[], 0.5), 0.0);
         assert_eq!(percentile_sorted(&[], 0.99), 0.0);
     }
 
     #[test]
     fn single_sample_is_every_percentile() {
         for p in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(percentile(&[42.0], p), 42.0);
+            assert_eq!(percentile_sorted(&[42.0], p), 42.0);
         }
     }
 
     #[test]
     fn out_of_range_p_is_clamped() {
         let samples = [1.0, 2.0, 3.0];
-        assert_eq!(percentile(&samples, -0.5), 1.0);
-        assert_eq!(percentile(&samples, 1.5), 3.0);
-        assert_eq!(percentile(&samples, f64::NAN), 1.0);
+        assert_eq!(percentile_sorted(&samples, -0.5), 1.0);
+        assert_eq!(percentile_sorted(&samples, 1.5), 3.0);
+        assert_eq!(percentile_sorted(&samples, f64::NAN), 1.0);
     }
 
     #[test]
     fn nearest_rank_on_larger_sets() {
         let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&samples, 0.50), 51.0); // round(0.5·99) = 50
-        assert_eq!(percentile(&samples, 0.95), 95.0);
-        assert_eq!(percentile(&samples, 1.0), 100.0);
-        assert_eq!(percentile(&samples, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&samples, 0.50), 51.0); // round(0.5·99) = 50
+        assert_eq!(percentile_sorted(&samples, 0.95), 95.0);
+        assert_eq!(percentile_sorted(&samples, 1.0), 100.0);
+        assert_eq!(percentile_sorted(&samples, 0.0), 1.0);
     }
 
     #[test]
@@ -134,7 +127,7 @@ mod tests {
             let samples: Vec<f64> = (0..n).map(|i| f64::from(i) * 3.5).collect();
             let mut last = f64::NEG_INFINITY;
             for i in 0..=20 {
-                let v = percentile(&samples, f64::from(i) / 20.0);
+                let v = percentile_sorted(&samples, f64::from(i) / 20.0);
                 assert!(v >= last, "n={n}: not monotone at step {i}");
                 last = v;
             }

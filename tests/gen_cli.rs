@@ -182,8 +182,10 @@ fn misspelled_query_flags_fail_instead_of_being_ignored() {
     };
     for (args, why) in [
         (vec!["index", graph], "unknown subcommand"),
+        (vec!["bench", graph, "--smoke"], "unknown subcommand"),
+        (vec!["loadtest", world, "--smoke"], "unknown subcommand"),
         (
-            vec!["loadtest", graph, "--mode", "both"],
+            vec!["batch", graph, "--mode", "both"],
             "unknown flag --mode",
         ),
         (
