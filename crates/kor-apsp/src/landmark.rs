@@ -23,8 +23,8 @@
 //! node — which is precisely what keeps cached and cold searches
 //! bit-identical. The ALT layer's value is its *pair-independence*: the
 //! vectors are built once and answer for every `(v, t)`, so any future
-//! pruning site that lacks a per-target tree (cross-shard planning,
-//! speculative batch ordering) gets an admissible bound for free. The
+//! pruning site that lacks a per-target tree (speculative batch
+//! ordering, say) gets an admissible bound for free. The
 //! admissibility property (`bound ≤ exact`) is pinned by the property
 //! tests in `kor-core`.
 

@@ -17,7 +17,8 @@
 //!
 //! Both forms agree exactly; `DenseApsp` is the test oracle for the lazy
 //! trees. [`Landmarks`] adds ALT lower bounds, and [`partition`] cuts a
-//! graph into node groups for landmark selection and sharding.
+//! graph into node groups for landmark selection and the benchmark's
+//! shard probe.
 
 #![deny(unsafe_code)]
 

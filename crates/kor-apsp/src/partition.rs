@@ -1,4 +1,5 @@
-//! Node partitioning for landmark selection and sharding.
+//! Node partitioning for landmark selection and the benchmark's shard
+//! probe.
 
 use std::collections::HashMap;
 
@@ -15,8 +16,8 @@ use kor_graph::Graph;
 /// undirected structure, so chunks stay connected where the topology
 /// allows.
 ///
-/// Landmark selection and the shard splitter both cut the graph with
-/// it.
+/// Landmark selection and the benchmark's shard probe
+/// (`kor_data::compute_sharding`) both cut the graph with it.
 pub fn partition(graph: &Graph, clusters: usize) -> Vec<u32> {
     let clusters = clusters.max(1);
     let n = graph.node_count();

@@ -5,7 +5,8 @@
 //! datasets and prints them as aligned tables (plus CSV files). Absolute
 //! numbers differ from the paper's 2012 testbed; the *shapes* — which
 //! algorithm wins, by what factor, how curves trend — are the
-//! reproduction target (see EXPERIMENTS.md).
+//! reproduction target. No committed record of the results exists yet;
+//! writing one is ROADMAP item 5.
 //!
 //! Run everything:
 //!

@@ -9,12 +9,13 @@ use crate::error::KorError;
 /// them (the scaling factor `θ = ε·o_min·b_min/Δ` and the bucket base
 /// fallback).
 ///
-/// This is the shard-scoped search entry point: a shard subgraph holds
-/// only its own edges, so its extrema can differ from the full
-/// dataset's, which would silently change `θ` and with it every scaled
-/// label key. A router answering a query on one shard anchors the
-/// search to the fused graph's extrema so the shard-local result is
-/// bit-compatible with what the single fused engine computes.
+/// A shard subgraph holds only its own edges, so its extrema can differ
+/// from the full dataset's, which would silently change `θ` and with it
+/// every scaled label key. Anchoring a shard-local search to the full
+/// graph's extrema keeps its result bit-compatible with the full
+/// graph's engine.
+///
+/// Benchmark shard probe only; deleted with ROADMAP item 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleAnchor {
     /// The reference graph's smallest edge objective.
@@ -54,7 +55,8 @@ pub struct OsScalingParams {
     pub collect_labels: bool,
     /// Pin the scaling extrema to a reference graph's instead of the
     /// search graph's (see [`ScaleAnchor`]). `None` — the default —
-    /// reads them from the graph being searched.
+    /// reads them from the graph being searched. Benchmark shard probe
+    /// only; deleted with ROADMAP item 1.
     pub anchor: Option<ScaleAnchor>,
 }
 
@@ -130,7 +132,8 @@ pub struct BucketBoundParams {
     /// Record label snapshots.
     pub collect_labels: bool,
     /// Pin the scaling extrema to a reference graph's (see
-    /// [`ScaleAnchor`] and [`OsScalingParams::anchor`]).
+    /// [`ScaleAnchor`] and [`OsScalingParams::anchor`]). Benchmark shard
+    /// probe only; deleted with ROADMAP item 1.
     pub anchor: Option<ScaleAnchor>,
 }
 

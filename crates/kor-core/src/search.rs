@@ -20,7 +20,7 @@ use crate::error::KorError;
 use crate::greedy::{greedy_search, GreedyParams, GreedyRoute};
 use crate::label::LabelSnapshot;
 use crate::labeling::{label_search, LabelAlgo};
-use crate::params::{BucketBoundParams, OsScalingParams, ScaleAnchor};
+use crate::params::{BucketBoundParams, OsScalingParams};
 use crate::query::KorQuery;
 use crate::result::{RouteResult, SearchResult};
 use crate::stats::SearchStats;
@@ -107,25 +107,6 @@ impl Algo {
             }),
             None => Ok(algo),
         }
-    }
-
-    /// Whether the algorithm can answer on a shard subgraph: the label
-    /// searches can; greedy cannot, because its forward `τ` trees consult
-    /// paths that may cross shards even when the final route would not.
-    pub fn runs_shard_locally(&self) -> bool {
-        !matches!(self, Algo::Greedy(_))
-    }
-
-    /// This algorithm with its scaling extrema pinned to `anchor` (see
-    /// [`ScaleAnchor`]). Only the scaled searches read an anchor.
-    pub fn anchored(&self, anchor: ScaleAnchor) -> Algo {
-        let mut algo = self.clone();
-        match &mut algo {
-            Algo::OsScaling(p) => p.anchor = Some(anchor),
-            Algo::BucketBound(p) => p.anchor = Some(anchor),
-            Algo::Exact | Algo::Greedy(_) => {}
-        }
-        algo
     }
 }
 
@@ -411,20 +392,12 @@ mod tests {
                 ..GreedyParams::default()
             }))
         );
-        // Names round-trip; only the scaled searches take an anchor.
-        let anchor = ScaleAnchor::of(&figure1());
+        // Names round-trip.
         for algo in every_algo() {
-            let name = algo.name();
             assert_eq!(
-                Algo::from_knobs(name, None, None, None, None),
+                Algo::from_knobs(algo.name(), None, None, None, None),
                 Ok(algo.clone())
             );
-            assert_eq!(algo.runs_shard_locally(), name != "greedy");
-            match algo.anchored(anchor) {
-                Algo::OsScaling(p) => assert_eq!(p.anchor, Some(anchor)),
-                Algo::BucketBound(p) => assert_eq!(p.anchor, Some(anchor)),
-                other => assert_eq!(other, algo),
-            }
         }
     }
 }

@@ -222,11 +222,7 @@ pub fn generate_world(config: &GenConfig) -> Snapshot {
     add_topology_edges(&mut builder, &positions, config, &mut rng);
     let graph = builder.build().expect("generated world is valid");
     let query_sets = synthesize_queries(&graph, config, &mut rng);
-    Snapshot {
-        graph,
-        query_sets,
-        sharding: None,
-    }
+    Snapshot { graph, query_sets }
 }
 
 /// Planar positions per topology, in node-id order.

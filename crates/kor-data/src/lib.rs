@@ -21,10 +21,8 @@
 //! * [`snapshot`] — the versioned `.korbin` binary snapshot format
 //!   (checksummed CSR graph + postings + canned queries) that ships a
 //!   whole generated world as one artifact (see `docs/DATASETS.md`);
-//! * [`shard`] — dataset sharding: deterministic node assignment, cut
-//!   edges, and the escape/enter boundary summary a scatter-gather
-//!   router uses to prove query confinement (stored in the snapshot's
-//!   optional `SHRD`/`BNDR` sections);
+//! * [`shard`] — the shard layout the benchmark's shard probe builds
+//!   (benchmark shard probe only; deleted with ROADMAP item 1);
 //! * [`traffic`] — seeded traffic profiles (closure scripts, rush-hour
 //!   multiplier schedules, reopenings) producing replayable mutation
 //!   batches for the dynamic-world oracle battery and `kor mutate`;
@@ -65,10 +63,7 @@ pub use queries::{
     generate_workload, CannedQuery, CannedQuerySet, QuerySet, QuerySpec, WorkloadConfig,
 };
 pub use roadnet::{generate_roadnet, RoadNetConfig};
-pub use shard::{
-    boundary_budgets, compute_sharding, cut_edges, shard_assignment, shard_subgraph,
-    sharding_from_assignment, validate_sharding, CutEdge, ShardingInfo,
-};
+pub use shard::{compute_sharding, shard_subgraph};
 pub use snapshot::{
     read_snapshot, snapshot_from_bytes, snapshot_to_bytes, write_snapshot, Snapshot, SnapshotError,
 };

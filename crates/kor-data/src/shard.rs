@@ -1,5 +1,7 @@
 //! Dataset sharding: node assignment, cut-edge boundary summaries, and
-//! per-shard subgraphs.
+//! per-shard subgraphs. Benchmark shard probe only; deleted with ROADMAP
+//! item 1. No product path serves shards, and the snapshot format no
+//! longer stores a layout.
 //!
 //! A *sharded* world is the same graph split into `N` node groups
 //! (shards) plus a boundary summary describing every edge that crosses
@@ -19,7 +21,7 @@
 //! requested shard count. Everything here is deterministic: the same
 //! graph and shard count always produce the same assignment, cut-edge
 //! list (node order, then CSR edge order), and boundary distances, which
-//! is what makes sharded snapshots byte-reproducible.
+//! is what lets the benchmark's shard probe repeat.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -27,6 +29,7 @@ use std::collections::BinaryHeap;
 use kor_graph::{Graph, NodeId};
 
 /// One directed edge whose endpoints live in different shards.
+/// Benchmark shard probe only; deleted with ROADMAP item 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CutEdge {
     /// Source node (owned by `assignment[source]`).
@@ -41,6 +44,7 @@ pub struct CutEdge {
 
 /// The shard layout of a world: who owns each node, which edges cross
 /// shard borders, and how expensive border crossings are from each node.
+/// Benchmark shard probe only; deleted with ROADMAP item 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingInfo {
     /// Number of shards; ids are dense in `0..shard_count` and every
@@ -69,15 +73,6 @@ impl ShardingInfo {
         self.assignment[node.index()]
     }
 
-    /// Number of nodes owned by each shard.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.shard_count as usize];
-        for &s in &self.assignment {
-            sizes[s as usize] += 1;
-        }
-        sizes
-    }
-
     /// The confinement condition: `source` and `target` share a shard
     /// and `escape[source] + enter[target] > budget`, which proves that
     /// every route within the budget stays inside that shard (any
@@ -93,15 +88,10 @@ impl ShardingInfo {
 /// Computes the full shard layout of `graph` at `shards` shards:
 /// assignment via [`kor_apsp::partition`] folded to the requested count,
 /// then the canonical cut-edge list and the escape/enter boundary
-/// distances. Deterministic for a given graph and count.
+/// distances. Deterministic for a given graph and count. Benchmark shard
+/// probe only; deleted with ROADMAP item 1.
 pub fn compute_sharding(graph: &Graph, shards: usize) -> ShardingInfo {
     let assignment = shard_assignment(graph, shards);
-    sharding_from_assignment(graph, assignment)
-}
-
-/// Builds the cut-edge list and boundary distances for an existing
-/// `assignment` (shard ids must be dense; every node assigned).
-pub fn sharding_from_assignment(graph: &Graph, assignment: Vec<u32>) -> ShardingInfo {
     let shard_count = assignment.iter().copied().max().map_or(0, |m| m + 1);
     let cut_edges = cut_edges(graph, &assignment);
     let (escape, enter) = boundary_budgets(graph, &assignment, &cut_edges);
@@ -120,7 +110,7 @@ pub fn sharding_from_assignment(graph: &Graph, assignment: Vec<u32>) -> Sharding
 /// than requested (e.g. 2 requested, 4 quadrants non-empty); folding
 /// cell `c` to `c % shards` keeps the count exact whenever the raw cut
 /// yields at least `shards` groups, and keeps ids dense either way.
-pub fn shard_assignment(graph: &Graph, shards: usize) -> Vec<u32> {
+fn shard_assignment(graph: &Graph, shards: usize) -> Vec<u32> {
     let shards = shards.max(1) as u32;
     let mut assignment = kor_apsp::partition(graph, shards as usize);
     let raw = assignment.iter().copied().max().map_or(0, |m| m + 1);
@@ -135,7 +125,7 @@ pub fn shard_assignment(graph: &Graph, shards: usize) -> Vec<u32> {
 /// Every directed edge whose endpoints are in different shards, in
 /// canonical order: source node id ascending, CSR out-edge order within
 /// a node.
-pub fn cut_edges(graph: &Graph, assignment: &[u32]) -> Vec<CutEdge> {
+fn cut_edges(graph: &Graph, assignment: &[u32]) -> Vec<CutEdge> {
     let mut cuts = Vec::new();
     for v in graph.nodes() {
         for e in graph.out_edges(v) {
@@ -167,11 +157,7 @@ fn heap_key(d: f64, v: NodeId) -> Reverse<(u64, u32)> {
 /// `a → b`; `enter` is the forward mirror seeded with
 /// `enter[b] ≤ e.budget`. Relaxation never crosses a shard border, so
 /// one pass over the whole graph handles every shard at once.
-pub fn boundary_budgets(
-    graph: &Graph,
-    assignment: &[u32],
-    cuts: &[CutEdge],
-) -> (Vec<f64>, Vec<f64>) {
+fn boundary_budgets(graph: &Graph, assignment: &[u32], cuts: &[CutEdge]) -> (Vec<f64>, Vec<f64>) {
     let n = graph.node_count();
     let mut escape = vec![f64::INFINITY; n];
     let mut enter = vec![f64::INFINITY; n];
@@ -243,7 +229,8 @@ pub fn boundary_budgets(
 /// no edges — means node ids, query keyword masks, and the Opt-2
 /// document-frequency gate are identical to the fused graph's, so a
 /// shard-local search differs from the fused search only in the edges
-/// it can traverse.
+/// it can traverse. Benchmark shard probe only; deleted with ROADMAP
+/// item 1.
 pub fn shard_subgraph(graph: &Graph, assignment: &[u32], shard: u32) -> Graph {
     let n = graph.node_count();
     let mut out_offsets = Vec::with_capacity(n + 1);
@@ -277,64 +264,6 @@ pub fn shard_subgraph(graph: &Graph, assignment: &[u32], shard: u32) -> Graph {
     .expect("a shard subgraph only removes edges from a valid graph")
 }
 
-/// Validates a [`ShardingInfo`] against the graph it claims to shard.
-/// Used by the snapshot reader so a corrupt or hand-edited sharded
-/// `.korbin` can never feed a router a wrong boundary summary (which
-/// would silently break the confinement proof). The cut edges and
-/// boundary distances are recomputed from the assignment and compared
-/// bit-for-bit — both are deterministic functions of it.
-pub fn validate_sharding(graph: &Graph, info: &ShardingInfo) -> Result<(), String> {
-    let n = graph.node_count();
-    if info.assignment.len() != n {
-        return Err(format!(
-            "shard assignment covers {} nodes but the graph has {n}",
-            info.assignment.len()
-        ));
-    }
-    if info.escape.len() != n || info.enter.len() != n {
-        return Err(format!(
-            "boundary tables cover {}/{} nodes but the graph has {n}",
-            info.escape.len(),
-            info.enter.len()
-        ));
-    }
-    if info.shard_count == 0 && n > 0 {
-        return Err("shard count is 0 for a non-empty graph".into());
-    }
-    let mut seen = vec![false; info.shard_count as usize];
-    for (v, &s) in info.assignment.iter().enumerate() {
-        if s >= info.shard_count {
-            return Err(format!(
-                "node {v} assigned to shard {s} (only {} shards)",
-                info.shard_count
-            ));
-        }
-        seen[s as usize] = true;
-    }
-    if let Some(empty) = seen.iter().position(|&s| !s) {
-        return Err(format!("shard {empty} owns no nodes"));
-    }
-    let expected_cuts = cut_edges(graph, &info.assignment);
-    if expected_cuts != info.cut_edges {
-        return Err(format!(
-            "cut-edge list does not match the assignment ({} stored, {} expected)",
-            info.cut_edges.len(),
-            expected_cuts.len()
-        ));
-    }
-    let (escape, enter) = boundary_budgets(graph, &info.assignment, &expected_cuts);
-    let same = |a: &[f64], b: &[f64]| {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b.iter())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    };
-    if !same(&escape, &info.escape) || !same(&enter, &info.enter) {
-        return Err("boundary distance tables do not match the assignment".into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +280,10 @@ mod tests {
             let info = compute_sharding(&g, shards);
             assert_eq!(info.assignment.len(), g.node_count());
             assert!(info.shard_count >= 1 && info.shard_count as usize <= shards.max(1));
-            let sizes = info.shard_sizes();
+            let mut sizes = vec![0usize; info.shard_count as usize];
+            for &s in &info.assignment {
+                sizes[s as usize] += 1;
+            }
             assert_eq!(sizes.iter().sum::<usize>(), g.node_count());
             assert!(sizes.iter().all(|&s| s > 0), "no shard may be empty");
         }
@@ -458,29 +390,6 @@ mod tests {
         let a = compute_sharding(&g, 4);
         let b = compute_sharding(&g, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn validate_accepts_computed_and_rejects_tampered() {
-        let g = world();
-        let info = compute_sharding(&g, 4);
-        validate_sharding(&g, &info).unwrap();
-
-        let mut wrong_owner = info.clone();
-        wrong_owner.assignment[0] = (wrong_owner.assignment[0] + 1) % wrong_owner.shard_count;
-        assert!(validate_sharding(&g, &wrong_owner).is_err());
-
-        let mut wrong_escape = info.clone();
-        wrong_escape.escape[0] += 1.0;
-        assert!(validate_sharding(&g, &wrong_escape).is_err());
-
-        let mut missing_cut = info.clone();
-        missing_cut.cut_edges.pop();
-        assert!(validate_sharding(&g, &missing_cut).is_err());
-
-        let mut short = info;
-        short.assignment.pop();
-        assert!(validate_sharding(&g, &short).is_err());
     }
 
     #[test]

@@ -25,21 +25,16 @@
 //! | `VOCB` | `term_count u32 · (len u32 · UTF-8 bytes) × terms` (id order) |
 //! | `POST` | `node_count u32 · (count u32 · keyword_id u32 × count) × nodes` |
 //! | `QRYS` | `set_count u32 · (keyword_count u32 · n u32 · (source u32 · target u32 · budget f64 · k u32 · keyword_id u32 × k) × n) × sets` |
-//! | `SHRD` | `shard_count u32 · node_count u32 · assignment n×u32` — only in sharded snapshots |
-//! | `BNDR` | `cut_count u32 · (source u32 · target u32 · objective f64 · budget f64) × cuts · escape n×f64 · enter n×f64` — only with `SHRD` |
 //!
-//! `SHRD` and `BNDR` appear together or not at all: the boundary summary
-//! is meaningless without the assignment and vice versa. On read, both
-//! are re-validated against the graph (dense non-empty shard ids, the
-//! cut-edge list and escape/enter tables recomputed and compared
-//! bit-for-bit), so a tampered summary can never weaken the router's
-//! confinement proof.
+//! Two legacy tags, `SHRD` and `BNDR`, held a shard layout in files
+//! written by the retired `kor shard`. They are still read — checksummed
+//! and rejected if duplicated like every section — and then skipped, so
+//! such a file loads as its unsharded world. Nothing writes them.
 //!
 //! Each section checksum is IEEE CRC-32 of its payload. Writing the same
 //! in-memory [`Snapshot`] always produces the same bytes (fixed section
 //! and iteration order, IEEE-754 bit patterns), which is what makes
-//! `kor gen --seed N` byte-reproducible and `kor shard` shard layouts
-//! byte-reproducible with it.
+//! `kor gen --seed N` byte-reproducible.
 
 use std::fmt;
 use std::fs;
@@ -49,7 +44,6 @@ use std::path::Path;
 use kor_graph::{Graph, GraphError, KeywordId, KeywordSet, NodeId, Vocab};
 
 use crate::queries::{CannedQuery, CannedQuerySet};
-use crate::shard::{validate_sharding, CutEdge, ShardingInfo};
 
 /// File magic: `KORBIN` plus a CRLF that breaks if the file ever passes
 /// through newline translation.
@@ -62,11 +56,11 @@ const TAG_GRAPH: [u8; 4] = *b"GRPH";
 const TAG_VOCAB: [u8; 4] = *b"VOCB";
 const TAG_POSTINGS: [u8; 4] = *b"POST";
 const TAG_QUERIES: [u8; 4] = *b"QRYS";
-const TAG_SHARDS: [u8; 4] = *b"SHRD";
-const TAG_BOUNDARY: [u8; 4] = *b"BNDR";
+/// Legacy shard-layout sections: read (checksummed, skipped), never written.
+const TAG_LEGACY_SHARDS: [u8; 4] = *b"SHRD";
+const TAG_LEGACY_BOUNDARY: [u8; 4] = *b"BNDR";
 
-/// A world: the graph plus the canned query sets generated with it, and
-/// optionally a shard layout produced by `kor shard`.
+/// A world: the graph plus the canned query sets generated with it.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The road-network graph.
@@ -74,11 +68,6 @@ pub struct Snapshot {
     /// Canned query sets (possibly empty) replayed by the batch front
     /// end and the oracle cross-validation tests.
     pub query_sets: Vec<CannedQuerySet>,
-    /// The shard layout (`SHRD` + `BNDR` sections), present only in
-    /// sharded snapshots. The graph and query sections are byte-wise
-    /// unchanged by sharding, so a sharded snapshot feeds non-sharded
-    /// front ends identically.
-    pub sharding: Option<ShardingInfo>,
 }
 
 impl Snapshot {
@@ -87,7 +76,6 @@ impl Snapshot {
         Snapshot {
             graph,
             query_sets: Vec::new(),
-            sharding: None,
         }
     }
 
@@ -273,46 +261,14 @@ fn queries_section(sets: &[CannedQuerySet]) -> Vec<u8> {
     w.out
 }
 
-fn shards_section(info: &ShardingInfo) -> Vec<u8> {
-    let mut w = SectionWriter::new();
-    w.u32(info.shard_count);
-    w.u32(info.assignment.len() as u32);
-    for &s in &info.assignment {
-        w.u32(s);
-    }
-    w.out
-}
-
-fn boundary_section(info: &ShardingInfo) -> Vec<u8> {
-    let mut w = SectionWriter::new();
-    w.u32(info.cut_edges.len() as u32);
-    for cut in &info.cut_edges {
-        w.u32(cut.source.0);
-        w.u32(cut.target.0);
-        w.f64(cut.objective);
-        w.f64(cut.budget);
-    }
-    for &d in &info.escape {
-        w.f64(d);
-    }
-    for &d in &info.enter {
-        w.f64(d);
-    }
-    w.out
-}
-
 /// Serializes a snapshot to its canonical byte form.
 pub fn snapshot_to_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let mut sections: Vec<([u8; 4], Vec<u8>)> = vec![
+    let sections = [
         (TAG_GRAPH, graph_section(&snapshot.graph)),
         (TAG_VOCAB, vocab_section(snapshot.graph.vocab())),
         (TAG_POSTINGS, postings_section(&snapshot.graph)),
         (TAG_QUERIES, queries_section(&snapshot.query_sets)),
     ];
-    if let Some(info) = &snapshot.sharding {
-        sections.push((TAG_SHARDS, shards_section(info)));
-        sections.push((TAG_BOUNDARY, boundary_section(info)));
-    }
     let mut out = Vec::with_capacity(
         MAGIC.len() + 8 + sections.iter().map(|(_, p)| p.len() + 16).sum::<usize>(),
     );
@@ -551,69 +507,6 @@ fn parse_queries_section(payload: &[u8]) -> Result<Vec<CannedQuerySet>, Snapshot
     Ok(out)
 }
 
-fn parse_shards_section(payload: &[u8]) -> Result<(u32, Vec<u32>), SnapshotError> {
-    let mut c = Cursor::new(payload);
-    let shard_count = c.u32("shard count")?;
-    let n = c.count(4, "shard assignment length")?;
-    let mut assignment = Vec::with_capacity(n);
-    for _ in 0..n {
-        assignment.push(c.u32("shard assignment")?);
-    }
-    if c.remaining() != 0 {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes in shard section",
-            c.remaining()
-        )));
-    }
-    Ok((shard_count, assignment))
-}
-
-/// Parsed `BNDR` payload: the cut-edge list plus the escape/enter tables.
-type BoundaryParts = (Vec<CutEdge>, Vec<f64>, Vec<f64>);
-
-fn parse_boundary_section(
-    payload: &[u8],
-    node_count: usize,
-) -> Result<BoundaryParts, SnapshotError> {
-    let mut c = Cursor::new(payload);
-    let cuts = c.count(24, "cut edge count")?;
-    let mut cut_edges = Vec::with_capacity(cuts);
-    for _ in 0..cuts {
-        let source = NodeId(c.u32("cut edge source")?);
-        let target = NodeId(c.u32("cut edge target")?);
-        let objective = c.f64("cut edge objective")?;
-        let budget = c.f64("cut edge budget")?;
-        cut_edges.push(CutEdge {
-            source,
-            target,
-            objective,
-            budget,
-        });
-    }
-    let mut read_table = |what: &str| -> Result<Vec<f64>, SnapshotError> {
-        let mut table = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let d = c.f64(what)?;
-            if d.is_nan() || d < 0.0 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{what} must be non-negative, got {d}"
-                )));
-            }
-            table.push(d);
-        }
-        Ok(table)
-    };
-    let escape = read_table("escape distance")?;
-    let enter = read_table("enter distance")?;
-    if c.remaining() != 0 {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes in boundary section",
-            c.remaining()
-        )));
-    }
-    Ok((cut_edges, escape, enter))
-}
-
 /// Parses a snapshot from its byte form.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut c = Cursor::new(bytes);
@@ -630,8 +523,9 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut vocab_payload: Option<&[u8]> = None;
     let mut postings_payload: Option<&[u8]> = None;
     let mut queries_payload: Option<&[u8]> = None;
-    let mut shards_payload: Option<&[u8]> = None;
-    let mut boundary_payload: Option<&[u8]> = None;
+    // Held only so a duplicate is rejected; their payloads are skipped.
+    let mut legacy_shards: Option<&[u8]> = None;
+    let mut legacy_boundary: Option<&[u8]> = None;
     for _ in 0..section_count {
         let tag: [u8; 4] = c.take(4, "section tag")?.try_into().unwrap();
         let len = c.u64("section length")? as usize;
@@ -647,8 +541,8 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
             TAG_VOCAB => &mut vocab_payload,
             TAG_POSTINGS => &mut postings_payload,
             TAG_QUERIES => &mut queries_payload,
-            TAG_SHARDS => &mut shards_payload,
-            TAG_BOUNDARY => &mut boundary_payload,
+            TAG_LEGACY_SHARDS => &mut legacy_shards,
+            TAG_LEGACY_BOUNDARY => &mut legacy_boundary,
             other => {
                 return Err(SnapshotError::Corrupt(format!(
                     "unknown section tag {:?}",
@@ -701,41 +595,7 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
             }
         }
     }
-    let sharding = match (shards_payload, boundary_payload) {
-        (None, None) => None,
-        (Some(_), None) => {
-            return Err(SnapshotError::Corrupt(
-                "section \"SHRD\" present without \"BNDR\"".into(),
-            ))
-        }
-        (None, Some(_)) => {
-            return Err(SnapshotError::Corrupt(
-                "section \"BNDR\" present without \"SHRD\"".into(),
-            ))
-        }
-        (Some(shards), Some(boundary)) => {
-            let (shard_count, assignment) = parse_shards_section(shards)?;
-            let (cut_edges, escape, enter) = parse_boundary_section(boundary, graph.node_count())?;
-            let info = ShardingInfo {
-                shard_count,
-                assignment,
-                cut_edges,
-                escape,
-                enter,
-            };
-            // The summary feeds the router's confinement proof, so it
-            // must be *exactly* what the assignment implies — recomputed
-            // and compared bit-for-bit, like every other invariant here.
-            validate_sharding(&graph, &info)
-                .map_err(|msg| SnapshotError::Corrupt(format!("shard layout: {msg}")))?;
-            Some(info)
-        }
-    };
-    Ok(Snapshot {
-        graph,
-        query_sets,
-        sharding,
-    })
+    Ok(Snapshot { graph, query_sets })
 }
 
 /// Reads a `.korbin` snapshot from `path`.
@@ -878,93 +738,57 @@ mod tests {
         ));
     }
 
-    fn sharded_world() -> Snapshot {
-        let mut snap = world();
-        snap.sharding = Some(crate::shard::compute_sharding(&snap.graph, 2));
-        snap
+    /// `bytes` with one more section appended after the last one.
+    fn append_section(mut bytes: Vec<u8>, tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+        bytes.extend_from_slice(tag);
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes
     }
 
-    #[test]
-    fn sharded_write_read_write_is_byte_identical() {
-        let snap = sharded_world();
-        let bytes = snapshot_to_bytes(&snap);
-        let read = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, snapshot_to_bytes(&read));
-        let info = read.sharding.expect("shard layout survives");
-        assert_eq!(Some(&info), snap.sharding.as_ref());
-        assert_eq!(info.assignment.len(), snap.graph.node_count());
-    }
-
-    #[test]
-    fn sharding_does_not_change_the_unsharded_sections() {
-        // `kor shard` appends sections; the graph/vocab/postings/queries
-        // bytes must be untouched so the fused engine rebuilt from a
-        // sharded snapshot is bit-identical to the unsharded one.
-        let plain = snapshot_to_bytes(&world());
-        let sharded = snapshot_to_bytes(&sharded_world());
-        // The prefix differs only in the section count field.
-        assert_eq!(plain[..12], sharded[..12]);
-        let mut expected = plain.clone();
-        expected[12..16].copy_from_slice(&6u32.to_le_bytes());
-        assert_eq!(sharded[..plain.len()], expected[..]);
-    }
-
-    #[test]
-    fn sharded_truncation_anywhere_is_typed() {
-        let bytes = snapshot_to_bytes(&sharded_world());
-        for cut in 0..bytes.len() {
-            let err = snapshot_from_bytes(&bytes[..cut]).expect_err("prefix must fail");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::BadMagic
-                        | SnapshotError::Truncated(_)
-                        | SnapshotError::Corrupt(_)
-                        | SnapshotError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: unexpected {err:?}"
-            );
+    /// A file as the retired `kor shard` wrote it: the unsharded
+    /// sections, then a `SHRD` and a `BNDR` section (payloads as it laid
+    /// them out: shard count, node count, assignment; cut count, no cuts,
+    /// escape and enter tables).
+    fn legacy_sharded_bytes(world: &Snapshot) -> Vec<u8> {
+        let n = world.graph.node_count();
+        let mut shrd = Vec::new();
+        shrd.extend_from_slice(&1u32.to_le_bytes());
+        shrd.extend_from_slice(&(n as u32).to_le_bytes());
+        shrd.resize(shrd.len() + 4 * n, 0);
+        let mut bndr = 0u32.to_le_bytes().to_vec();
+        for _ in 0..2 * n {
+            bndr.extend_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
         }
+        let bytes = append_section(snapshot_to_bytes(world), b"SHRD", &shrd);
+        append_section(bytes, b"BNDR", &bndr)
     }
 
     #[test]
-    fn shard_section_without_boundary_is_rejected() {
-        // Write a sharded snapshot, then drop the last section (BNDR)
-        // by rewriting the section count and truncating.
-        let snap = sharded_world();
-        let with = snapshot_to_bytes(&snap);
-        let without_info = snapshot_to_bytes(&world());
-        // BNDR is the final section; SHRD ends where we can compute:
-        // everything except the BNDR section's bytes.
-        let info = snap.sharding.as_ref().unwrap();
-        let bndr_payload = 4 + info.cut_edges.len() * 24 + info.escape.len() * 16;
-        let bndr_total = 4 + 8 + bndr_payload + 4;
-        let mut bytes = with[..with.len() - bndr_total].to_vec();
-        bytes[12..16].copy_from_slice(&5u32.to_le_bytes());
-        match snapshot_from_bytes(&bytes) {
-            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("SHRD"), "{msg}"),
+    fn legacy_shard_sections_are_skipped() {
+        let world = world();
+        let read = snapshot_from_bytes(&legacy_sharded_bytes(&world)).unwrap();
+        assert_eq!(snapshot_to_bytes(&read), snapshot_to_bytes(&world));
+        // Still one of each: a duplicated legacy section is corrupt.
+        let shrd_twice = append_section(legacy_sharded_bytes(&world), b"SHRD", &[]);
+        match snapshot_from_bytes(&shrd_twice) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
             other => panic!("expected corrupt, got {other:?}"),
         }
-        drop(without_info);
     }
 
     #[test]
-    fn tampered_boundary_summary_is_rejected() {
-        // Flip the shard of one node inside the SHRD payload (keeping
-        // the CRC consistent by recomputing it): validation must catch
-        // the now-inconsistent cut-edge list.
-        let snap = sharded_world();
-        let info = snap.sharding.clone().unwrap();
-        let mut tampered = snap.clone();
-        let mut bad = info;
-        bad.assignment[0] = (bad.assignment[0] + 1) % bad.shard_count;
-        tampered.sharding = Some(bad);
-        let bytes = snapshot_to_bytes(&tampered);
+    fn legacy_shard_sections_are_checksummed() {
+        let mut bytes = legacy_sharded_bytes(&world());
+        // The last payload byte belongs to BNDR; its CRC follows it.
+        let at = bytes.len() - 5;
+        bytes[at] ^= 0xFF;
         match snapshot_from_bytes(&bytes) {
-            Err(SnapshotError::Corrupt(msg)) => {
-                assert!(msg.contains("shard layout"), "{msg}")
-            }
-            other => panic!("expected corrupt, got {other:?}"),
+            Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "BNDR"),
+            other => panic!("expected checksum mismatch, got {other:?}"),
         }
     }
 

@@ -29,13 +29,11 @@ use std::time::{Duration, Instant};
 use kor_core::{
     Algo, BucketBoundParams, KorEngine, KorError, KorQuery, SearchOutcome, SearchRequest,
 };
-use kor_data::shard::ShardingInfo;
 use kor_data::{generate_workload, CannedQuery, CannedQuerySet, WorkloadConfig};
 use kor_graph::Graph;
 
 use crate::json::JsonValue;
 use crate::percentile::LatencySummary;
-use crate::shard::ShardRouter;
 
 /// Full configuration of a batch run.
 #[derive(Debug, Clone)]
@@ -50,13 +48,6 @@ pub struct BatchConfig {
     /// instead of generating a workload — the exact same queries every
     /// run, with per-query budgets from the snapshot.
     pub canned: Option<Vec<CannedQuerySet>>,
-    /// Route queries through a [`ShardRouter`] built from this shard
-    /// layout (e.g. a sharded snapshot's `SHRD`/`BNDR` sections):
-    /// confinement-proven queries run on their shard's engine, the rest
-    /// fan out to the fused engine. Results are byte-identical either
-    /// way — only the routing (and [`BatchReport::shard_routing`])
-    /// changes.
-    pub sharding: Option<ShardingInfo>,
     /// Algorithm (and its parameters) to run.
     pub algo: Algo,
     /// Worker thread count; `0` means one per available core.
@@ -69,7 +60,6 @@ impl Default for BatchConfig {
             workload: WorkloadConfig::default(),
             delta: 25.0,
             canned: None,
-            sharding: None,
             algo: Algo::BucketBound(BucketBoundParams::default()),
             threads: 0,
         }
@@ -175,9 +165,6 @@ pub struct BatchReport {
     pub wall: Duration,
     /// Per-set aggregates.
     pub per_set: Vec<SetSummary>,
-    /// Shard routing totals when the batch replayed through a sharded
-    /// layout: `(confined shard-local answers, fused-engine fanouts)`.
-    pub shard_routing: Option<(u64, u64)>,
 }
 
 impl BatchReport {
@@ -215,9 +202,8 @@ impl BatchReport {
     /// Deterministic digest of every query's *answer* — id, feasibility,
     /// objective and budget bits, and route node ids folded FNV-1a style
     /// in submission order. Timing and threading never enter, so two
-    /// runs of the same workload on the same dataset — sharded behind
-    /// the router or on the single fused engine — must produce equal
-    /// digests; the CI shard smoke step diffs exactly this field.
+    /// runs of the same workload on the same dataset must produce equal
+    /// digests.
     pub fn result_digest(&self) -> u64 {
         digest_outcomes(&self.outcomes)
     }
@@ -264,12 +250,6 @@ impl BatchReport {
                 format!("{:016x}", self.result_digest()).into(),
             ),
         ];
-        if let Some((local, fanout)) = self.shard_routing {
-            fields.push((
-                "shards",
-                JsonValue::obj([("local", local.into()), ("fanout", fanout.into())]),
-            ));
-        }
         if let Some(l) = self.latency() {
             fields.push(("latency_us", latency_json(&l)));
         }
@@ -324,13 +304,6 @@ struct WorkItem {
 /// cursor, so long-running stragglers never idle the other threads.
 pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
     let engine = KorEngine::new(graph);
-    // When the dataset ships a shard layout, every query routes through
-    // the scatter-gather router; the fused engine above stays the
-    // gather side for cross-shard queries.
-    let router = config
-        .sharding
-        .as_ref()
-        .map(|info| ShardRouter::new(graph, info.clone()));
     // Either replay the canned sets verbatim or generate a workload;
     // either way
     // downstream sees one shape: the generated workload is canned with
@@ -383,7 +356,6 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let engine = &engine;
-            let router = router.as_ref();
             let items = &items;
             let cursor = &cursor;
             let request = &request;
@@ -392,7 +364,7 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
                 loop {
                     let at = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(at) else { break };
-                    local.push(run_one(engine, router, item, request));
+                    local.push(run_one(engine, item, request));
                 }
                 local
             }));
@@ -434,36 +406,18 @@ pub fn run_batch(graph: &Graph, config: &BatchConfig) -> BatchReport {
         outcomes,
         wall,
         per_set,
-        shard_routing: router.map(|r| {
-            let local: u64 = r.shard_counters().iter().map(|c| c.local_hits).sum();
-            (local, r.fanouts())
-        }),
     }
 }
 
-/// Answer one work item, timing only the engine call. With a router,
-/// confined queries run on their shard's engine (anchored), everything
-/// else on the fused engine; planning is not part of the latency.
-fn run_one(
-    engine: &KorEngine<&Graph>,
-    router: Option<&ShardRouter>,
-    item: &WorkItem,
-    request: &SearchRequest,
-) -> QueryOutcome {
+/// Answer one work item, timing only the engine call.
+fn run_one(engine: &KorEngine<&Graph>, item: &WorkItem, request: &SearchRequest) -> QueryOutcome {
     let base = QueryOutcome::pending(item.id, item.set_index, item.keyword_count);
     let query = match &item.query {
         Ok(q) => q,
         Err(e) => return base.failed(e.clone()),
     };
-    let local = match router.map(|r| r.route(query, request)).transpose() {
-        Err(unavailable) => return base.failed(unavailable.to_string()),
-        Ok(local) => local.flatten(),
-    };
     let t0 = Instant::now();
-    let answer = match &local {
-        Some((shard, anchored)) => shard.search(query, anchored),
-        None => engine.search(query, request),
-    };
+    let answer = engine.search(query, request);
     QueryOutcome {
         latency: t0.elapsed(),
         ..base
@@ -489,7 +443,6 @@ mod tests {
             },
             delta: 40.0,
             canned: None,
-            sharding: None,
             algo: Algo::BucketBound(BucketBoundParams::default()),
             threads: 4,
         }
@@ -586,50 +539,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(objs(&report), objs(&again));
-    }
-
-    #[test]
-    fn sharded_replay_matches_unsharded_digest() {
-        use kor_data::{compute_sharding, generate_world, GenConfig};
-        let world = generate_world(&GenConfig::grid(6, 5, 3));
-        for algo in [
-            Algo::OsScaling(OsScalingParams::default()),
-            Algo::BucketBound(BucketBoundParams::default()),
-            Algo::Greedy(GreedyParams::with_beam(2)),
-        ] {
-            let unsharded = run_batch(
-                &world.graph,
-                &BatchConfig {
-                    canned: Some(world.query_sets.clone()),
-                    algo: algo.clone(),
-                    threads: 2,
-                    ..BatchConfig::default()
-                },
-            );
-            let sharded = run_batch(
-                &world.graph,
-                &BatchConfig {
-                    canned: Some(world.query_sets.clone()),
-                    sharding: Some(compute_sharding(&world.graph, 2)),
-                    algo: algo.clone(),
-                    threads: 2,
-                    ..BatchConfig::default()
-                },
-            );
-            assert_eq!(unsharded.shard_routing, None);
-            let (local, fanout) = sharded.shard_routing.expect("routed");
-            assert_eq!(
-                (local + fanout) as usize,
-                world.query_count(),
-                "every query routed exactly once"
-            );
-            assert_eq!(
-                sharded.result_digest(),
-                unsharded.result_digest(),
-                "{}: router must be answer-invariant",
-                algo.name()
-            );
-        }
     }
 
     #[test]

@@ -25,16 +25,6 @@
 //! * `stats` — print graph statistics;
 //! * `query` — answer a KOR/KkR query with any of the paper's
 //!   algorithms;
-//! * `shard` — split a snapshot into N shards: compute the node
-//!   assignment, cut edges, and escape/enter boundary summary, and save
-//!   a sharded `.korbin` (`SHRD`/`BNDR` sections appended; every other
-//!   byte unchanged). `kor serve` and `kor batch --canned` route
-//!   sharded snapshots through the scatter-gather router:
-//!
-//! ```bash
-//! kor shard world.korbin --shards 4 --out world-4.korbin
-//! ```
-//!
 //! * `batch` — generate a query workload over a dataset and answer it in
 //!   parallel over one shared engine, printing per-query latencies and a
 //!   JSON summary:
@@ -84,7 +74,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("stats") => stats(&args[1..]),
         Some("query") => query(&args[1..]),
         Some("batch") => batch(&args[1..]),
-        Some("shard") => shard(&args[1..]),
         Some("mutate") => mutate(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("recover") => recover(&args[1..]),
@@ -100,7 +89,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
 /// Every subcommand, for the usage screen and error messages.
 const SUBCOMMANDS: &str =
-    "generate, gen, ingest, stats, query, batch, shard, mutate, serve, recover, help";
+    "generate, gen, ingest, stats, query, batch, mutate, serve, recover, help";
 
 fn usage() -> &'static str {
     "kor — keyword-aware optimal route search (Cao et al., VLDB 2012)\n\
@@ -122,7 +111,6 @@ fn usage() -> &'static str {
      \x20           [--per-set N] [--algo os-scaling|bucket-bound|greedy|exact]\n\
      \x20           [--threads N] [--seed N] [--epsilon E] [--beta B]\n\
      \x20           [--alpha A] [--beam N] [--json-out FILE] [--quiet]\n\
-     \x20 kor shard FILE [--shards N] [--out FILE.korbin]\n\
      \x20 kor mutate FILE [--out FILE.korbin] [--script FILE.json]\n\
      \x20           [--traffic-seed N] [--phases N] [--closures N]\n\
      \x20           [--slowdowns N] [--multiplier-lo X] [--multiplier-hi X]\n\
@@ -547,10 +535,8 @@ fn batch(args: &[String]) -> Result<(), String> {
     // `--canned` replays the query sets stored in a `.korbin` snapshot
     // (each with its own budget) instead of generating a workload. The
     // graph comes from the same parse, so the queries can never run
-    // against a different file state than they were validated with. A
-    // sharded snapshot replays through the scatter-gather router — the
-    // answers are byte-identical, only the routing changes.
-    let (graph, canned, sharding) = if flag(&flags, "canned").is_some() {
+    // against a different file state than they were validated with.
+    let (graph, canned) = if flag(&flags, "canned").is_some() {
         let world = read_snapshot(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
         if world.query_count() == 0 {
             return Err(format!(
@@ -558,9 +544,9 @@ fn batch(args: &[String]) -> Result<(), String> {
                  or can a workload with `kor ingest --per-set`)"
             ));
         }
-        (world.graph, Some(world.query_sets), world.sharding)
+        (world.graph, Some(world.query_sets))
     } else {
-        (load(path)?, None, None)
+        (load(path)?, None)
     };
 
     let budget: f64 = match (flag(&flags, "budget"), &canned) {
@@ -585,7 +571,6 @@ fn batch(args: &[String]) -> Result<(), String> {
         },
         delta: budget,
         canned,
-        sharding,
         algo,
         threads,
     };
@@ -616,73 +601,12 @@ fn batch(args: &[String]) -> Result<(), String> {
         report.feasible(),
         report.errors(),
     );
-    if let Some((local, fanout)) = report.shard_routing {
-        eprintln!("batch: sharded routing: {local} shard-local, {fanout} fused fanouts");
-    }
     let json = report.to_json();
     if let Some(out) = flag(&flags, "json-out") {
         std::fs::write(out, &json).map_err(|e| format!("--json-out {out}: {e}"))?;
         eprintln!("wrote JSON summary to {out}");
     }
     println!("{json}");
-    Ok(())
-}
-
-/// `kor shard`: split a snapshot into N shards. Computes the node
-/// assignment (`kor_apsp::partition`, folded to the requested count),
-/// the cut-edge list, and the escape/enter boundary summary, then
-/// writes a sharded snapshot: the `GRPH`/`VOCB`/`POST`/`QRYS` bytes are
-/// untouched, `SHRD`/`BNDR` sections are appended. Deterministic: the
-/// same input and `--shards` always produce a byte-identical output.
-fn shard(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args, "shards out")?;
-    let input = positional
-        .first()
-        .ok_or("shard needs a dataset file (.korbin or .korg)")?;
-    let shards: usize = parse_num(&flags, "shards", 2)?;
-    if shards == 0 {
-        return Err("--shards must be ≥ 1".into());
-    }
-    let out = match flag(&flags, "out") {
-        Some(o) => PathBuf::from(o),
-        None => {
-            let p = Path::new(input);
-            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("dataset");
-            p.with_file_name(format!("{stem}-{shards}shard.korbin"))
-        }
-    };
-    // Same clobber guard as `ingest`: canonicalize so spelling aliases
-    // cannot slip past and overwrite the input.
-    let same_file = match (std::fs::canonicalize(input), std::fs::canonicalize(&out)) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => out.as_path() == Path::new(input),
-    };
-    if same_file {
-        return Err(format!(
-            "refusing to overwrite the input ({}); pass a different --out",
-            out.display()
-        ));
-    }
-    let mut world =
-        kor::data::read_world_auto(Path::new(input)).map_err(|e| format!("{input}: {e}"))?;
-    let info = kor::data::compute_sharding(&world.graph, shards);
-    let sizes = info.shard_sizes();
-    println!(
-        "sharded {} nodes into {} shards (sizes {:?}), {} cut edges",
-        world.graph.node_count(),
-        info.shard_count,
-        sizes,
-        info.cut_edges.len(),
-    );
-    if (info.shard_count as usize) < shards {
-        eprintln!(
-            "note: the partition yielded {} non-empty shards (requested {shards})",
-            info.shard_count
-        );
-    }
-    world.sharding = Some(info);
-    write_snapshot(&out, &world).map_err(|e| e.to_string())?;
-    println!("saved to {}", out.display());
     Ok(())
 }
 
@@ -711,7 +635,7 @@ fn mutate(args: &[String]) -> Result<(), String> {
             p.with_file_name(format!("{stem}-mutated.korbin"))
         }
     };
-    // Same clobber guard as `ingest` and `shard`.
+    // Same clobber guard as `ingest`.
     let same_file = match (std::fs::canonicalize(input), std::fs::canonicalize(&out)) {
         (Ok(a), Ok(b)) => a == b,
         _ => out.as_path() == Path::new(input),
@@ -985,14 +909,14 @@ mod tests {
         let err = run(&s(&["frobnicate"])).unwrap_err();
         assert!(err.contains("frobnicate"), "{err}");
         for sub in [
-            "generate", "gen", "ingest", "stats", "query", "batch", "shard", "mutate", "serve",
-            "recover",
+            "generate", "gen", "ingest", "stats", "query", "batch", "mutate", "serve", "recover",
         ] {
             assert!(err.contains(sub), "error must mention {sub}: {err}");
         }
-        // Retired harnesses are not offered: the benchmark of record
-        // (`benchmark/`) replaced them.
-        for gone in ["bench", "loadtest"] {
+        // Retired subcommands are not offered: the benchmark of record
+        // (`benchmark/`) replaced `bench` and `loadtest`, and datasets
+        // are served unsharded.
+        for gone in ["bench", "loadtest", "shard"] {
             assert!(!err.contains(gone), "error must not offer {gone}: {err}");
             assert!(run(&s(&[gone])).unwrap_err().contains("unknown subcommand"));
         }
@@ -1008,7 +932,6 @@ mod tests {
             "kor stats",
             "kor query",
             "kor batch",
-            "kor shard",
             "kor mutate",
             "kor serve",
             "kor recover",
@@ -1016,7 +939,7 @@ mod tests {
         ] {
             assert!(usage().contains(sub), "usage must mention {sub:?}");
         }
-        for gone in ["kor bench", "kor loadtest"] {
+        for gone in ["kor bench", "kor loadtest", "kor shard"] {
             assert!(!usage().contains(gone), "usage must not mention {gone:?}");
         }
         // The seed contract is part of the CLI contract.
@@ -1179,100 +1102,6 @@ mod tests {
         assert!(err.contains("no canned queries"), "{err}");
         // Refuses to clobber its input.
         assert!(run(&s(&["ingest", &bin_str, "--out", &bin_str])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_writes_a_routable_snapshot() {
-        let dir = std::env::temp_dir().join(format!("kor-cli-shard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let bin = dir.join("world.korbin");
-        let bin_str = bin.to_str().unwrap().to_string();
-        run(&s(&[
-            "gen",
-            "--topology",
-            "grid",
-            "--width",
-            "6",
-            "--height",
-            "5",
-            "--seed",
-            "3",
-            "--out",
-            &bin_str,
-        ]))
-        .unwrap();
-        let sharded = dir.join("world-2.korbin");
-        let sharded_str = sharded.to_str().unwrap().to_string();
-        run(&s(&[
-            "shard",
-            &bin_str,
-            "--shards",
-            "2",
-            "--out",
-            &sharded_str,
-        ]))
-        .unwrap();
-        let world = read_snapshot(&sharded).unwrap();
-        let info = world.sharding.expect("sharded snapshot carries layout");
-        assert_eq!(info.shard_count, 2);
-        // Sharding is deterministic: re-sharding produces identical bytes.
-        let again = dir.join("again.korbin");
-        run(&s(&[
-            "shard",
-            &bin_str,
-            "--shards",
-            "2",
-            "--out",
-            again.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&sharded).unwrap(),
-            std::fs::read(&again).unwrap()
-        );
-        // The sharded snapshot replays through the batch front end and
-        // its result digest matches the unsharded replay exactly — the
-        // same check CI's shard smoke step performs from the shell.
-        let digest_of = |input: &str, out: &std::path::Path| {
-            run(&s(&[
-                "batch",
-                input,
-                "--canned",
-                "--quiet",
-                "--json-out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
-            let summary = kor::json::JsonValue::parse(&std::fs::read_to_string(out).unwrap())
-                .expect("batch summary is valid JSON");
-            summary
-                .get("result_digest")
-                .and_then(kor::json::JsonValue::as_str)
-                .expect("batch summary carries a result digest")
-                .to_string()
-        };
-        let plain = digest_of(&bin_str, &dir.join("plain.json"));
-        let routed = digest_of(&sharded_str, &dir.join("routed.json"));
-        assert_eq!(plain, routed, "sharded replay drifted from unsharded");
-        let routed_summary =
-            kor::json::JsonValue::parse(&std::fs::read_to_string(dir.join("routed.json")).unwrap())
-                .unwrap();
-        let shards_section = routed_summary
-            .get("shards")
-            .expect("sharded batch summary reports routing counts");
-        let local = shards_section
-            .get("local")
-            .and_then(kor::json::JsonValue::as_u64)
-            .unwrap();
-        let fanout = shards_section
-            .get("fanout")
-            .and_then(kor::json::JsonValue::as_u64)
-            .unwrap();
-        assert!(local + fanout > 0, "no canned queries were routed");
-        // Refuses --shards 0 and clobbering the input.
-        assert!(run(&s(&["shard", &bin_str, "--shards", "0"])).is_err());
-        assert!(run(&s(&["shard", &bin_str, "--out", &bin_str])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

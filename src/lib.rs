@@ -34,10 +34,9 @@
 //!   never-crashed twin, and compact the journal into a checkpoint
 //!   (`kor recover` on the CLI; operations guide in
 //!   `docs/OPERATIONS.md`);
-//! * [`shard`] — the scatter-gather router over partitioned datasets:
-//!   one warm engine per shard, confinement-proven local answers, and
-//!   fused-engine fanout for cross-shard queries (`kor shard` on the
-//!   CLI splits a snapshot; `serve`/`batch` route through it);
+//! * [`shard`] — a shard router core kept only for the benchmark's
+//!   shard probe (no product path serves shards; deleted with ROADMAP
+//!   item 1);
 //! * [`json`] — the strict, dependency-free JSON layer the above
 //!   share;
 //! * [`percentile`] — the one latency summariser, shared by `kor batch`
@@ -99,14 +98,12 @@ pub mod prelude {
     pub use kor_core::{
         brute_force, search_uncached, Algo, BruteForceParams, BucketBoundParams, CacheStats,
         GreedyMode, GreedyParams, GreedyRoute, KorEngine, KorError, KorQuery, OsScalingParams,
-        PreprocessCache, RouteResult, ScaleAnchor, SearchOutcome, SearchRequest, SearchResult,
-        SearchStats,
+        PreprocessCache, RouteResult, SearchOutcome, SearchRequest, SearchResult, SearchStats,
     };
     pub use kor_data::{
-        compute_sharding, generate_flickr, generate_roadnet, generate_traffic, generate_workload,
-        generate_world, read_snapshot, write_snapshot, CannedQuery, CannedQuerySet, FlickrConfig,
-        GenConfig, RoadNetConfig, ShardingInfo, Snapshot, SnapshotError, TagModel, Topology,
-        TrafficConfig, WorkloadConfig,
+        generate_flickr, generate_roadnet, generate_traffic, generate_workload, generate_world,
+        read_snapshot, write_snapshot, CannedQuery, CannedQuerySet, FlickrConfig, GenConfig,
+        RoadNetConfig, Snapshot, SnapshotError, TagModel, Topology, TrafficConfig, WorkloadConfig,
     };
     pub use kor_graph::{
         EdgeMutation, Graph, GraphBuilder, GraphError, KeywordId, MutationError, MutationKind,

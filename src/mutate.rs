@@ -28,7 +28,6 @@
 use std::sync::Arc;
 
 use kor_core::{Algo, KorEngine, KorQuery, MutationReport, SearchRequest};
-use kor_data::sharding_from_assignment;
 use kor_data::snapshot::Snapshot;
 use kor_graph::{EdgeMutation, Graph, MutationKind, NodeId};
 
@@ -116,8 +115,7 @@ impl MutateReport {
 }
 
 /// Replays `script` against a warm engine built from `world`, then
-/// installs the mutated graph (and a re-derived shard layout, when the
-/// snapshot had one) back into `world`.
+/// installs the mutated graph back into `world`.
 ///
 /// With `config.verify` set, the snapshot must carry canned queries;
 /// after every phase both the warm engine and a cold rebuild replay
@@ -172,11 +170,7 @@ pub fn run_mutate(
         });
     }
 
-    let mutated = engine.graph().clone();
-    if let Some(old) = world.sharding.take() {
-        world.sharding = Some(sharding_from_assignment(&mutated, old.assignment));
-    }
-    world.graph = mutated;
+    world.graph = engine.graph().clone();
     Ok(MutateReport {
         phases,
         verified: config.verify,
@@ -386,26 +380,6 @@ mod tests {
         // mutation oracle battery proves that non-vacuously.)
         assert!(report.total_evicted() > 0, "no cache entry was evicted");
         assert_eq!(report.total_retained(), 0);
-    }
-
-    #[test]
-    fn run_mutate_rederives_sharding() {
-        let mut w = world();
-        w.sharding = Some(kor_data::compute_sharding(&w.graph, 2));
-        let old_assignment = w.sharding.as_ref().unwrap().assignment.clone();
-        let script = generate_traffic(&w.graph, &TrafficConfig::base(5));
-        run_mutate(
-            &mut w,
-            &script,
-            &MutateConfig {
-                algo: algo(),
-                verify: false,
-            },
-        )
-        .unwrap();
-        let info = w.sharding.as_ref().expect("sharding survives mutation");
-        assert_eq!(info.assignment, old_assignment, "assignment is stable");
-        kor_data::validate_sharding(&w.graph, info).expect("re-derived layout is consistent");
     }
 
     #[test]

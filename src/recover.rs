@@ -28,7 +28,7 @@ use kor_core::{Algo, KorEngine};
 use kor_data::journal::{
     checkpoint_path, graph_digest, journal_path, read_journal, replay, Journal,
 };
-use kor_data::{sharding_from_assignment, Snapshot};
+use kor_data::Snapshot;
 
 use crate::json::JsonValue;
 use crate::mutate::replay_digest;
@@ -183,19 +183,13 @@ pub fn run_recover(config: &RecoverConfig) -> Result<RecoverReport, String> {
         // Open for real — this truncates any torn tail — and fold the
         // recovered world into a checkpoint the journal restarts from.
         // Canned queries ride along so later `--verify` passes keep
-        // working; a sharded layout is re-derived from the base
-        // assignment on the recovered graph.
+        // working.
         let digest = graph_digest(&snapshot.graph);
         let (mut journal, _) = Journal::open(&jpath, digest)
             .map_err(|e| format!("journal {}: {e}", jpath.display()))?;
-        let sharding = snapshot
-            .sharding
-            .as_ref()
-            .map(|info| sharding_from_assignment(&graph, info.assignment.clone()));
         let world = Snapshot {
             graph: graph.clone(),
             query_sets: snapshot.query_sets.clone(),
-            sharding,
         };
         let path = journal
             .checkpoint(&name, &world)

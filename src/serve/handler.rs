@@ -20,7 +20,6 @@ use crate::json::JsonValue;
 use crate::serve::protocol::{ErrorCode, Request, WireError};
 use crate::serve::recovery::{self, JournalState};
 use crate::serve::registry::{Dataset, Registry, ResolveError};
-use crate::shard::ShardRouter;
 
 use std::sync::Arc;
 
@@ -139,8 +138,6 @@ pub fn handle(
         "load_dataset" => load_dataset(ctx, req),
         "query" => query(ctx, req, received),
         "update_edges" => update_edges(ctx, req),
-        "poison_shard" => set_shard_poisoned(ctx, req, true),
-        "revive_shard" => set_shard_poisoned(ctx, req, false),
         "shutdown" => {
             check_keys(&req.params, &[])?;
             ctx.shutdown.store(true, Ordering::SeqCst);
@@ -150,7 +147,7 @@ pub fn handle(
             ErrorCode::UnknownMethod,
             format!(
                 "unknown method {other:?} (expected query, update_edges, load_dataset, \
-                 poison_shard, revive_shard, stats, health, or shutdown)"
+                 stats, health, or shutdown)"
             ),
         )),
     }
@@ -198,9 +195,6 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
                     ]),
                 ),
             ];
-            if let Some(router) = d.router() {
-                fields.push(("shards", shards_json(router)));
-            }
             if let Some(state) = journals.get(d.name()) {
                 fields.push((
                     "journal",
@@ -242,72 +236,6 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
             ]),
         ),
         ("datasets", JsonValue::Arr(per_dataset)),
-    ]))
-}
-
-/// The `shards` stats section of one sharded dataset: routing totals
-/// plus per-shard ownership and health counters, in shard-id order.
-fn shards_json(router: &ShardRouter) -> JsonValue {
-    let per_shard: Vec<JsonValue> = router
-        .shard_counters()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            JsonValue::obj([
-                ("shard", (i as u64).into()),
-                ("nodes", c.nodes.into()),
-                ("queries", c.queries.into()),
-                ("local_hits", c.local_hits.into()),
-                ("poisoned", c.poisoned.into()),
-            ])
-        })
-        .collect();
-    JsonValue::obj([
-        ("count", u64::from(router.shard_count()).into()),
-        ("cut_edges", (router.info().cut_edges.len() as u64).into()),
-        ("fused_only", router.fused_only().into()),
-        ("fanouts", router.fanouts().into()),
-        ("rejected", router.rejected().into()),
-        ("per_shard", JsonValue::Arr(per_shard)),
-    ])
-}
-
-/// `poison_shard` / `revive_shard`: fault injection on a sharded
-/// dataset. Poisoning marks one shard unavailable — its queries fail
-/// with `shard_unavailable` while every other shard keeps answering.
-fn set_shard_poisoned(
-    ctx: &ServerContext,
-    req: &Request,
-    poisoned: bool,
-) -> Result<JsonValue, WireError> {
-    check_keys(&req.params, &["dataset", "shard"])?;
-    let dataset = resolve(&ctx.registry, opt_str(&req.params, "dataset")?)?;
-    let shard = req_u32(&req.params, "shard")?;
-    let router = dataset.router().ok_or_else(|| {
-        WireError::new(
-            ErrorCode::BadRequest,
-            format!("dataset {:?} is not sharded", dataset.name()),
-        )
-    })?;
-    let changed = if poisoned {
-        router.poison(shard)
-    } else {
-        router.revive(shard)
-    };
-    if !changed {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            format!(
-                "shard {shard} out of range (dataset {:?} has {} shards)",
-                dataset.name(),
-                router.shard_count()
-            ),
-        ));
-    }
-    Ok(JsonValue::obj([
-        ("dataset", dataset.name().into()),
-        ("shard", u64::from(shard).into()),
-        ("poisoned", poisoned.into()),
     ]))
 }
 
@@ -353,14 +281,12 @@ fn load_dataset(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
         let g = dataset.engine().graph();
         (g.node_count(), g.edge_count(), g.vocab().len())
     };
-    let shards = dataset.router().map_or(0, ShardRouter::shard_count);
     let replaced = ctx.registry.insert(dataset);
     let mut fields: Vec<(&'static str, JsonValue)> = vec![
         ("name", name.into()),
         ("nodes", nodes.into()),
         ("edges", edges.into()),
         ("keywords", keywords.into()),
-        ("shards", u64::from(shards).into()),
         ("replaced", replaced.into()),
     ];
     if let Some(info) = recovered {
@@ -468,13 +394,7 @@ fn query(ctx: &ServerContext, req: &Request, received: Instant) -> Result<JsonVa
         k,
         deadline,
     };
-    let outcome = match dataset.router() {
-        Some(router) => router
-            .search(engine, &query, &request)
-            .map_err(|e| WireError::new(ErrorCode::ShardUnavailable, e.to_string()))?,
-        None => engine.search(&query, &request),
-    }
-    .map_err(engine_error)?;
+    let outcome = engine.search(&query, &request).map_err(engine_error)?;
 
     let mut fields: Vec<(&'static str, JsonValue)> = vec![
         ("dataset", dataset.name().into()),
@@ -545,18 +465,12 @@ fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
         false
     };
     let edges = updated.engine().graph().edge_count();
-    let router_mode = match updated.router() {
-        None => "none",
-        Some(r) if r.fused_only() => "fused_only",
-        Some(_) => "sharded",
-    };
     ctx.registry.insert(updated);
     Ok(JsonValue::obj([
         ("dataset", dataset.name().into()),
         ("epoch", report.epoch.into()),
         ("edges", edges.into()),
         ("applied", (mutations.len() as u64).into()),
-        ("router", router_mode.into()),
         ("journaled", journaled.into()),
         (
             "invalidation",
@@ -971,7 +885,7 @@ mod tests {
         assert_eq!(r.get("epoch").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(r.get("edges").and_then(JsonValue::as_u64), Some(11));
         assert_eq!(r.get("applied").and_then(JsonValue::as_u64), Some(1));
-        assert_eq!(r.get("router").and_then(JsonValue::as_str), Some("none"));
+        assert!(r.get("router").is_none());
         let inv = r.get("invalidation").expect("invalidation counters");
         let count = |key| inv.get(key).and_then(JsonValue::as_u64).unwrap();
         // v7 is the only warmed target and the closed edge points at

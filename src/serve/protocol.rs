@@ -35,10 +35,6 @@ pub enum ErrorCode {
     /// the connection is closed after this response. Retry later,
     /// ideally with backoff.
     Overloaded,
-    /// The shard owning the query's source or target is unavailable
-    /// (poisoned or lost). Queries owned by other shards keep
-    /// answering; the connection stays open.
-    ShardUnavailable,
     /// The write-ahead journal append failed; the mutation batch was
     /// NOT applied (the dataset is unchanged) and it is safe to retry.
     JournalError,
@@ -60,7 +56,6 @@ impl ErrorCode {
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::RequestTooLarge => "request_too_large",
             ErrorCode::Overloaded => "overloaded",
-            ErrorCode::ShardUnavailable => "shard_unavailable",
             ErrorCode::JournalError => "journal_error",
             ErrorCode::InternalError => "internal_error",
         }
@@ -232,7 +227,6 @@ mod tests {
             (ErrorCode::DeadlineExceeded, "deadline_exceeded"),
             (ErrorCode::RequestTooLarge, "request_too_large"),
             (ErrorCode::Overloaded, "overloaded"),
-            (ErrorCode::ShardUnavailable, "shard_unavailable"),
             (ErrorCode::JournalError, "journal_error"),
             (ErrorCode::InternalError, "internal_error"),
         ];

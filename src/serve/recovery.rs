@@ -132,19 +132,8 @@ pub fn attach(dir: &Path, name: &str, path: &Path) -> Result<(Dataset, JournalSt
     // The graph's own epoch, not the replayed-batch count: for a
     // compacted journal the two differ by the checkpoint's base epoch.
     let epoch = graph.epoch();
-    // A live server degrades a sharded router to fused-only the moment
-    // a batch touches a cut edge, stickily. Recovery must land in the
-    // same mode, so re-run that test over every replayed batch.
-    let fused_only = match &snapshot.sharding {
-        Some(info) => recovered.batches.iter().any(|(_, batch)| {
-            batch
-                .iter()
-                .any(|m| info.assignment[m.from.index()] != info.assignment[m.to.index()])
-        }),
-        None => false,
-    };
     let batches = recovered.batches.len() as u64;
-    let dataset = Dataset::from_recovered(name, graph, snapshot.sharding, fused_only);
+    let dataset = Dataset::from_graph(name, graph);
     Ok((
         dataset,
         JournalState {
@@ -166,11 +155,7 @@ pub fn seed(dir: &Path, dataset: &Dataset) -> Result<JournalState, String> {
     let graph = dataset.engine().graph().as_ref().clone();
     let epoch = graph.epoch();
     let digest = graph_digest(&graph);
-    let world = Snapshot {
-        graph,
-        query_sets: Vec::new(),
-        sharding: dataset.router().map(|r| r.info().clone()),
-    };
+    let world = Snapshot::graph_only(graph);
     let jpath = journal_path(dir, dataset.name());
     let mut journal = Journal::create(&jpath, epoch, digest)
         .map_err(|e| format!("cannot create journal {}: {e}", jpath.display()))?;

@@ -6,17 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use kor_core::{KorEngine, MutationReport};
-use kor_data::sharding_from_assignment;
 use kor_data::Snapshot;
 use kor_graph::{EdgeMutation, Graph, MutationError};
 
-use crate::shard::ShardRouter;
-
 /// A loaded dataset: the graph plus one warm [`KorEngine`] (inverted
 /// index and shared forward-tree cache) reused by every request that
-/// names this dataset — and, when the snapshot carried `SHRD`/`BNDR`
-/// sections, a [`ShardRouter`] with one warm engine per shard in front
-/// of it.
+/// names this dataset.
 ///
 /// The engine holds the graph behind an `Arc`, so a `Dataset` owns its
 /// data outright and an `Arc<Dataset>` handed to a worker keeps serving
@@ -24,7 +19,6 @@ use crate::shard::ShardRouter;
 pub struct Dataset {
     name: String,
     engine: KorEngine<Arc<Graph>>,
-    router: Option<ShardRouter>,
     queries_served: AtomicU64,
 }
 
@@ -33,10 +27,6 @@ impl std::fmt::Debug for Dataset {
         f.debug_struct("Dataset")
             .field("name", &self.name)
             .field("nodes", &self.engine.graph().node_count())
-            .field(
-                "shards",
-                &self.router.as_ref().map_or(0, |r| r.shard_count()),
-            )
             .field("queries_served", &self.queries_served())
             .finish_non_exhaustive()
     }
@@ -44,29 +34,17 @@ impl std::fmt::Debug for Dataset {
 
 impl Dataset {
     /// Loads a graph file — text `.korg` or binary `.korbin` snapshot,
-    /// sniffed by content — and builds the engine. A snapshot with
-    /// `SHRD`/`BNDR` sections comes up sharded: the scatter-gather
-    /// router and its per-shard engines are built here, warm before the
-    /// first query.
+    /// sniffed by content — and builds the engine.
     pub fn load(name: &str, path: &Path) -> Result<Dataset, String> {
         let snapshot =
             kor_data::read_world_auto(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(Dataset::from_snapshot(name, snapshot))
     }
 
-    /// Wraps an in-memory snapshot, building the shard router when the
-    /// snapshot carries a shard layout.
+    /// Wraps an in-memory snapshot's graph (its canned queries are not
+    /// served).
     pub fn from_snapshot(name: &str, snapshot: Snapshot) -> Dataset {
-        let router = snapshot
-            .sharding
-            .as_ref()
-            .map(|info| ShardRouter::new(&snapshot.graph, info.clone()));
-        Dataset {
-            name: name.to_string(),
-            engine: KorEngine::new(Arc::new(snapshot.graph)),
-            router,
-            queries_served: AtomicU64::new(0),
-        }
+        Dataset::from_graph(name, snapshot.graph)
     }
 
     /// The default registry name for a graph file: its file stem
@@ -78,40 +56,12 @@ impl Dataset {
             .map(str::to_string)
     }
 
-    /// Wraps a graph recovered by replaying a mutation journal over a
-    /// base snapshot — the crash-recovery twin of [`Dataset::load`]
-    /// followed by every acknowledged `update_edges` batch.
-    ///
-    /// `sharding` is the *base* snapshot's layout, when it had one; the
-    /// boundary tables are re-derived from its node assignment on the
-    /// recovered graph, exactly as [`Dataset::with_mutations`] would
-    /// have per batch. `fused_only` must be true when any replayed
-    /// batch touched a cut edge of that assignment — degradation is
-    /// sticky live, so recovery must reproduce it.
-    pub fn from_recovered(
-        name: &str,
-        graph: Graph,
-        sharding: Option<kor_data::ShardingInfo>,
-        fused_only: bool,
-    ) -> Dataset {
-        let router = sharding.map(|info| {
-            let rederived = sharding_from_assignment(&graph, info.assignment);
-            ShardRouter::new_with_mode(&graph, rederived, fused_only)
-        });
-        Dataset {
-            name: name.to_string(),
-            engine: KorEngine::new(Arc::new(graph)),
-            router,
-            queries_served: AtomicU64::new(0),
-        }
-    }
-
-    /// Wraps an already-built graph (tests, embedded use). Unsharded.
+    /// Wraps an already-built graph: a recovered one, or one built in
+    /// memory (tests, embedded use).
     pub fn from_graph(name: &str, graph: Graph) -> Dataset {
         Dataset {
             name: name.to_string(),
             engine: KorEngine::new(Arc::new(graph)),
-            router: None,
             queries_served: AtomicU64::new(0),
         }
     }
@@ -121,17 +71,9 @@ impl Dataset {
         &self.name
     }
 
-    /// The warm engine for this dataset — the *fused* engine over the
-    /// whole graph. Sharded datasets still need it: it is the gather
-    /// side of the router, answering every cross-shard query.
+    /// The warm engine for this dataset.
     pub fn engine(&self) -> &KorEngine<Arc<Graph>> {
         &self.engine
-    }
-
-    /// The shard router, when this dataset was loaded from a sharded
-    /// snapshot.
-    pub fn router(&self) -> Option<&ShardRouter> {
-        self.router.as_ref()
     }
 
     /// Records one answered query (any outcome).
@@ -151,36 +93,16 @@ impl Dataset {
     /// request ever observes a torn graph.
     ///
     /// The warm engine carries every cache entry whose invalidation
-    /// stamp avoids the changed edges. A sharded dataset re-derives its
-    /// escape/enter boundary tables from the old node assignment on the
-    /// mutated graph; if the batch changed a *cut* edge (or the router
-    /// was already degraded), the new router runs fused-only — every
-    /// query fans out to the fused engine until a re-shard.
+    /// stamp avoids the changed edges.
     pub fn with_mutations(
         &self,
         mutations: &[EdgeMutation],
     ) -> Result<(Dataset, MutationReport), MutationError> {
         let (engine, report) = self.engine.apply_edge_mutations(mutations)?;
-        let router = match &self.router {
-            Some(old) => {
-                let assignment = old.info().assignment.clone();
-                let crosses_cut = mutations
-                    .iter()
-                    .any(|m| assignment[m.from.index()] != assignment[m.to.index()]);
-                let info = sharding_from_assignment(engine.graph(), assignment);
-                Some(ShardRouter::new_with_mode(
-                    engine.graph(),
-                    info,
-                    crosses_cut || old.fused_only(),
-                ))
-            }
-            None => None,
-        };
         Ok((
             Dataset {
                 name: self.name.clone(),
                 engine,
-                router,
                 queries_served: AtomicU64::new(self.queries_served()),
             },
             report,
@@ -338,56 +260,10 @@ mod tests {
         assert_eq!(report.epoch, 1);
         assert_eq!(updated.name(), "a");
         assert_eq!(updated.queries_served(), 1, "query counter is carried");
-        assert!(updated.router().is_none());
         r.insert(updated);
         assert_eq!(r.get("a").unwrap().engine().graph().epoch(), 1);
         // The old Arc still answers on the unmutated graph.
         assert_eq!(old.engine().graph().epoch(), 0);
-    }
-
-    #[test]
-    fn sharded_mutation_rederives_boundary_or_degrades_to_fused_only() {
-        let world = kor_data::generate_world(&kor_data::GenConfig::grid(6, 5, 3));
-        let info = kor_data::compute_sharding(&world.graph, 2);
-        let assignment = info.assignment.clone();
-        let mut snapshot = Snapshot::graph_only(world.graph.clone());
-        snapshot.sharding = Some(info);
-        let d = Dataset::from_snapshot("w", snapshot);
-
-        // Find one intra-shard and one cross-shard edge.
-        let (mut intra, mut cut) = (None, None);
-        for v in world.graph.nodes() {
-            for e in world.graph.out_edges(v) {
-                if assignment[v.index()] == assignment[e.node.index()] {
-                    intra.get_or_insert((v, e.node));
-                } else {
-                    cut.get_or_insert((v, e.node));
-                }
-            }
-        }
-        let (iv, iw) = intra.unwrap();
-        let (cv, cw) = cut.unwrap();
-
-        // Intra-shard change: boundary re-derived, router stays sharded.
-        let (updated, _) = d
-            .with_mutations(&[EdgeMutation::scale(iv, iw, 1.0, 2.0)])
-            .unwrap();
-        let router = updated.router().expect("still sharded");
-        assert!(!router.fused_only());
-        assert_eq!(router.info().assignment, assignment);
-
-        // Cut-edge change: degraded to fused-only routing, stickily.
-        let (degraded, _) = updated
-            .with_mutations(&[EdgeMutation::scale(cv, cw, 1.0, 2.0)])
-            .unwrap();
-        assert!(degraded.router().unwrap().fused_only());
-        let (still, _) = degraded
-            .with_mutations(&[EdgeMutation::scale(iv, iw, 1.0, 2.0)])
-            .unwrap();
-        assert!(
-            still.router().unwrap().fused_only(),
-            "fused-only survives later intra-shard batches"
-        );
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub fn canned_queries(graph: &Graph, sets: &[CannedQuerySet]) -> Vec<KorQuery> {
 
 /// Re-walks a returned route against `graph`: it must run from the
 /// query's source to its target over edges that exist there (a stale
-/// tree citing a closed edge, or a shard search inventing a cut edge,
-/// fails here), and its claimed scores must match the edge sums.
+/// tree citing a closed edge fails here), and its claimed scores must
+/// match the edge sums.
 /// Returns what the walk measured: whether the route covers the query
 /// keywords, and its budget score.
 fn rewalk(graph: &Graph, query: &KorQuery, r: &RouteResult, what: &str) -> (bool, f64) {

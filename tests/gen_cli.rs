@@ -184,6 +184,7 @@ fn misspelled_query_flags_fail_instead_of_being_ignored() {
         (vec!["index", graph], "unknown subcommand"),
         (vec!["bench", graph, "--smoke"], "unknown subcommand"),
         (vec!["loadtest", world, "--smoke"], "unknown subcommand"),
+        (vec!["shard", world, "--shards", "2"], "unknown subcommand"),
         (
             vec!["batch", graph, "--mode", "both"],
             "unknown flag --mode",

@@ -186,14 +186,7 @@ fn compacted_journal_recovery_reports_the_checkpoint_epoch() {
     // the checkpoint's — the two counters no longer coincide.
     let mut journal = state.journal;
     journal
-        .checkpoint(
-            "w",
-            &Snapshot {
-                graph,
-                query_sets: Vec::new(),
-                sharding: None,
-            },
-        )
+        .checkpoint("w", &Snapshot::graph_only(graph))
         .unwrap();
     drop(journal);
     let (ds, state) = attach(&jdir, "w", &wpath).unwrap();

@@ -22,10 +22,7 @@
 //! retain a stamped tree, so a separate directed-world test (the
 //! paper's Figure 1) proves entries whose stamp avoids the changed
 //! edges stay warm and keep answering — with their hit counters as the
-//! witness. A third test replays mutations through the sharded dataset
-//! path (`Dataset::with_mutations`) and checks the router — re-derived
-//! boundary or degraded fused-only — stays byte-identical to the cold
-//! fused engine.
+//! witness.
 
 use std::sync::Arc;
 
@@ -33,7 +30,6 @@ mod common;
 
 use common::{canned_queries, keys, label, requests, verify_outcome, worlds};
 use kor::prelude::*;
-use kor::serve::registry::Dataset;
 
 /// Runs one search.
 fn run<G: AsRef<Graph>>(
@@ -185,91 +181,4 @@ fn directed_world_retains_warm_entries_that_avoid_the_changed_edges() {
             );
         }
     }
-}
-
-#[test]
-fn sharded_dataset_stays_byte_identical_through_mutations() {
-    let mut stayed_sharded = 0usize;
-    let mut degraded = 0usize;
-    for config in worlds().into_iter().take(6) {
-        let mut world = generate_world(&config);
-        let world_label = format!("{} seed {}", config.topology.name(), config.seed);
-        world.sharding = Some(compute_sharding(&world.graph, 2));
-        let assignment = world.sharding.as_ref().unwrap().assignment.clone();
-        let query_sets = world.query_sets.clone();
-        let dataset = Dataset::from_snapshot("w", world);
-        assert!(
-            dataset.router().is_some(),
-            "{world_label}: dataset is sharded"
-        );
-
-        // Two deterministic batches: first an intra-shard slowdown (the
-        // boundary stays valid, the router stays sharded), then a
-        // cut-edge slowdown (the router must degrade to fused-only).
-        let graph = dataset.engine().graph();
-        let intra = graph
-            .nodes()
-            .flat_map(|u| graph.out_edges(u).map(move |e| (u, e.node)))
-            .find(|&(u, w)| assignment[u.index()] == assignment[w.index()]);
-        let cut = graph
-            .nodes()
-            .flat_map(|u| graph.out_edges(u).map(move |e| (u, e.node)))
-            .find(|&(u, w)| assignment[u.index()] != assignment[w.index()]);
-        let (Some(intra), Some(cut)) = (intra, cut) else {
-            panic!("{world_label}: expected both intra-shard and cut edges");
-        };
-
-        let mut dataset = dataset;
-        for (u, w) in [intra, cut] {
-            let (next, _report) = dataset
-                .with_mutations(&[EdgeMutation::scale(u, w, 1.0, 1.25)])
-                .unwrap_or_else(|e| panic!("{world_label}: {e}"));
-            dataset = next;
-            let router = dataset.router().expect("router survives mutation");
-            if router.fused_only() {
-                degraded += 1;
-            } else {
-                stayed_sharded += 1;
-            }
-
-            let cold = KorEngine::new(Arc::new(dataset.engine().graph().clone()));
-            for query in canned_queries(dataset.engine().graph(), &query_sets) {
-                for request in &requests() {
-                    let what = format!(
-                        "{world_label}: {} -> {} [{}] (fused_only {})",
-                        query.source,
-                        query.target,
-                        label(request),
-                        router.fused_only()
-                    );
-                    let routed = router
-                        .search(dataset.engine(), &query, request)
-                        .expect("no shard is poisoned")
-                        .unwrap();
-                    let single = run(&cold, &query, request);
-                    assert_eq!(
-                        keys(&routed),
-                        keys(&single),
-                        "{what}: mutated sharded dataset diverged from cold engine"
-                    );
-                }
-            }
-        }
-        // The second batch crossed the cut, so this dataset must have
-        // ended degraded.
-        assert!(
-            dataset.router().unwrap().fused_only(),
-            "{world_label}: cut-edge mutation did not degrade the router"
-        );
-    }
-    assert!(
-        stayed_sharded > 0,
-        "no mutation ever left the router sharded — boundary re-derivation \
-         went untested"
-    );
-    assert!(degraded > 0, "no mutation ever degraded the router");
-    eprintln!(
-        "sharded mutate oracle: {stayed_sharded} batches kept the boundary, \
-         {degraded} degraded to fused-only"
-    );
 }

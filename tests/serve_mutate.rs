@@ -8,10 +8,7 @@
 //!   `epoch` it was answered on, and the answer always matches a cold
 //!   engine built for exactly that epoch (no torn graphs, ever);
 //! * the connection survives the mutation and malformed payloads alike
-//!   (structured `bad_request`, never a dropped socket);
-//! * a sharded dataset whose cut edge is mutated degrades to
-//!   fused-only routing (visible in `stats`) but keeps answering
-//!   byte-identically.
+//!   (structured `bad_request`, never a dropped socket).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -267,123 +264,4 @@ fn concurrent_queries_never_observe_a_torn_graph() {
         eprintln!("torn-graph check: {total} concurrent answers validated");
     });
     handle.shutdown();
-}
-
-/// Mutating a cut edge of a sharded dataset degrades the router to
-/// fused-only (visible in stats) without changing a single answer.
-#[test]
-fn sharded_dataset_degrades_to_fused_only_over_the_wire() {
-    let mut world = generate_world(&GenConfig::grid(6, 5, 3));
-    let info = compute_sharding(&world.graph, 2);
-    let assignment = info.assignment.clone();
-    world.sharding = Some(info);
-    let graph = world.graph.clone();
-    let (addr, handle) = start_server(Dataset::from_snapshot("world", world));
-    let (mut conn, mut reader) = connect(addr);
-
-    let fused_only = |conn: &mut TcpStream, reader: &mut BufReader<TcpStream>| -> bool {
-        let stats = roundtrip(conn, reader, r#"{"method":"stats"}"#);
-        stats
-            .get("result")
-            .and_then(|r| r.get("datasets"))
-            .and_then(JsonValue::as_arr)
-            .and_then(|d| d.first())
-            .and_then(|d| d.get("shards"))
-            .and_then(|s| s.get("fused_only"))
-            .and_then(JsonValue::as_bool)
-            .expect("sharded stats carry fused_only")
-    };
-    assert!(!fused_only(&mut conn, &mut reader), "starts sharded");
-
-    // Find a cut edge and slow it down over the wire.
-    let (cu, cw) = graph
-        .nodes()
-        .flat_map(|u| graph.out_edges(u).map(move |e| (u, e.node)))
-        .find(|&(u, w)| assignment[u.index()] != assignment[w.index()])
-        .expect("a 2-sharded grid has cut edges");
-    let resp = roundtrip(
-        &mut conn,
-        &mut reader,
-        &format!(
-            r#"{{"method":"update_edges","params":{{"mutations":[{{"from":{},"to":{},"op":"scale","objective":1.0,"budget":1.5}}]}}}}"#,
-            cu.0, cw.0
-        ),
-    );
-    assert_ok(&resp, "cut-edge mutation");
-    assert_eq!(
-        result_field(&resp, "router").and_then(JsonValue::as_str),
-        Some("fused_only")
-    );
-    assert!(
-        fused_only(&mut conn, &mut reader),
-        "degraded after cut change"
-    );
-
-    // Every query still answers exactly like a cold engine on the
-    // mutated graph.
-    let mutated = graph
-        .apply_mutations(&[EdgeMutation::scale(cu, cw, 1.0, 1.5)])
-        .unwrap();
-    let cold = KorEngine::new(&mutated);
-    let mut checked = 0;
-    for set in &world_queries(&graph) {
-        for q in &set.queries {
-            let query =
-                KorQuery::new(&mutated, q.source, q.target, q.keywords.clone(), q.budget).unwrap();
-            let want = cold
-                .os_scaling(&query, &OsScalingParams::with_epsilon(0.5))
-                .unwrap()
-                .route
-                .map(|r| {
-                    (
-                        r.route
-                            .nodes()
-                            .iter()
-                            .map(|n| u64::from(n.0))
-                            .collect::<Vec<u64>>(),
-                        r.objective.to_bits(),
-                        r.budget.to_bits(),
-                    )
-                });
-            let keywords: Vec<String> = query
-                .keywords
-                .ids()
-                .iter()
-                .map(|&k| mutated.vocab().resolve(k).unwrap().to_string())
-                .collect();
-            let line = format!(
-                r#"{{"method":"query","params":{{"from":{},"to":{},"keywords":[{}],"budget":{},"algo":"os-scaling"}}}}"#,
-                q.source.0,
-                q.target.0,
-                keywords
-                    .iter()
-                    .map(|k| format!("{:?}", k))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                q.budget
-            );
-            let resp = roundtrip(&mut conn, &mut reader, &line);
-            assert_ok(&resp, "post-degradation query");
-            assert_eq!(
-                wire_answer(&resp),
-                want,
-                "query {} -> {}",
-                q.source,
-                q.target
-            );
-            checked += 1;
-        }
-    }
-    assert!(checked > 0);
-
-    drop(conn);
-    handle.shutdown();
-}
-
-/// The canned query sets of the deterministic world (regenerated — the
-/// server consumed the original snapshot).
-fn world_queries(graph: &Graph) -> Vec<CannedQuerySet> {
-    let world = generate_world(&GenConfig::grid(6, 5, 3));
-    assert_eq!(world.graph.node_count(), graph.node_count());
-    world.query_sets
 }

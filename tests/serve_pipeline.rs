@@ -237,3 +237,30 @@ fn line_straddling_read_buffer_boundary_parses_identically() {
     );
     handle.shutdown();
 }
+
+/// The retired shard fault-injection methods are unknown like any other
+/// method name: each gets `unknown_method`, the connection stays open,
+/// and the next query on it answers.
+#[test]
+fn retired_shard_methods_are_unknown_and_keep_the_connection() {
+    let (addr, handle) = fixture_server(2);
+    let (mut conn, mut reader) = connect(addr);
+    for method in ["poison_shard", "revive_shard"] {
+        let line = format!(
+            r#"{{"id":"{method}","method":"{method}","params":{{"dataset":"fig1","shard":0}}}}"#
+        );
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let resp = read_response(&mut reader);
+        assert!(
+            resp.contains("\"ok\":false") && resp.contains("\"code\":\"unknown_method\""),
+            "{method}: {resp}"
+        );
+    }
+    let query = r#"{"id":"after","method":"query","params":{"from":0,"to":7,"keywords":["t1","t2"],"budget":10,"algo":"os-scaling"}}"#;
+    conn.write_all(format!("{query}\n").as_bytes()).unwrap();
+    let resp = read_response(&mut reader);
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("\"feasible\":true"), "{resp}");
+    drop(conn);
+    handle.shutdown();
+}

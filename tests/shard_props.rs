@@ -1,4 +1,5 @@
-//! Shard-layout properties over a seed sweep.
+//! Shard-layout properties over a seed sweep. The layout is kept only
+//! for the benchmark's shard probe and these go with it (ROADMAP item 1).
 //!
 //! For every generated world across seeds, topologies, and shard
 //! counts:
@@ -11,13 +12,9 @@
 //! * confinement is sound — for a same-shard pair `(s, t)` with a
 //!   budget below `escape[s] + enter[t]`, the fused engine's optimal
 //!   routes never leave the shard (any crossing route must spend at
-//!   least `escape[s] + enter[t]`);
-//! * reproducibility — sharding the same world twice yields identical
-//!   layouts and byte-identical snapshots, and a written sharded
-//!   snapshot reads back equal.
+//!   least `escape[s] + enter[t]`).
 
-use kor::data::shard::{cut_edges, shard_subgraph, validate_sharding};
-use kor::data::{snapshot_from_bytes, snapshot_to_bytes};
+use kor::data::{compute_sharding, shard_subgraph};
 use kor::prelude::*;
 
 const TOL: f64 = 1e-9;
@@ -43,8 +40,12 @@ fn every_node_is_owned_by_exactly_one_nonempty_shard() {
                 world.graph.node_count(),
                 "{label}: assignment covers every node"
             );
-            let sizes = info.shard_sizes();
-            assert_eq!(sizes.len(), info.shard_count as usize);
+            let mut sizes = vec![0usize; info.shard_count as usize];
+            for &s in &info.assignment {
+                if let Some(size) = sizes.get_mut(s as usize) {
+                    *size += 1;
+                }
+            }
             assert!(
                 sizes.iter().all(|&s| s > 0),
                 "{label}: empty shard in {sizes:?}"
@@ -58,10 +59,6 @@ fn every_node_is_owned_by_exactly_one_nonempty_shard() {
                 info.assignment.iter().all(|&a| a < info.shard_count),
                 "{label}: dangling shard id"
             );
-            // The full validator (which also recomputes the boundary
-            // tables bit for bit) accepts the computed layout.
-            validate_sharding(&world.graph, &info)
-                .unwrap_or_else(|e| panic!("{label}: computed layout rejected: {e}"));
         }
     }
 }
@@ -76,8 +73,17 @@ fn every_edge_is_intra_shard_or_a_recorded_cut() {
             let label = format!("{} seed {} @{shards}", config.topology.name(), config.seed);
 
             // Recount cuts by brute walk and compare to the summary.
-            let brute: Vec<_> = cut_edges(graph, &info.assignment);
-            assert_eq!(brute, info.cut_edges, "{label}: cut list diverges");
+            let brute: Vec<(NodeId, NodeId)> = graph
+                .nodes()
+                .flat_map(|v| graph.out_edges(v).map(move |e| (v, e.node)))
+                .filter(|&(v, w)| info.shard_of(v) != info.shard_of(w))
+                .collect();
+            let recorded: Vec<(NodeId, NodeId)> = info
+                .cut_edges
+                .iter()
+                .map(|c| (c.source, c.target))
+                .collect();
+            assert_eq!(brute, recorded, "{label}: cut list diverges");
             for cut in &info.cut_edges {
                 assert_ne!(
                     info.shard_of(cut.source),
@@ -158,24 +164,4 @@ fn confined_budgets_keep_optimal_routes_inside_the_shard() {
         checked > 50,
         "confinement property exercised only {checked} pairs — sweep too thin"
     );
-}
-
-#[test]
-fn sharded_snapshots_are_byte_reproducible_per_seed() {
-    for config in worlds().into_iter().take(4) {
-        let label = format!("{} seed {}", config.topology.name(), config.seed);
-        let make = || {
-            let mut world = generate_world(&config);
-            world.sharding = Some(compute_sharding(&world.graph, 3));
-            snapshot_to_bytes(&world)
-        };
-        let (a, b) = (make(), make());
-        assert_eq!(a, b, "{label}: same seed, different sharded bytes");
-
-        // Read-back equality: the parsed layout is the one written.
-        let world = snapshot_from_bytes(&a).unwrap_or_else(|e| panic!("{label}: reread: {e}"));
-        let reread = world.sharding.expect("sharding survives the round trip");
-        let fresh = compute_sharding(&world.graph, 3);
-        assert_eq!(reread, fresh, "{label}: layout drifted through the bytes");
-    }
 }
