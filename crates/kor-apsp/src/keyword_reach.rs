@@ -45,8 +45,12 @@ impl KeywordReach {
     /// Builds the single-keyword reach tree for the given posting list —
     /// the unit a cache memoizes per keyword.
     pub fn build_tree(graph: &Graph, postings: &[NodeId]) -> Tree {
-        let seeds: Vec<(NodeId, f64, f64)> = postings.iter().map(|&n| (n, 0.0, 0.0)).collect();
-        backward_tree(graph, Metric::Budget, &seeds)
+        backward_tree(graph, Metric::Budget, &Self::seeds(postings))
+    }
+
+    /// The seeds of a reach tree: every posting with zero potential.
+    pub fn seeds(postings: &[NodeId]) -> Vec<(NodeId, f64, f64)> {
+        postings.iter().map(|&n| (n, 0.0, 0.0)).collect()
     }
 
     /// Assembles a reach from already-built (possibly cached) per-keyword

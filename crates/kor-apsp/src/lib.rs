@@ -34,4 +34,4 @@ pub use keyword_reach::KeywordReach;
 pub use landmark::{Landmarks, TargetBounds, DEFAULT_LANDMARKS};
 pub use partition::partition;
 pub use query::{PathCost, QueryContext};
-pub use tree::{backward_tree, forward_tree, Metric, SptNode, Tree, NO_NODE};
+pub use tree::{backward_tree, forward_tree, Metric, Repair, SptNode, Tree, NO_NODE};

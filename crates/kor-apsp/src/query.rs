@@ -49,6 +49,23 @@ impl QueryContext {
         }
     }
 
+    /// Assembles a context from already-built `τ` and `σ` trees for
+    /// `target` (say, trees brought up to date by [`Tree::repair`]).
+    /// Equivalent to [`Self::new`] when both trees equal its builds.
+    pub fn from_trees(target: NodeId, tau: Tree, sigma: Tree) -> Self {
+        Self { target, tau, sigma }
+    }
+
+    /// The minimum-objective (`τ`) tree to the target.
+    pub fn tau_tree(&self) -> &Tree {
+        &self.tau
+    }
+
+    /// The minimum-budget (`σ`) tree to the target.
+    pub fn sigma_tree(&self) -> &Tree {
+        &self.sigma
+    }
+
     /// The target node `v_t`.
     pub fn target(&self) -> NodeId {
         self.target

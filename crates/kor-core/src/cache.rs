@@ -41,13 +41,22 @@
 //! hit returns the same deterministic `Tree` values a fresh build would
 //! produce (pinned down by the equivalence tests in
 //! `tests/cache_equivalence.rs`).
+//!
+//! An edge-mutation batch does not empty the cache.
+//! [`PreprocessCache::carry_over`] repairs every cached tree of every
+//! family with [`Tree::repair`], which re-settles only the nodes the batch
+//! can affect and yields exactly the tree a cold build on the mutated
+//! graph would. Opt-2 seeds are re-derived from the repaired context.
+//! Only the landmark singleton is dropped and rebuilt on first use.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use kor_apsp::{backward_tree, forward_tree, KeywordReach, Landmarks, Metric, QueryContext, Tree};
+use kor_apsp::{
+    backward_tree, forward_tree, KeywordReach, Landmarks, Metric, QueryContext, Repair, Tree,
+};
 use kor_graph::{EdgeMutation, Graph, KeywordId, NodeId};
 use kor_index::InvertedIndex;
 
@@ -65,16 +74,16 @@ pub struct Opt2Trees {
     pub bud_bound: Tree,
 }
 
-/// Builds the Opt-2 tree pair for `kw` under `ctx`'s target.
-pub(crate) fn build_opt2_trees(
-    graph: &Graph,
-    index: &InvertedIndex,
-    ctx: &QueryContext,
-    kw: KeywordId,
-) -> Opt2Trees {
+/// A list of tree seeds: `(node, objective potential, budget potential)`.
+type Seeds = Vec<(NodeId, f64, f64)>;
+
+/// The seeds of the Opt-2 pair over `postings` under `ctx`: each posting
+/// that reaches the target, weighted by its `τ` (objective tree) and `σ`
+/// (budget tree) completion.
+fn opt2_seeds(postings: &[NodeId], ctx: &QueryContext) -> (Seeds, Seeds) {
     let mut obj_seeds = Vec::new();
     let mut bud_seeds = Vec::new();
-    for &l in index.postings(kw) {
+    for &l in postings {
         if let Some(tau) = ctx.tau_to_target(l) {
             obj_seeds.push((l, tau.objective, tau.budget));
         }
@@ -82,121 +91,57 @@ pub(crate) fn build_opt2_trees(
             bud_seeds.push((l, sigma.objective, sigma.budget));
         }
     }
+    (obj_seeds, bud_seeds)
+}
+
+/// Builds the Opt-2 tree pair for `kw` under `ctx`'s target.
+pub(crate) fn build_opt2_trees(
+    graph: &Graph,
+    index: &InvertedIndex,
+    ctx: &QueryContext,
+    kw: KeywordId,
+) -> Opt2Trees {
+    let (obj_seeds, bud_seeds) = opt2_seeds(index.postings(kw), ctx);
     Opt2Trees {
         obj_bound: backward_tree(graph, Metric::Objective, &obj_seeds),
         bud_bound: backward_tree(graph, Metric::Budget, &bud_seeds),
     }
 }
 
-/// Compact invalidation stamp for one cached entry: the set of nodes its
-/// Dijkstras relaxed (one bit per node).
-///
-/// A mutation of edge `u → v` can change a backward tree only if the
-/// edge's *head* `v` is in the tree's relaxed set — otherwise the edge
-/// was never scanned, and (because mutation rebuilds preserve the
-/// relative CSR order of surviving edges) the tree a cold engine would
-/// build on the mutated graph scans the exact same edge sequence and is
-/// bit-for-bit identical. A forward tree is the mirror image: it can
-/// change only if the edge's *tail* `u` is among the nodes it reached.
-/// One stamp per target covers every backward family keyed by that
-/// target: the `τ`/`σ` context trees directly, and the Opt-2 bound trees
-/// because their reachable sets *and* their seed potentials both live
-/// inside the context's relaxed set (any node that reaches a seeded
-/// posting also reaches the target). The Opt-2 stamp still unions its
-/// own trees' reachability as a belt-and-braces check.
-#[derive(Debug)]
-pub struct TreeStamp {
-    words: Vec<u64>,
-}
-
-impl TreeStamp {
-    fn for_nodes(n: usize) -> Self {
-        Self {
-            words: vec![0u64; n.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, v: NodeId) {
-        self.words[v.index() / 64] |= 1u64 << (v.index() % 64);
-    }
-
-    /// Whether node `v` is in the stamped (relaxed) set. Out-of-range
-    /// ids are never in the set.
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.words
-            .get(v.index() / 64)
-            .is_some_and(|w| w & (1u64 << (v.index() % 64)) != 0)
-    }
-
-    /// Whether any of `nodes` is in the stamped set.
-    pub fn touches_any(&self, nodes: &[NodeId]) -> bool {
-        nodes.iter().any(|&v| self.contains(v))
-    }
-
-    /// Number of stamped nodes.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether no node is stamped.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Stamp of a query context: the union of its `τ` and `σ` trees'
-    /// relaxed sets (in practice identical — reachability does not
-    /// depend on the metric — but unioned rather than assumed).
-    fn from_context(ctx: &QueryContext, n: usize) -> Self {
-        let mut s = Self::for_nodes(n);
-        for i in 0..n as u32 {
-            let v = NodeId(i);
-            if ctx.reaches_target(v) || ctx.sigma_to_target(v).is_some() {
-                s.set(v);
-            }
-        }
-        s
-    }
-
-    /// Stamp of one tree: the nodes it reached.
-    fn of_tree(tree: &Tree, n: usize) -> Self {
-        let mut s = Self::for_nodes(n);
-        s.union_tree(tree, n);
-        s
-    }
-
-    fn union_tree(&mut self, tree: &Tree, n: usize) {
-        for i in 0..n as u32 {
-            let v = NodeId(i);
-            if tree.is_reachable(v) {
-                self.set(v);
-            }
-        }
-    }
-}
-
 /// What one mutation batch ([`crate::KorEngine::apply_edge_mutations`])
 /// did to the warm state: the new graph epoch plus retain/evict counts
 /// per cache family, as filled in by [`PreprocessCache::carry_over`].
+///
+/// An entry is *retained* when it is carried warm into the new cache,
+/// unchanged or repaired. An entry is *evicted* only when it cannot be
+/// repaired: an Opt-2 pair whose target context has left the cache
+/// (the LRU cap dropped it) has no context to re-derive its seeds from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationReport {
     /// Epoch of the mutated graph (old epoch + 1).
     pub epoch: u64,
     /// Query contexts carried over warm.
     pub contexts_retained: usize,
-    /// Query contexts evicted by incremental invalidation.
+    /// Query contexts dropped (always 0: every context is repaired).
     pub contexts_evicted: usize,
     /// Opt-2 tree pairs carried over warm.
     pub opt2_retained: usize,
-    /// Opt-2 tree pairs evicted.
+    /// Opt-2 tree pairs dropped because their target context was gone.
     pub opt2_evicted: usize,
     /// Keyword reach trees carried over warm.
     pub reach_retained: usize,
-    /// Keyword reach trees evicted.
+    /// Keyword reach trees dropped (always 0).
     pub reach_evicted: usize,
     /// Greedy forward trees carried over warm.
     pub pair_trees_retained: usize,
-    /// Greedy forward trees evicted.
+    /// Greedy forward trees dropped (always 0).
     pub pair_trees_evicted: usize,
+    /// Trees (all four families) the batch changed and the repair
+    /// brought up to date; trees it left unchanged are not counted.
+    pub trees_repaired: usize,
+    /// Trees rebuilt cold because the repair's canonical form did not
+    /// hold for them (see [`Tree::repair`]).
+    pub trees_rebuilt: usize,
 }
 
 impl MutationReport {
@@ -235,10 +180,9 @@ pub struct CacheStats {
     ///
     /// **Exclusive** with `invalidated`: one removed entry increments
     /// exactly one of the two counters. [`PreprocessCache::carry_over`]
-    /// filters by invalidation stamp first — stamped entries count only
+    /// drops the entries it cannot repair first — they count only
     /// there, under `invalidated` — and applies the LRU cap only to the
-    /// survivors, so an entry that is both stale and over-cap is counted
-    /// once, as invalidated.
+    /// carried entries, so no entry is counted twice.
     pub evictions: u64,
     /// Dijkstra trees built on behalf of the label searches (two per
     /// context miss, two per Opt-2 miss, one per reach miss — including
@@ -252,13 +196,14 @@ pub struct CacheStats {
     /// landmark (forward + backward × objective + budget), rebuilt from
     /// scratch after every mutation batch.
     pub landmark_trees_built: u64,
-    /// Label-search entries evicted by mutation-driven incremental
-    /// invalidation ([`PreprocessCache::carry_over`]). Distinct from —
-    /// and exclusive with — `evictions`, which counts the LRU cap (see
+    /// Label-search entries a mutation batch dropped because they could
+    /// not be repaired ([`PreprocessCache::carry_over`]): Opt-2 pairs
+    /// whose target context had left the cache. Distinct from — and
+    /// exclusive with — `evictions`, which counts the LRU cap (see
     /// `evictions`).
     pub invalidated: u64,
-    /// Label-search entries that survived mutation-driven invalidation
-    /// warm.
+    /// Label-search entries carried warm across mutation batches,
+    /// unchanged or repaired (one count per entry per batch).
     pub retained: u64,
 }
 
@@ -276,11 +221,20 @@ impl CacheStats {
     }
 }
 
-/// One memoized entry plus its LRU clock value and invalidation stamp.
+/// One memoized entry plus its LRU clock value.
 struct Slot<T> {
     value: Arc<T>,
-    stamp: Arc<TreeStamp>,
     last_used: u64,
+}
+
+// By hand: a derive would demand `T: Clone`, but only the `Arc` is cloned.
+impl<T> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        Self {
+            value: self.value.clone(),
+            last_used: self.last_used,
+        }
+    }
 }
 
 /// One tree family: its memoized entries and its lookup counters.
@@ -299,30 +253,37 @@ impl<K: Hash + Eq + Copy, T> Family<K, T> {
         }
     }
 
-    /// The stamp filter: the entries whose stamp avoids every node of
-    /// `changed`, with the counters carried, plus the `(retained,
-    /// dropped)` entry counts.
-    fn carry_over(&self, changed: &[NodeId]) -> (Self, usize, usize) {
-        let slots: HashMap<K, Slot<T>> = self
-            .slots
-            .iter()
-            .filter(|(_, slot)| !slot.stamp.touches_any(changed))
-            .map(|(&key, slot)| {
-                let slot = Slot {
-                    value: slot.value.clone(),
-                    stamp: slot.stamp.clone(),
-                    last_used: slot.last_used,
-                };
-                (key, slot)
-            })
-            .collect();
-        let retained = slots.len();
-        let family = Self {
-            slots,
+    /// A copy sharing every entry, with the counters carried.
+    fn share(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
             hits: self.hits,
             misses: self.misses,
-        };
-        (family, retained, self.slots.len() - retained)
+        }
+    }
+
+    /// The entry for `key`, if cached (no LRU touch).
+    fn get(&self, key: &K) -> Option<&Arc<T>> {
+        self.slots.get(key).map(|slot| &slot.value)
+    }
+
+    /// Replaces every entry by `repair(key, entry)` and drops the
+    /// entries it returns `None` for; returns the `(kept, dropped)`
+    /// counts.
+    fn repair_each(
+        &mut self,
+        mut repair: impl FnMut(&K, &Arc<T>) -> Option<Arc<T>>,
+    ) -> (usize, usize) {
+        let before = self.slots.len();
+        self.slots
+            .retain(|key, slot| match repair(key, &slot.value) {
+                Some(value) => {
+                    slot.value = value;
+                    true
+                }
+                None => false,
+            });
+        (self.slots.len(), before - self.slots.len())
     }
 
     /// Removes least-recently-used entries until the family fits
@@ -384,6 +345,51 @@ impl Inner {
                  {bound:?} (nodes, edges) graph cannot answer queries on a \
                  {shape:?} graph — use one cache per dataset"
             ),
+        }
+    }
+}
+
+/// The keys a [`PreprocessCache`] holds, per tree family, each sorted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CachedKeys {
+    /// Targets of the cached query contexts.
+    pub contexts: Vec<NodeId>,
+    /// `(target, keyword)` keys of the cached Opt-2 pairs.
+    pub opt2: Vec<(NodeId, KeywordId)>,
+    /// Keywords of the cached reach trees.
+    pub reach: Vec<KeywordId>,
+    /// Sources of the cached greedy forward trees.
+    pub forward: Vec<NodeId>,
+}
+
+/// Runs [`Tree::repair`] over the entries a mutation batch carries and
+/// counts the outcomes.
+struct Repairer<'a> {
+    graph: &'a Graph,
+    mutations: &'a [EdgeMutation],
+    repaired: usize,
+    rebuilt: usize,
+}
+
+impl Repairer<'_> {
+    /// `tree` brought up to date with the mutated graph, or `None` when
+    /// the batch left it unchanged.
+    fn tree(
+        &mut self,
+        tree: &Tree,
+        new_seeds: &[(NodeId, f64, f64)],
+        old_seeds: &[(NodeId, f64, f64)],
+    ) -> Option<Tree> {
+        match tree.repair(self.graph, new_seeds, old_seeds, self.mutations) {
+            Repair::Unchanged => None,
+            Repair::Repaired(tree) => {
+                self.repaired += 1;
+                Some(tree)
+            }
+            Repair::Rebuilt(tree) => {
+                self.rebuilt += 1;
+                Some(tree)
+            }
         }
     }
 }
@@ -482,7 +488,7 @@ impl PreprocessCache {
         select: fn(&mut Inner) -> &mut Family<K, T>,
         key: K,
         trees: u64,
-        build: impl FnOnce() -> (T, TreeStamp),
+        build: impl FnOnce() -> T,
     ) -> (Arc<T>, bool) {
         {
             let mut guard = self.inner.lock().unwrap();
@@ -496,8 +502,7 @@ impl PreprocessCache {
                 return (slot.value.clone(), true);
             }
         }
-        let (value, stamp) = build();
-        let (built, stamp) = (Arc::new(value), Arc::new(stamp));
+        let built = Arc::new(build());
         let mut guard = self.inner.lock().unwrap();
         let inner = &mut *guard;
         let tick = inner.next_tick();
@@ -514,7 +519,6 @@ impl PreprocessCache {
             Entry::Vacant(e) => {
                 e.insert(Slot {
                     value: built.clone(),
-                    stamp,
                     last_used: tick,
                 });
                 built
@@ -539,11 +543,7 @@ impl PreprocessCache {
             |i| &mut i.contexts,
             target,
             2,
-            || {
-                let ctx = QueryContext::new(graph, target);
-                let stamp = TreeStamp::from_context(&ctx, graph.node_count());
-                (ctx, stamp)
-            },
+            || QueryContext::new(graph, target),
         )
     }
 
@@ -566,16 +566,7 @@ impl PreprocessCache {
             |i| &mut i.opt2,
             key,
             2,
-            || {
-                let trees = build_opt2_trees(graph, index, ctx, kw);
-                let n = graph.node_count();
-                // The context stamp provably covers the Opt-2 dependencies
-                // (see `TreeStamp`); union the pair's own reachability anyway.
-                let mut stamp = TreeStamp::from_context(ctx, n);
-                stamp.union_tree(&trees.obj_bound, n);
-                stamp.union_tree(&trees.bud_bound, n);
-                (trees, stamp)
-            },
+            || build_opt2_trees(graph, index, ctx, kw),
         )
     }
 
@@ -597,11 +588,7 @@ impl PreprocessCache {
             |i| &mut i.reach,
             kw,
             1,
-            || {
-                let tree = KeywordReach::build_tree(graph, postings);
-                let stamp = TreeStamp::of_tree(&tree, graph.node_count());
-                (tree, stamp)
-            },
+            || KeywordReach::build_tree(graph, postings),
         )
     }
 
@@ -623,11 +610,7 @@ impl PreprocessCache {
             |i| &mut i.forward,
             source,
             0,
-            || {
-                let tree = forward_tree(graph, Metric::Objective, source);
-                let stamp = TreeStamp::of_tree(&tree, graph.node_count());
-                (tree, stamp)
-            },
+            || forward_tree(graph, Metric::Objective, source),
         )
     }
 
@@ -687,47 +670,119 @@ impl PreprocessCache {
         self.inner.lock().unwrap().forward.slots.len()
     }
 
-    /// Targets of the currently cached query contexts, sorted (for
+    /// The keys currently cached in each tree family, sorted (for
     /// instrumentation and the mutation property tests).
-    pub fn cached_context_targets(&self) -> Vec<NodeId> {
+    pub fn cached_keys(&self) -> CachedKeys {
+        fn sorted<K: Copy + Ord, T>(family: &Family<K, T>) -> Vec<K> {
+            let mut keys: Vec<K> = family.slots.keys().copied().collect();
+            keys.sort();
+            keys
+        }
         let inner = self.inner.lock().unwrap();
-        let mut out: Vec<NodeId> = inner.contexts.slots.keys().copied().collect();
-        out.sort_by_key(|v| v.0);
-        out
+        CachedKeys {
+            contexts: sorted(&inner.contexts),
+            opt2: sorted(&inner.opt2),
+            reach: sorted(&inner.reach),
+            forward: sorted(&inner.forward),
+        }
     }
 
-    /// Incremental invalidation: rebinds the cache to `new_graph`, the
-    /// graph `mutations` produced, carrying over every entry whose stamp
-    /// avoids all changed edges and evicting the rest.
+    /// Rebinds the cache to `new_graph`, the graph `mutations` produced
+    /// from the graph this cache served, by repairing every cached tree
+    /// ([`Tree::repair`]) instead of evicting it. `index` is the
+    /// keyword index of either graph (edge mutations leave keywords
+    /// alone); reach trees and Opt-2 pairs take their seeds from it.
     ///
-    /// Soundness: a backward tree (contexts, Opt-2 pairs, reach trees)
-    /// changes only if a mutated edge was scanned, i.e. only if that
-    /// edge's *head* is in its stamp — including *reopened* edges, whose
-    /// head cannot create new paths to the target unless it already
-    /// reached it. A forward tree changes only if a mutated edge's
-    /// *tail* is among the nodes it reached; a reopened edge adds paths
-    /// only below its tail, so the same test covers it. Carried entries
-    /// are bit-for-bit what a cold build on the mutated graph would
-    /// produce (see [`TreeStamp`]). The new graph must have the same
-    /// node count as the old one.
+    /// Contexts are repaired first; each Opt-2 pair then takes its new
+    /// seed potentials from its target's repaired context and its old
+    /// ones from the old context. An Opt-2 pair whose context has left
+    /// the cache is dropped and counted in `opt2_evicted`; every other
+    /// entry is carried. Carried entries are bit-for-bit what a cold
+    /// build on the mutated graph would produce. The new graph must have
+    /// the same node count as the old one.
     ///
-    /// The returned cache is pinned to the mutated graph's shape and
-    /// carries the cumulative counters forward, with `invalidated` /
-    /// `retained` updated. The report carries `new_graph`'s epoch and
-    /// the per-family counts. `self` is left untouched, still answering
-    /// for the old graph.
+    /// The lock on `self` is held only to share its slot tables; the
+    /// repairs run outside it, on the calling thread, so queries on the
+    /// old cache keep flowing. The returned cache is pinned to the
+    /// mutated graph's shape and carries the cumulative counters
+    /// forward, with `invalidated` / `retained` updated. The report
+    /// carries `new_graph`'s epoch and the per-family counts. `self` is
+    /// left untouched, still answering for the old graph.
     pub fn carry_over(
         &self,
         new_graph: &Graph,
+        index: &InvertedIndex,
         mutations: &[EdgeMutation],
     ) -> (PreprocessCache, MutationReport) {
-        let heads: Vec<NodeId> = mutations.iter().map(|m| m.to).collect();
-        let tails: Vec<NodeId> = mutations.iter().map(|m| m.from).collect();
-        let inner = self.inner.lock().unwrap();
-        let (contexts, contexts_retained, contexts_evicted) = inner.contexts.carry_over(&heads);
-        let (opt2, opt2_retained, opt2_evicted) = inner.opt2.carry_over(&heads);
-        let (reach, reach_retained, reach_evicted) = inner.reach.carry_over(&heads);
-        let (forward, pair_trees_retained, pair_trees_evicted) = inner.forward.carry_over(&tails);
+        let mut next = {
+            let inner = self.inner.lock().unwrap();
+            Inner {
+                tick: inner.tick,
+                graph_shape: Some((new_graph.node_count(), new_graph.edge_count())),
+                contexts: inner.contexts.share(),
+                opt2: inner.opt2.share(),
+                reach: inner.reach.share(),
+                forward: inner.forward.share(),
+                // Landmark vectors are distance tables over the *old*
+                // weights: a carried entry could overestimate a shortened
+                // distance and silently break admissibility, so the
+                // singleton is always dropped and lazily rebuilt.
+                landmarks: None,
+                evictions: inner.evictions,
+                trees_built: inner.trees_built,
+                landmark_trees_built: inner.landmark_trees_built,
+                invalidated: inner.invalidated,
+                retained: inner.retained,
+            }
+        };
+        let mut fix = Repairer {
+            graph: new_graph,
+            mutations,
+            repaired: 0,
+            rebuilt: 0,
+        };
+        let old_contexts = next.contexts.share();
+        let (contexts_retained, contexts_evicted) = next.contexts.repair_each(|&t, ctx| {
+            let seeds = [(t, 0.0, 0.0)];
+            let tau = fix.tree(ctx.tau_tree(), &seeds, &seeds);
+            let sigma = fix.tree(ctx.sigma_tree(), &seeds, &seeds);
+            Some(match (tau, sigma) {
+                (None, None) => ctx.clone(),
+                (tau, sigma) => Arc::new(QueryContext::from_trees(
+                    t,
+                    tau.unwrap_or_else(|| ctx.tau_tree().clone()),
+                    sigma.unwrap_or_else(|| ctx.sigma_tree().clone()),
+                )),
+            })
+        });
+        let (opt2_retained, opt2_evicted) = next.opt2.repair_each(|&(t, kw), pair| {
+            let (old_ctx, new_ctx) = (old_contexts.get(&t)?, next.contexts.get(&t)?);
+            let (old_obj, old_bud) = opt2_seeds(index.postings(kw), old_ctx);
+            let (new_obj, new_bud) = opt2_seeds(index.postings(kw), new_ctx);
+            let obj = fix.tree(&pair.obj_bound, &new_obj, &old_obj);
+            let bud = fix.tree(&pair.bud_bound, &new_bud, &old_bud);
+            Some(match (obj, bud) {
+                (None, None) => pair.clone(),
+                (obj, bud) => Arc::new(Opt2Trees {
+                    obj_bound: obj.unwrap_or_else(|| pair.obj_bound.clone()),
+                    bud_bound: bud.unwrap_or_else(|| pair.bud_bound.clone()),
+                }),
+            })
+        });
+        let (reach_retained, reach_evicted) = next.reach.repair_each(|&kw, tree| {
+            let seeds = KeywordReach::seeds(index.postings(kw));
+            Some(
+                fix.tree(tree, &seeds, &seeds)
+                    .map_or_else(|| tree.clone(), Arc::new),
+            )
+        });
+        let (pair_trees_retained, pair_trees_evicted) = next.forward.repair_each(|&s, tree| {
+            let seeds = [(s, 0.0, 0.0)];
+            Some(
+                fix.tree(tree, &seeds, &seeds)
+                    .map_or_else(|| tree.clone(), Arc::new),
+            )
+        });
         let report = MutationReport {
             epoch: new_graph.epoch(),
             contexts_retained,
@@ -738,33 +793,17 @@ impl PreprocessCache {
             reach_evicted,
             pair_trees_retained,
             pair_trees_evicted,
+            trees_repaired: fix.repaired,
+            trees_rebuilt: fix.rebuilt,
         };
-        let mut next = Inner {
-            tick: inner.tick,
-            graph_shape: Some((new_graph.node_count(), new_graph.edge_count())),
-            contexts,
-            opt2,
-            reach,
-            forward,
-            // Landmark vectors are distance tables over the *old*
-            // weights: any carried entry could overestimate a shortened
-            // distance and silently break admissibility, so the
-            // singleton is always dropped and lazily rebuilt.
-            landmarks: None,
-            evictions: inner.evictions,
-            trees_built: inner.trees_built,
-            landmark_trees_built: inner.landmark_trees_built,
-            invalidated: inner.invalidated
-                + (contexts_evicted + opt2_evicted + reach_evicted) as u64,
-            retained: inner.retained + (contexts_retained + opt2_retained + reach_retained) as u64,
-        };
-        // Counter exclusivity (`evictions` vs `invalidated`): stamped
-        // entries were dropped above and counted once, as invalidated;
-        // the LRU cap runs only over the surviving entries, so a
-        // stale-and-over-cap entry can never be counted twice. The
-        // families cannot normally exceed the cap here (carry-over only
-        // shrinks them), but enforcing it keeps the invariant local
-        // rather than depending on every caller's history.
+        next.invalidated += (contexts_evicted + opt2_evicted + reach_evicted) as u64;
+        next.retained += (contexts_retained + opt2_retained + reach_retained) as u64;
+        // Counter exclusivity (`evictions` vs `invalidated`): dropped
+        // entries were counted once above, as invalidated; the LRU cap
+        // runs only over the carried entries. The families cannot
+        // normally exceed the cap here (carry-over never grows them),
+        // but enforcing it keeps the invariant local rather than
+        // depending on every caller's history.
         next.evictions += next.contexts.evict_lru(self.capacity)
             + next.opt2.evict_lru(self.capacity)
             + next.reach.evict_lru(self.capacity)
@@ -802,9 +841,11 @@ mod tests {
     use super::*;
     use kor_graph::fixtures::{figure1, v};
 
-    /// A batch that changes figure 1's edge `from → to` (weights kept).
-    fn touch(from: NodeId, to: NodeId) -> [EdgeMutation; 1] {
-        [EdgeMutation::scale(from, to, 1.0, 1.0)]
+    /// A batch that doubles the budget of `g`'s edge `from → to`, and
+    /// the graph it produces.
+    fn touch(g: &Graph, from: NodeId, to: NodeId) -> (Graph, [EdgeMutation; 1]) {
+        let batch = [EdgeMutation::scale(from, to, 1.0, 2.0)];
+        (g.apply_mutations(&batch).unwrap(), batch)
     }
 
     #[test]
@@ -959,28 +1000,32 @@ mod tests {
         assert_eq!(cache.stats().trees_built, 0);
     }
 
-    /// Satellite: mutation-driven invalidation and the LRU cap must be
-    /// **exclusive** counters — one removed entry bumps exactly one.
+    /// Mutation-driven invalidation and the LRU cap must be **exclusive**
+    /// counters — one removed entry bumps exactly one.
     #[test]
     fn invalidation_and_lru_counters_are_exclusive() {
+        use kor_graph::fixtures::t;
         let g = figure1();
-        let cache = PreprocessCache::with_capacity(8);
-        cache.context(&g, v(7)); // stamp covers v0..v7 minus dead ends
+        let index = InvertedIndex::build(&g);
+        let cache = PreprocessCache::with_capacity(1);
+        let (ctx, _) = cache.context(&g, v(7));
+        cache.opt2_trees(&g, &index, &ctx, t(1));
+        // The cap drops v7's context but keeps its Opt-2 pair, which is
+        // left without the context its seeds come from.
         cache.context(&g, v(4));
-        // Mutation touching v7's tree only: v7 reaches v7, v4's τ tree
-        // does not relax head v7 (no path v7 → v4).
-        let (warm, report) = cache.carry_over(&g, &touch(v(4), v(7)));
-        assert_eq!(report.contexts_evicted, 1);
-        assert_eq!(report.contexts_retained, 1);
+        assert_eq!(cache.stats().evictions, 1);
+        let (g2, batch) = touch(&g, v(4), v(7));
+        let (warm, report) = cache.carry_over(&g2, &index, &batch);
+        assert_eq!((report.opt2_retained, report.opt2_evicted), (0, 1));
+        assert_eq!((report.contexts_retained, report.contexts_evicted), (1, 0));
         let s = warm.stats();
-        assert_eq!(s.invalidated, 1, "stamped entry counts as invalidated");
-        assert_eq!(s.evictions, 0, "…and never also as an LRU eviction");
+        assert_eq!(s.invalidated, 1, "the orphaned pair counts as invalidated");
+        assert_eq!(s.evictions, 1, "…and never also as an LRU eviction");
         assert_eq!(s.retained, 1);
     }
 
-    /// Satellite: an entry that is both stamped *and* over the cap is
-    /// counted once — as invalidated. Survivors over the cap (possible
-    /// only if the capacity shrank between builds) count as evictions.
+    /// The LRU cap applies to the carried entries, and what it removes
+    /// counts as evictions, never as invalidations.
     #[test]
     fn carry_over_applies_cap_to_survivors_only() {
         let g = figure1();
@@ -994,18 +1039,16 @@ mod tests {
             capacity: 1,
             inner: cache.inner,
         };
-        let (warm, report) = cache.carry_over(&g, &touch(v(4), v(7)));
-        // v7 is in a context's stamp iff v7 reaches that context's
-        // target; v7 reaches only itself, so exactly the v7 context is
-        // invalidated and the v5/v6 contexts survive the stamp filter.
-        assert_eq!(report.contexts_evicted, 1);
-        assert_eq!(report.contexts_retained, 2);
+        let (g2, batch) = touch(&g, v(4), v(7));
+        let (warm, report) = cache.carry_over(&g2, &InvertedIndex::build(&g2), &batch);
+        // Every context is repaired and carried…
+        assert_eq!((report.contexts_retained, report.contexts_evicted), (3, 0));
         let s = warm.stats();
-        assert_eq!(s.invalidated, 1);
-        // Two survivors over a cap of 1: exactly one LRU eviction, and
-        // the invalidated entry was NOT double-counted here.
-        assert_eq!(s.evictions, 1);
+        assert_eq!(s.invalidated, 0);
+        // …and the cap then trims the two least recently used.
+        assert_eq!(s.evictions, 2);
         assert_eq!(warm.context_entries(), 1);
+        assert!(warm.context(&g2, v(7)).1, "the most recent context stays");
     }
 
     #[test]
@@ -1028,13 +1071,16 @@ mod tests {
         let cache = PreprocessCache::new();
         cache.landmarks(&g);
         cache.reach_tree(&g, t(1), index.postings(t(1)));
-        // t1's reach tree relaxes nodes that reach {v3, v6}; v1 reaches
-        // neither (no out-edges), so a change at head v1 keeps it warm.
-        let (warm, report) = cache.carry_over(&g, &touch(v(3), v(1)));
+        // t1's reach tree covers the nodes that reach {v3, v6}; v1
+        // reaches neither (no out-edges), so the edge into v1 leaves the
+        // tree as it was.
+        let (g2, batch) = touch(&g, v(3), v(1));
+        let (warm, report) = cache.carry_over(&g2, &index, &batch);
         assert_eq!((report.reach_retained, report.reach_evicted), (1, 0));
-        let (_, reach_hit) = warm.reach_tree(&g, t(1), index.postings(t(1)));
+        assert_eq!(report.trees_repaired, 0);
+        let (_, reach_hit) = warm.reach_tree(&g2, t(1), index.postings(t(1)));
         assert!(reach_hit, "clean reach tree carried over warm");
-        let (_, lm_hit) = warm.landmarks(&g);
+        let (_, lm_hit) = warm.landmarks(&g2);
         assert!(!lm_hit, "landmarks must always rebuild after mutations");
     }
 
@@ -1054,7 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn carry_over_keeps_only_trees_that_avoid_changed_tails() {
+    fn carry_over_repairs_forward_trees_to_match_cold() {
         use kor_graph::GraphBuilder;
 
         // Diamond: s -> a -> t, s -> c -> t.
@@ -1070,27 +1116,29 @@ mod tests {
         let g = b.build().unwrap();
 
         let cache = PreprocessCache::new();
-        cache.forward_tree(&g, s); // reaches tail a -> must evict
-        cache.forward_tree(&g, c); // never sees a -> retained
-        cache.forward_tree(&g, t); // only {t} -> retained
+        cache.forward_tree(&g, s); // reaches t through a -> repaired
+        cache.forward_tree(&g, c); // never sees a -> unchanged
+        cache.forward_tree(&g, t); // only {t} -> unchanged
         assert_eq!(cache.forward_entries(), 3);
 
         let batch = [EdgeMutation::scale(a, t, 3.0, 1.0)];
         let g2 = g.apply_mutations(&batch).unwrap();
-        let (warm, report) = cache.carry_over(&g2, &batch);
+        let (warm, report) = cache.carry_over(&g2, &InvertedIndex::build(&g2), &batch);
         assert_eq!(
             (report.pair_trees_retained, report.pair_trees_evicted),
-            (2, 1)
+            (3, 0)
         );
-        assert_eq!(warm.forward_entries(), 2);
+        // From s, t is now cheaper through c: one tree changed.
+        assert_eq!((report.trees_repaired, report.trees_rebuilt), (1, 0));
+        assert_eq!(warm.forward_entries(), 3);
         // Forward trees stay out of the label-search counters.
         assert_eq!((warm.stats().retained, warm.stats().invalidated), (0, 0));
 
-        // Every tree matches a cold build on the mutated graph, bit for
-        // bit, whether it was carried or rebuilt.
+        // Every tree is a hit and matches a cold build on the mutated
+        // graph, bit for bit, whether it was repaired or left alone.
         for i in g2.nodes() {
             let (warm_tree, hit) = warm.forward_tree(&g2, i);
-            assert_eq!(hit, i == c || i == t, "only the clean trees stay warm");
+            assert_eq!(hit, i != a, "every carried tree stays warm");
             let cold = forward_tree(&g2, Metric::Objective, i);
             for j in g2.nodes() {
                 assert_eq!(warm_tree.is_reachable(j), cold.is_reachable(j));

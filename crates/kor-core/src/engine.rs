@@ -77,14 +77,15 @@ impl<G: AsRef<Graph>> KorEngine<G> {
 
 impl KorEngine<Arc<Graph>> {
     /// Applies a mutation batch to this warm engine, producing a new
-    /// engine over the mutated graph with **incremental invalidation**:
-    /// every cached tree whose invalidation stamp avoids all changed
-    /// edges is carried over warm; only entries that actually scanned a
-    /// changed edge are evicted. The carried state is bit-for-bit what
-    /// a cold engine built from the mutated graph would compute (the
-    /// oracle battery in `tests/mutate_oracle.rs` enforces this), so
-    /// queries on the returned engine are byte-identical to cold
-    /// answers while skipping the retained Dijkstras.
+    /// engine over the mutated graph whose cache stays warm: every
+    /// cached tree is repaired in place of being evicted
+    /// ([`PreprocessCache::carry_over`]), re-settling only the nodes the
+    /// batch can affect. The carried state is bit-for-bit what a cold
+    /// engine built from the mutated graph would compute (the oracle
+    /// batteries in `tests/mutate_oracle.rs` and `tests/mutate_props.rs`
+    /// enforce this), so queries on the returned engine are
+    /// byte-identical to cold answers while skipping the Dijkstras. The
+    /// repair runs on the calling thread.
     ///
     /// `self` is untouched and keeps answering for the old graph —
     /// services swap the returned engine in and let in-flight queries
@@ -98,10 +99,10 @@ impl KorEngine<Arc<Graph>> {
         mutations: &[EdgeMutation],
     ) -> Result<(KorEngine<Arc<Graph>>, MutationReport), MutationError> {
         let new_graph = Arc::new(self.graph().apply_mutations(mutations)?);
-        let (prep, report) = self.prep.carry_over(&new_graph, mutations);
         // Keywords are untouched by edge mutations; rebuilding the
         // index on the new graph is deterministic and identical.
         let index = InvertedIndex::build(&new_graph);
+        let (prep, report) = self.prep.carry_over(&new_graph, &index, mutations);
         Ok((
             KorEngine {
                 graph: new_graph,
@@ -336,12 +337,13 @@ mod tests {
         let (warm, report) = engine.apply_edge_mutations(&batch).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(warm.graph().epoch(), 1);
-        // ctx(v7) scanned edge 4->7 (head v7 stamped) -> evicted;
-        // ctx(v1) never did -> carried.
-        assert_eq!(report.contexts_evicted, 1);
-        assert_eq!(report.contexts_retained, 1);
-        // Greedy's forward tree from v0 reaches tail v4 -> evicted.
-        assert!(report.pair_trees_evicted >= 1);
+        // Both contexts are carried: ctx(v7) is repaired (its σ tree ran
+        // through 4->7), ctx(v1) is left as it was. Nothing is evicted.
+        assert_eq!(report.contexts_retained, 2);
+        assert_eq!(report.total_evicted(), 0);
+        assert!(report.pair_trees_retained >= 1);
+        assert!(report.trees_repaired >= 1, "{report:?}");
+        assert_eq!(report.trees_rebuilt, 0);
         // `retained`/`invalidated` cover the label-search families
         // only; greedy's forward trees are reported as `pair_trees_*`.
         let stats = warm.preprocess_stats();
@@ -349,13 +351,10 @@ mod tests {
             stats.retained,
             (report.contexts_retained + report.opt2_retained + report.reach_retained) as u64
         );
-        assert_eq!(
-            stats.invalidated,
-            (report.contexts_evicted + report.opt2_evicted + report.reach_evicted) as u64
-        );
+        assert_eq!(stats.invalidated, 0);
 
         // Warm answers are bit-identical to a cold engine on the
-        // mutated graph; the carried ctx(v1) answers without a rebuild.
+        // mutated graph; the carried contexts answer without a rebuild.
         let cold = KorEngine::new(Arc::new(warm.graph().clone()));
         let q2 = KorQuery::new(warm.graph(), v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
         let w = warm.os_scaling(&q2, &OsScalingParams::default()).unwrap();
@@ -365,8 +364,10 @@ mod tests {
         assert_eq!(wr.objective.to_bits(), cr.objective.to_bits());
         assert_eq!(wr.budget.to_bits(), cr.budget.to_bits());
         let before = warm.preprocess_stats().trees_built;
-        let (_, hit) = warm.preprocess_cache().context(warm.graph(), v(1));
-        assert!(hit, "untouched target must stay warm");
+        for target in [v(1), v(7)] {
+            let (_, hit) = warm.preprocess_cache().context(warm.graph(), target);
+            assert!(hit, "carried target {target} must stay warm");
+        }
         assert_eq!(warm.preprocess_stats().trees_built, before);
 
         // The old engine is untouched and still answers on epoch 0.

@@ -65,7 +65,7 @@ mod search;
 mod stats;
 
 pub use brute::{brute_force, BruteForceParams};
-pub use cache::{CacheStats, MutationReport, Opt2Trees, PreprocessCache, TreeStamp};
+pub use cache::{CacheStats, CachedKeys, MutationReport, Opt2Trees, PreprocessCache};
 pub use dominance::{DomMode, LabelStore};
 pub use engine::KorEngine;
 pub use error::KorError;

@@ -11,10 +11,8 @@
 //! order is part of the contract: surviving edges keep their relative
 //! order within each source's adjacency, and reopened edges are
 //! appended at the end of their source's adjacency in ascending target
-//! order. The lexicographic Dijkstra trees downstream break exact-tie
-//! relaxations by scan order, so this ordering rule is what lets a
-//! warm engine that carries trees across a mutation stay bit-for-bit
-//! identical to a cold engine built from the same mutated graph.
+//! order. So the mutated graph is a pure function of the old graph and
+//! the batch, and a replayed script yields a byte-identical snapshot.
 //!
 //! Each successful batch bumps the graph's [`Graph::epoch`] counter by
 //! one, giving services a cheap "which world answered this query"

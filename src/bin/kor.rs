@@ -41,8 +41,10 @@
 //! kor serve --addr 127.0.0.1:7878 --threads 8 --dataset city=city.korg
 //! ```
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use kor::batch::{run_batch, BatchConfig};
 use kor::data::gen::{generate_world, GenConfig, Topology};
@@ -53,6 +55,33 @@ use kor::prelude::*;
 use kor::recover::{run_recover_to_file, RecoverConfig};
 use kor::serve::registry::Dataset;
 use kor::serve::{ServeConfig, Server};
+
+/// `println!` for command output: writes through [`write_out`] and
+/// returns its error from the enclosing function.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))?
+    };
+}
+
+/// Writes one line of command output. Once the reader closes stdout
+/// early (`kor stats world.korbin | head -1`), the rest of the output is
+/// dropped and the command runs on to its normal exit instead of
+/// panicking; any other write error fails the command.
+fn write_out(line: std::fmt::Arguments) -> Result<(), String> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        other => other.map_err(|e| format!("writing to stdout: {e}")),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,7 +107,7 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("serve") => serve(&args[1..]),
         Some("recover") => recover(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", usage());
+            outln!("{}", usage().trim_end_matches('\n'));
             Ok(())
         }
         Some(other) => Err(format!(
@@ -240,9 +269,12 @@ fn generate(args: &[String]) -> Result<(), String> {
             };
             cfg.seed = seed;
             let (graph, stats) = generate_flickr(&cfg);
-            println!(
+            outln!(
                 "generated flickr-like graph: {} locations, {} edges ({} photos, {} trips)",
-                stats.locations, stats.edges, stats.photos, stats.total_trips
+                stats.locations,
+                stats.edges,
+                stats.photos,
+                stats.total_trips
             );
             graph
         }
@@ -251,7 +283,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             let mut cfg = RoadNetConfig::with_nodes(nodes);
             cfg.seed = seed;
             let graph = generate_roadnet(&cfg);
-            println!(
+            outln!(
                 "generated road network: {} nodes, {} edges",
                 graph.node_count(),
                 graph.edge_count()
@@ -261,7 +293,7 @@ fn generate(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown dataset kind {other:?}")),
     };
     kor::data::save_graph(&out, &graph).map_err(|e| e.to_string())?;
-    println!("saved to {}", out.display());
+    outln!("saved to {}", out.display());
     Ok(())
 }
 
@@ -336,7 +368,7 @@ fn gen(args: &[String]) -> Result<(), String> {
     let out = PathBuf::from(flag(&flags, "out").unwrap_or("world.korbin"));
     let world = generate_world(&config);
     write_snapshot(&out, &world).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "generated {} world: {} nodes, {} edges, {} keywords, {} canned queries (seed {seed})",
         config.topology.name(),
         world.graph.node_count(),
@@ -344,7 +376,7 @@ fn gen(args: &[String]) -> Result<(), String> {
         world.graph.vocab().len(),
         world.query_count(),
     );
-    println!("saved to {}", out.display());
+    outln!("saved to {}", out.display());
     Ok(())
 }
 
@@ -431,7 +463,7 @@ fn ingest(args: &[String]) -> Result<(), String> {
     } else {
         write_snapshot(&out, &world).map_err(|e| e.to_string())?;
     }
-    println!(
+    outln!(
         "ingested {}: {} nodes, {} edges, {} canned queries -> {}",
         input,
         world.graph.node_count(),
@@ -446,7 +478,7 @@ fn stats(args: &[String]) -> Result<(), String> {
     let (positional, _) = parse_flags(args, "")?;
     let path = positional.first().ok_or("stats needs a graph file")?;
     let graph = load(path)?;
-    println!("{}", graph.stats());
+    outln!("{}", graph.stats());
     Ok(())
 }
 
@@ -480,7 +512,7 @@ fn query(args: &[String]) -> Result<(), String> {
     let outcome = engine.search(&query, &request).map_err(|e| e.to_string())?;
     if let Some((covers, within)) = outcome.greedy_flags {
         if !(covers && within) {
-            println!(
+            outln!(
                 "note: greedy route violates a constraint (covers keywords: {covers}, within budget: {within})"
             );
         }
@@ -488,11 +520,11 @@ fn query(args: &[String]) -> Result<(), String> {
     let routes = outcome.routes;
 
     if routes.is_empty() {
-        println!("no feasible route");
+        outln!("no feasible route");
         return Ok(());
     }
     for (i, r) in routes.iter().enumerate() {
-        println!(
+        outln!(
             "#{} OS {:.4} BS {:.4} ({} stops)",
             i + 1,
             r.objective,
@@ -517,7 +549,7 @@ fn query(args: &[String]) -> Result<(), String> {
                 }
             })
             .collect();
-        println!("   {}", described.join(" -> "));
+        outln!("   {}", described.join(" -> "));
     }
     Ok(())
 }
@@ -584,7 +616,7 @@ fn batch(args: &[String]) -> Result<(), String> {
                 (None, Some(os)) => format!("OS {os:.4}"),
                 (None, None) => "infeasible".to_string(),
             };
-            println!(
+            outln!(
                 "q{:04} {}kw {:>10.1}us  {status}",
                 o.id,
                 o.keyword_count,
@@ -606,7 +638,7 @@ fn batch(args: &[String]) -> Result<(), String> {
         std::fs::write(out, &json).map_err(|e| format!("--json-out {out}: {e}"))?;
         eprintln!("wrote JSON summary to {out}");
     }
-    println!("{json}");
+    outln!("{json}");
     Ok(())
 }
 
@@ -716,20 +748,22 @@ fn mutate(args: &[String]) -> Result<(), String> {
                 _ => String::new(),
             };
             eprintln!(
-                "phase {i}: {} mutations -> epoch {}, retained {}, evicted {}{verdict}",
+                "phase {i}: {} mutations -> epoch {}, retained {}, evicted {}, repaired {}{verdict}",
                 p.applied,
                 p.report.epoch,
                 p.report.total_retained(),
                 p.report.total_evicted(),
+                p.report.trees_repaired,
             );
         }
     }
     eprintln!(
-        "mutate: {} phases, {} mutations, retained {}, evicted {}{}",
+        "mutate: {} phases, {} mutations, retained {}, evicted {}, repaired {}{}",
         report.phases.len(),
         report.phases.iter().map(|p| p.applied).sum::<usize>(),
         report.total_retained(),
         report.total_evicted(),
+        report.total_repaired(),
         if report.verified {
             ", verified warm == cold"
         } else {
@@ -741,9 +775,9 @@ fn mutate(args: &[String]) -> Result<(), String> {
         std::fs::write(path, &json).map_err(|e| format!("--json-out {path}: {e}"))?;
         eprintln!("wrote JSON summary to {path}");
     }
-    println!("{json}");
+    outln!("{json}");
     write_snapshot(&out, &world).map_err(|e| e.to_string())?;
-    println!("saved to {}", out.display());
+    outln!("saved to {}", out.display());
     Ok(())
 }
 
@@ -802,9 +836,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     }
     // The e2e tests parse this line to learn the ephemeral port; keep
     // its shape stable.
-    println!("kor serve: listening on {}", server.local_addr());
-    use std::io::Write;
-    std::io::stdout().flush().ok();
+    outln!("kor serve: listening on {}", server.local_addr());
     server.run();
     eprintln!("kor serve: shut down");
     Ok(())
@@ -852,7 +884,7 @@ fn recover(args: &[String]) -> Result<(), String> {
     if let Some(path) = &report.checkpoint {
         eprintln!("compacted into checkpoint {}", path.display());
     }
-    println!("{}", report.to_json());
+    outln!("{}", report.to_json());
     Ok(())
 }
 

@@ -152,7 +152,7 @@ pub fn run_recover(config: &RecoverConfig) -> Result<RecoverReport, String> {
             );
         }
         // The never-crashed twin: the base engine, queries answered (so
-        // caches are warm, exercising incremental invalidation), then
+        // caches are warm, exercising the cache repair), then
         // every durable batch applied in order — the exact path a live
         // server took before it died.
         let mut warm = KorEngine::new(Arc::new(snapshot.graph.clone()));

@@ -324,6 +324,9 @@ struct Conn {
     next_write: u64,
     /// Requests dispatched to workers and not yet completed.
     in_flight: usize,
+    /// A write request is in flight: no later line is dispatched (or
+    /// read) until it completes. See [`is_write`].
+    barrier: bool,
     /// Completed responses that arrived out of order.
     pending: BTreeMap<u64, String>,
     /// Peer closed its write side; parse what remains, then close.
@@ -346,6 +349,7 @@ impl Conn {
             next_seq: 0,
             next_write: 0,
             in_flight: 0,
+            barrier: false,
             pending: BTreeMap::new(),
             eof: false,
             closing: false,
@@ -358,7 +362,7 @@ impl Conn {
     /// polled for bytes the reactor would then refuse to read (which
     /// would spin) nor read without being polled.
     fn wants_read(&self) -> bool {
-        !self.dead && !self.closing && !self.eof && self.in_flight < MAX_PIPELINE
+        !self.dead && !self.closing && !self.eof && !self.barrier && self.in_flight < MAX_PIPELINE
     }
 
     /// Whether response bytes are waiting for the socket to drain.
@@ -556,6 +560,7 @@ impl Reactor {
             return;
         }
         conn.in_flight -= 1;
+        conn.barrier &= conn.in_flight > 0;
         conn.pending.insert(completion.seq, completion.response);
     }
 
@@ -595,6 +600,20 @@ impl Reactor {
             }
         }
     }
+}
+
+/// Whether a request line may swap a dataset (`update_edges`,
+/// `load_dataset`). Such a line is dispatched only once every earlier
+/// request of its connection has finished, and no later one is
+/// dispatched before it finishes, so a pipelined query never sees a
+/// mutation sent after it, nor misses one sent before it. The check is
+/// a byte search, not a parse: a false positive (say, a keyword of that
+/// name) only serializes the line.
+fn is_write(line: &[u8]) -> bool {
+    (0..line.len()).filter(|&i| line[i] == b'"').any(|i| {
+        let rest = &line[i..];
+        rest.starts_with(b"\"update_edges\"") || rest.starts_with(b"\"load_dataset\"")
+    })
 }
 
 /// One reactor visit to one connection: promote completed responses,
@@ -642,7 +661,7 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
     // Parse complete lines. A line is "committed" only once its newline
     // arrived, so segment boundaries can never change how a request
     // parses.
-    while !conn.dead && !conn.closing && conn.in_flight < MAX_PIPELINE {
+    while !conn.dead && !conn.closing && !conn.barrier && conn.in_flight < MAX_PIPELINE {
         let Some(rel) = conn.read_buf[conn.scanned..]
             .iter()
             .position(|&b| b == b'\n')
@@ -657,6 +676,10 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         if pos > ctx.max_request_bytes {
             conn.reject_too_large(ctx.max_request_bytes);
             break;
+        }
+        let writes = is_write(&conn.read_buf[..pos]);
+        if writes && conn.in_flight > 0 {
+            break; // runs once every earlier request has finished
         }
         let line: Vec<u8> = conn.read_buf[..pos].to_vec();
         conn.read_buf.drain(..=pos);
@@ -682,7 +705,10 @@ fn service_conn(ctx: &ServerContext, queue: &JobQueue, conn: &mut Conn, slot: us
         // read an underflowed counter).
         ctx.queued_requests.fetch_add(1, Ordering::Relaxed);
         match queue.push(job) {
-            Ok(()) => conn.in_flight += 1,
+            Ok(()) => {
+                conn.in_flight += 1;
+                conn.barrier = writes;
+            }
             Err(_refused) => {
                 // Backpressure is per request: answer `overloaded` in
                 // this request's pipeline slot and keep the connection.
@@ -778,6 +804,21 @@ mod tests {
         assert_eq!(conn.write_buf, b"zero\none\ntwo\n");
         assert!(!conn.pending.is_empty() || conn.next_write == 3);
         assert!(conn.outstanding(), "bytes still unflushed");
+    }
+
+    #[test]
+    fn only_dataset_swaps_are_writes() {
+        assert!(is_write(
+            br#"{"method":"update_edges","params":{"mutations":[]}}"#
+        ));
+        assert!(is_write(br#"{"id":1,"method":"load_dataset"}"#));
+        for read in [
+            &br#"{"method":"query","params":{"from":0,"to":7}}"#[..],
+            br#"{"method":"stats"}"#,
+            b"update_edges",
+        ] {
+            assert!(!is_write(read), "{}", String::from_utf8_lossy(read));
+        }
     }
 
     #[test]

@@ -421,8 +421,8 @@ fn query(ctx: &ServerContext, req: &Request, received: Instant) -> Result<JsonVa
 /// weight scalings) to a live dataset. The mutated dataset replaces the
 /// registry entry atomically — in-flight queries finish on the old
 /// graph (reporting the old `epoch`), later ones see the new graph —
-/// and the warm caches carry over every entry whose invalidation stamp
-/// avoids the changed edges.
+/// and the warm caches carry every cached tree across, repaired on this
+/// thread before the swap.
 fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
     check_keys(&req.params, &["dataset", "mutations"])?;
     let mutations = parse_mutations(&req.params)?;
@@ -481,6 +481,8 @@ fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
                 ("opt2_evicted", report.opt2_evicted.into()),
                 ("pair_trees_retained", report.pair_trees_retained.into()),
                 ("pair_trees_evicted", report.pair_trees_evicted.into()),
+                ("trees_repaired", report.trees_repaired.into()),
+                ("trees_rebuilt", report.trees_rebuilt.into()),
             ]),
         ),
     ]))
@@ -888,10 +890,12 @@ mod tests {
         assert!(r.get("router").is_none());
         let inv = r.get("invalidation").expect("invalidation counters");
         let count = |key| inv.get(key).and_then(JsonValue::as_u64).unwrap();
-        // v7 is the only warmed target and the closed edge points at
-        // it, so its context (and opt2 trees, if any) must go.
-        assert_eq!(count("contexts_evicted"), 1);
-        assert_eq!(count("contexts_retained"), 0);
+        // v7 is the only warmed target and its σ tree ran through the
+        // closed edge: the context is carried, repaired, not evicted.
+        assert_eq!(count("contexts_evicted"), 0);
+        assert_eq!(count("contexts_retained"), 1);
+        assert!(count("trees_repaired") >= 1);
+        assert_eq!(count("trees_rebuilt"), 0);
 
         let after = run(&ctx, query).unwrap();
         assert_eq!(after.get("epoch").and_then(JsonValue::as_u64), Some(1));

@@ -92,8 +92,8 @@ impl Dataset {
     /// while the caller swaps the new one into the registry, so no
     /// request ever observes a torn graph.
     ///
-    /// The warm engine carries every cache entry whose invalidation
-    /// stamp avoids the changed edges.
+    /// The warm engine carries every cache entry across, repairing the
+    /// trees the batch changed (on the calling thread).
     pub fn with_mutations(
         &self,
         mutations: &[EdgeMutation],

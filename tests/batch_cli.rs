@@ -124,3 +124,54 @@ fn json_parser_rejects_malformed_input() {
     let ok = r#"{"a":"x\"y","b":[1,2.5,null],"c":{"d":true}}"#;
     assert!(JsonValue::parse(ok).is_ok());
 }
+
+/// A reader that closes stdout early (`kor batch … | head -1`) must not
+/// crash the CLI: output past the close is dropped and the command exits
+/// normally. The workload prints more than a pipe buffer (64 KiB) of
+/// per-query lines, so some write is certain to hit the closed pipe.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("kor-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("tiny.korg");
+    let gen = kor(&[
+        "generate",
+        "flickr",
+        "--small",
+        "--seed",
+        "7",
+        "--out",
+        graph.to_str().unwrap(),
+    ]);
+    assert!(gen.status.success());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kor"))
+        .args([
+            "batch",
+            graph.to_str().unwrap(),
+            "--budget",
+            "2",
+            "--keywords",
+            "1",
+            "--per-set",
+            "2000",
+            "--threads",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn kor binary");
+    // Close the read end before the batch prints anything.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for kor");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "kor panicked:\n{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}:\n{stderr}", out.status);
+    assert!(stderr.contains("batch: 2000 queries"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,7 +4,7 @@
 //! crashed.
 //!
 //! This is the crash-safety counterpart of `tests/mutate_oracle.rs`:
-//! where that battery proves incremental invalidation equals a cold
+//! where that battery proves the repaired warm cache equals a cold
 //! rebuild, this one proves the *durable* path equals the live path.
 //! Generated worlds (grid and ring topologies, multiple seeds) each
 //! get a seeded traffic script. Every batch is appended to a real
@@ -59,7 +59,7 @@ fn recovered_engine_matches_the_never_crashed_twin_on_all_worlds() {
         let jpath = journal_path(&dir, "w");
         let mut journal = Journal::create(&jpath, 0, graph_digest(&world.graph)).unwrap();
 
-        // The never-crashed twin: warm caches, incremental invalidation.
+        // The never-crashed twin: warm caches, repaired across batches.
         let mut warm = KorEngine::new(Arc::new(world.graph.clone()));
         for query in &canned_queries(warm.graph(), &world.query_sets) {
             for request in &requests() {
