@@ -18,15 +18,13 @@
 //! distance vectors are node-major (`vec[v * k + i]`) so one node's `K`
 //! distances share a cache line at query time.
 //!
-//! Because the engines already hold the exact to-target distances, the
-//! combined prune bound `max(exact, ALT)` equals the exact bound on every
-//! node — which is precisely what keeps cached and cold searches
-//! bit-identical. The ALT layer's value is its *pair-independence*: the
-//! vectors are built once and answer for every `(v, t)`, so any future
-//! pruning site that lacks a per-target tree (speculative batch
-//! ordering, say) gets an admissible bound for free. The
-//! admissibility property (`bound ≤ exact`) is pinned by the property
-//! tests in `kor-core`.
+//! No search reads these bounds. The label searches already hold the
+//! exact to-target distances, so `max(exact, ALT)` equalled the exact
+//! bound on every node and never changed a pruning decision; the
+//! searches now prune with the exact distances alone. Benchmark replay
+//! only; deleted with ROADMAP item 2. The admissibility property
+//! (`bound ≤ exact`) is pinned by the property tests in
+//! `tests/property.rs`.
 
 use kor_graph::{Graph, NodeId};
 
@@ -37,6 +35,7 @@ use crate::tree::{backward_tree, forward_tree, Metric, Tree};
 pub const DEFAULT_LANDMARKS: usize = 4;
 
 /// Per-dataset landmark distance vectors (both metrics, both directions).
+/// Benchmark replay only; deleted with ROADMAP item 2.
 #[derive(Debug, Clone)]
 pub struct Landmarks {
     k: usize,

@@ -16,9 +16,10 @@
 //!   memoizes them).
 //!
 //! Both forms agree exactly; `DenseApsp` is the test oracle for the lazy
-//! trees. [`Landmarks`] adds ALT lower bounds, and [`partition`] cuts a
-//! graph into node groups for landmark selection and the benchmark's
-//! shard probe.
+//! trees. [`Landmarks`] adds ALT lower bounds that no search reads
+//! (benchmark replay only; deleted with ROADMAP item 2), and
+//! [`partition`] cuts a graph into node groups for landmark selection
+//! and the benchmark's shard probe.
 
 #![deny(unsafe_code)]
 

@@ -26,8 +26,10 @@
 //!   tree (Equation 1's `τ_{i,j}` for every `j`), keyed by the source.
 //!
 //! Beside them sit the **landmark vectors** — the per-dataset ALT
-//! distance vectors ([`kor_apsp::Landmarks`]), one singleton entry built
-//! lazily on first use and shared by every query.
+//! distance vectors ([`kor_apsp::Landmarks`]), one singleton built
+//! lazily by [`PreprocessCache::landmarks`]. No search reads them: the
+//! label searches prune with the exact τ/σ distances alone. Benchmark
+//! replay only; deleted with ROADMAP item 2.
 //!
 //! Every family goes through one lookup-or-build routine: one `Mutex`
 //! around the memo tables, shared by any number of worker threads, with
@@ -47,7 +49,8 @@
 //! family with [`Tree::repair`], which re-settles only the nodes the batch
 //! can affect and yields exactly the tree a cold build on the mutated
 //! graph would. Opt-2 seeds are re-derived from the repaired context.
-//! Only the landmark singleton is dropped and rebuilt on first use.
+//! Only the landmark singleton is dropped, and rebuilt only if
+//! [`PreprocessCache::landmarks`] is called again.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -193,8 +196,10 @@ pub struct CacheStats {
     /// happened" unobservable.
     pub trees_built: u64,
     /// Dijkstra trees built for the landmark (ALT) singleton: four per
-    /// landmark (forward + backward × objective + budget), rebuilt from
-    /// scratch after every mutation batch.
+    /// landmark (forward + backward × objective + budget). Only
+    /// [`PreprocessCache::landmarks`] builds them, never a search, so a
+    /// serving engine reads 0. Benchmark replay only; deleted with
+    /// ROADMAP item 2.
     pub landmark_trees_built: u64,
     /// Label-search entries a mutation batch dropped because they could
     /// not be repaired ([`PreprocessCache::carry_over`]): Opt-2 pairs
@@ -318,6 +323,7 @@ struct Inner {
     /// Greedy's forward `τ` trees, keyed by source.
     forward: Family<NodeId, Tree>,
     /// Per-dataset landmark (ALT) vectors: a singleton, so no LRU slot.
+    /// Benchmark replay only; deleted with ROADMAP item 2.
     landmarks: Option<Arc<Landmarks>>,
     /// The [`CacheStats`] counters no single family owns.
     evictions: u64,
@@ -616,7 +622,8 @@ impl PreprocessCache {
 
     /// The per-dataset landmark (ALT) distance vectors, built lazily on
     /// first use (`4 × DEFAULT_LANDMARKS` Dijkstras) and shared by every
-    /// query thereafter.
+    /// call thereafter. No search calls this. Benchmark replay only;
+    /// deleted with ROADMAP item 2.
     ///
     /// # Panics
     ///

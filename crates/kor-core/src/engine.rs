@@ -421,6 +421,23 @@ mod tests {
     }
 
     #[test]
+    fn searches_build_no_landmarks() {
+        // The label searches prune with the exact τ/σ distances alone,
+        // so serving queries never builds the ALT singleton.
+        let g = figure1();
+        let engine = KorEngine::new(&g);
+        for (to, keywords) in [(v(7), vec![t(1), t(2)]), (v(4), vec![t(1)]), (v(0), vec![])] {
+            let q = KorQuery::new(&g, v(0), to, keywords, 12.0).unwrap();
+            for algo in crate::search::every_algo() {
+                engine.search(&q, &SearchRequest::new(algo)).unwrap();
+            }
+        }
+        let stats = engine.preprocess_stats();
+        assert!(stats.trees_built > 0, "the searches did build trees");
+        assert_eq!(stats.landmark_trees_built, 0);
+    }
+
+    #[test]
     fn generous_deadline_changes_nothing() {
         let g = figure1();
         let engine = KorEngine::new(&g);

@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kor_apsp::{KeywordReach, Landmarks, QueryContext, TargetBounds};
+use kor_apsp::{KeywordReach, QueryContext};
 use kor_graph::{Graph, NodeId, QueryKeywords, Route};
 use kor_index::InvertedIndex;
 
@@ -116,7 +116,7 @@ pub(crate) enum LabelAlgo {
 /// Runs one label search for `request`'s `k` routes and deadline.
 /// `params` supplies ε (read by the scaled searches only), the
 /// optimization strategies, label collection and the scale anchor.
-/// `cache` supplies warm to-target trees, Opt-2 bounds and landmarks;
+/// `cache` supplies warm to-target trees, Opt-2 bounds and keyword reach;
 /// `None` builds everything per call. Results are byte-identical either
 /// way.
 pub(crate) fn label_search(
@@ -199,46 +199,6 @@ fn acquire_reach(
             &query.keywords,
             &index.query_postings(&query.keywords),
         ),
-    }
-}
-
-/// Landmark (ALT) lower bounds fixed to one query's target.
-///
-/// Only built from a cache (the vectors are a per-dataset product; a
-/// cold one-shot search has nothing to amortize them over). The combined
-/// prune bound `max(τ/σ, ALT)` equals the exact τ/σ bound on every node
-/// — ALT is admissible, the context distances are exact — so warm and
-/// cold searches stay bit-identical; the property tests in
-/// `tests/property.rs` pin the admissibility inequality itself.
-struct AltBounds {
-    lm: Arc<Landmarks>,
-    target: TargetBounds,
-}
-
-impl AltBounds {
-    /// Acquires the dataset landmarks from `cache` and fixes them to
-    /// `target`. `None` when there is no cache or no landmark could be
-    /// selected (empty graph).
-    fn acquire(graph: &Graph, target: NodeId, cache: Option<&PreprocessCache>) -> Option<Self> {
-        let cache = cache?;
-        let (lm, _) = cache.landmarks(graph);
-        if lm.is_empty() {
-            return None;
-        }
-        let target = lm.for_target(target);
-        Some(Self { lm, target })
-    }
-
-    /// Triangle lower bound on the remaining objective `d(v → target)`.
-    #[inline]
-    fn objective_bound(&self, v: NodeId) -> f64 {
-        self.lm.objective_bound(v, &self.target)
-    }
-
-    /// Triangle lower bound on the remaining budget `d(v → target)`.
-    #[inline]
-    fn budget_bound(&self, v: NodeId) -> f64 {
-        self.lm.budget_bound(v, &self.target)
     }
 }
 
@@ -402,8 +362,6 @@ pub(crate) struct Engine<'a> {
     masks: Vec<u64>,
     reach: Option<KeywordReach>,
     opt2: Option<Opt2>,
-    /// Landmark bounds; `max`-ed with τ/σ at every pruning site.
-    alt: Option<AltBounds>,
     arena: LabelArena,
     store: LabelStore,
     /// Queued labels; for `BucketBound`, those of the bucket being
@@ -431,7 +389,6 @@ impl<'a> Engine<'a> {
         let masks = query_mask_table(graph.node_count(), &query.keywords, index);
         let reach = (params.use_opt1 && !query.keywords.is_empty())
             .then(|| acquire_reach(graph, index, query, cache, &mut stats));
-        let alt = AltBounds::acquire(graph, query.target, cache);
         let opt2 = if params.use_opt2 {
             build_opt2(
                 graph,
@@ -476,7 +433,6 @@ impl<'a> Engine<'a> {
             masks,
             reach,
             opt2,
-            alt,
             arena: LabelArena::with_capacity(1024),
             store,
             heap: BinaryHeap::with_capacity(1024),
@@ -494,33 +450,6 @@ impl<'a> Engine<'a> {
             0
         } else {
             self.masks[node.index()]
-        }
-    }
-
-    /// Lower bound on the remaining objective from `node` to the target,
-    /// to compare with the bound `u`: `max(OS(τ), ALT)`. Equal to
-    /// `OS(τ)` — the exact distance — on every node, so pruning decisions
-    /// are unchanged; see [`AltBounds`]. While `u` is `+∞` (`BucketBound`,
-    /// or before a route is found) the check only asks whether the sum
-    /// overflowed, which a term no larger than `OS(τ)` cannot change, so
-    /// the landmark term is skipped.
-    #[inline]
-    fn os_lb(&self, node: NodeId, u: f64) -> f64 {
-        let tau = self.ctx.os_tau(node);
-        match &self.alt {
-            Some(alt) if u.is_finite() => tau.max(alt.objective_bound(node)),
-            _ => tau,
-        }
-    }
-
-    /// Lower bound on the remaining budget from `node` to the target:
-    /// `max(BS(σ), ALT)`.
-    #[inline]
-    fn bs_lb(&self, node: NodeId) -> f64 {
-        let sigma = self.ctx.bs_sigma(node);
-        match &self.alt {
-            Some(alt) => sigma.max(alt.budget_bound(node)),
-            None => sigma,
         }
     }
 
@@ -591,7 +520,7 @@ impl<'a> Engine<'a> {
             }
             // Algorithm 1 line 7: the best completion cannot beat U.
             let u = self.bound();
-            if label.objective + self.os_lb(label.node, u) > u {
+            if label.objective + self.ctx.os_tau(label.node) > u {
                 self.stats.labels_skipped += 1;
                 continue;
             }
@@ -663,12 +592,12 @@ impl<'a> Engine<'a> {
         // completion σ) that beats the bound (objective via the
         // min-objective completion τ). With `BucketBound`'s `U = +∞` the
         // second filter drops only labels whose `LOW` overflowed.
-        if child.budget + self.bs_lb(child.node) > self.query.budget {
+        if child.budget + self.ctx.bs_sigma(child.node) > self.query.budget {
             self.stats.labels_pruned += 1;
             return;
         }
         let u = self.bound();
-        if child.objective + self.os_lb(child.node, u) >= u {
+        if child.objective + self.ctx.os_tau(child.node) >= u {
             self.stats.labels_pruned += 1;
             return;
         }
@@ -721,7 +650,7 @@ impl<'a> Engine<'a> {
         for (bit, _) in self.query.keywords.uncovered(label.mask) {
             if let Some((dist, j)) = reach.nearest(bit, label.node) {
                 // Feasibility: jump there and still finish within budget.
-                if label.budget + dist + self.bs_lb(j) <= self.query.budget
+                if label.budget + dist + self.ctx.bs_sigma(j) <= self.query.budget
                     && best.is_none_or(|(d, _)| dist < d)
                 {
                     best = Some((dist, bit));

@@ -218,8 +218,7 @@ impl From<SearchOutcome> for SearchResult {
 }
 
 /// Runs `request` with no warm state: every backward tree is rebuilt,
-/// no landmark bounds are consulted, keyword reach is computed in one
-/// combined pass, and greedy builds each forward tree once. Answers are
+/// keyword reach is computed in one combined pass, and greedy builds each forward tree once. Answers are
 /// byte-identical to [`crate::KorEngine::search`]; this is the reference
 /// path the warm ≡ cold checks compare against.
 ///
