@@ -130,6 +130,15 @@ mod tests {
     }
 
     #[test]
+    fn table1_verifies_the_papers_labels() {
+        // `table1` asserts the nine published label tuples itself.
+        let ctx = Context::new(crate::profile::Profile::quick());
+        let tables = extras::table1(&ctx);
+        assert_eq!(tables[0].rows.len(), 9);
+        assert!(tables[0].title.contains("θ = ε·τ(v0,v7)·b_min/Δ = 1/5"));
+    }
+
+    #[test]
     fn registry_covers_every_figure_of_section4() {
         let ids: Vec<&str> = all().iter().map(|e| e.id).collect();
         for required in [

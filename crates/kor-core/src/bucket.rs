@@ -54,9 +54,8 @@ impl Buckets {
     /// The layout for `query`, with growth factor `beta`. The base is
     /// `OS(τ_{s,t})`; when source == target that is 0, so it falls back
     /// to the smallest edge objective (any covering cycle costs at least
-    /// that), keeping the intervals well-defined. Like θ, the fallback
-    /// honours a pinned anchor so shard-local bucket layouts match the
-    /// fused engine's.
+    /// that), keeping the intervals well-defined. Like θ's, the fallback
+    /// honours a pinned anchor.
     pub(crate) fn for_query(
         graph: &Graph,
         query: &KorQuery,

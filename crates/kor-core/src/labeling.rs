@@ -87,13 +87,18 @@ impl DeadlineTicker {
     }
 }
 
-/// The scaler for a search: anchored to pinned reference extrema when
-/// the params carry a [`ScaleAnchor`], otherwise read from `graph`.
-fn scaler_for(graph: &Graph, anchor: Option<ScaleAnchor>, epsilon: f64, delta: f64) -> Scaler {
-    match anchor {
-        Some(a) => Scaler::from_extrema(a.o_min, a.b_min, epsilon, delta),
-        None => Scaler::new(graph, epsilon, delta),
-    }
+/// The scaler for a search from `s` with `τ(s,t) = tau_st`
+/// ([`Scaler::for_query`]): its fallback extrema are the pinned ones when
+/// the params carry a [`ScaleAnchor`], otherwise `graph`'s.
+fn scaler_for(
+    graph: &Graph,
+    anchor: Option<ScaleAnchor>,
+    tau_st: f64,
+    epsilon: f64,
+    delta: f64,
+) -> Scaler {
+    let (o_min, b_min) = anchor.map_or((graph.o_min(), graph.b_min()), |a| (a.o_min, a.b_min));
+    Scaler::for_query(tau_st, o_min, b_min, epsilon, delta)
 }
 
 /// The label searches. They share the engine and differ only in their
@@ -407,6 +412,7 @@ impl<'a> Engine<'a> {
             LabelAlgo::OsScaling | LabelAlgo::BucketBound(_) => ScoreMode::Scaled(scaler_for(
                 graph,
                 params.anchor,
+                ctx.os_tau(query.source),
                 params.epsilon,
                 query.budget,
             )),
@@ -441,6 +447,16 @@ impl<'a> Engine<'a> {
             stats,
             snapshots: Vec::new(),
         }
+    }
+
+    /// Replaces a scaled search's scaler, so the unit tests can run the
+    /// paper's own θ ([`Scaler::new`]) through the engine.
+    #[cfg(test)]
+    fn with_scaler(mut self, scaler: Scaler) -> Self {
+        if let ScoreMode::Scaled(_) = self.mode {
+            self.mode = ScoreMode::Scaled(scaler);
+        }
+        self
     }
 
     /// The query-keyword mask of `node` (one indexed load).
@@ -884,11 +900,43 @@ mod tests {
     }
 
     #[test]
-    fn example2_table1_labels() {
-        // The nine labels of Table 1 (ÔS at θ = 1/20) must all be created.
+    fn example2_scales_by_tau_st() {
+        // τ(v0, v7) = 4, so θ = 0.5·4·1/10 = 1/5, not the paper's 1/20.
         let (g, idx) = setup();
         let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
-        let r = single(&g, &idx, &q, Algo::OsScaling(plain_params(0.5))).unwrap();
+        let engine = Engine::new(
+            &g,
+            &idx,
+            &q,
+            LabelAlgo::OsScaling,
+            &plain_params(0.5),
+            1,
+            None,
+        );
+        let ScoreMode::Scaled(scaler) = engine.mode else {
+            panic!("OSScaling scales")
+        };
+        assert_eq!(scaler.theta(), 0.2);
+    }
+
+    #[test]
+    fn example2_table1_labels() {
+        // The nine labels of Table 1 (ÔS at the paper's θ = 1/20) must
+        // all be created.
+        let (g, idx) = setup();
+        let q = KorQuery::new(&g, v(0), v(7), vec![t(1), t(2)], 10.0).unwrap();
+        let mut engine = Engine::new(
+            &g,
+            &idx,
+            &q,
+            LabelAlgo::OsScaling,
+            &plain_params(0.5),
+            1,
+            None,
+        )
+        .with_scaler(Scaler::new(&g, 0.5, 10.0));
+        engine.run(None).unwrap();
+        let labels = &engine.snapshots;
         // (node, mask {t1=bit0, t2=bit1}, ÔS, OS, BS)
         let expected: [(u32, u64, u64, f64, f64); 9] = [
             (0, 0b00, 0, 0.0, 0.0),   // L00
@@ -903,13 +951,12 @@ mod tests {
         ];
         for (node, mask, scaled, os, bs) in expected {
             assert!(
-                r.labels.iter().any(|l| l.node == v(node)
+                labels.iter().any(|l| l.node == v(node)
                     && l.mask == mask
                     && l.scaled == scaled
                     && l.objective == os
                     && l.budget == bs),
-                "missing label ({node}, {mask:#b}, {scaled}, {os}, {bs})\nhave: {:?}",
-                r.labels
+                "missing label ({node}, {mask:#b}, {scaled}, {os}, {bs})\nhave: {labels:?}"
             );
         }
     }

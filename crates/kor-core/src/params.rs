@@ -6,14 +6,16 @@ use crate::error::KorError;
 
 /// Edge-weight extrema pinned from a *reference* graph, overriding the
 /// search graph's own extrema in every place a scaled search consults
-/// them (the scaling factor `θ = ε·o_min·b_min/Δ` and the bucket base
-/// fallback).
+/// them: `b_min` and the `o_min` fallback of the scaling factor
+/// `θ = ε·max(τ(s,t), o_min)·b_min/Δ` (`Scaler::for_query`),
+/// and the bucket base fallback.
 ///
 /// A shard subgraph holds only its own edges, so its extrema can differ
 /// from the full dataset's, which would silently change `θ` and with it
 /// every scaled label key. Anchoring a shard-local search to the full
-/// graph's extrema keeps its result bit-compatible with the full
-/// graph's engine.
+/// graph's extrema keeps those terms equal to the full graph's engine;
+/// `τ(s,t)` is the shard's own, which a path leaving the shard can make
+/// larger than the full graph's.
 ///
 /// Benchmark shard probe only; deleted with ROADMAP item 1.
 #[derive(Debug, Clone, Copy, PartialEq)]

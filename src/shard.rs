@@ -12,8 +12,10 @@
 //!   summary proves confinement (`escape[s] + enter[t] > Δ`: any route
 //!   leaving the shard busts the budget). The shard's engine, with the
 //!   search anchored to the full graph's edge-weight extrema
-//!   ([`ScaleAnchor`]), gives the same answer as an engine over the
-//!   whole graph.
+//!   ([`ScaleAnchor`]), answers within the same guarantee as an engine
+//!   over the whole graph. A scaled search takes θ from the shard's own
+//!   `τ(s,t)`, so its answer can differ from the fused engine's when
+//!   the full graph's min-objective path leaves the shard.
 //! * **Fanout** — the query may cross shards, so only an engine over
 //!   the whole graph can answer it.
 
@@ -30,7 +32,7 @@ use kor_graph::{Graph, NodeId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlan {
     /// Confined to one shard: that shard's engine, anchored to
-    /// [`ShardRouter::anchor`], answers exactly.
+    /// [`ShardRouter::anchor`], answers.
     Local(u32),
     /// May cross shards: only an engine over the whole graph answers.
     Fanout,
@@ -169,7 +171,7 @@ mod tests {
         let q = KorQuery::new(&graph, s, t, vec![], 0.0).unwrap();
         let fused = KorEngine::new(&graph);
         // A confined scaled search runs on its shard's engine, anchored,
-        // and answers exactly what the fused engine does.
+        // and answers this query as the fused engine does.
         let ShardPlan::Local(shard) = router.plan(s, t, 0.0, true).unwrap() else {
             panic!("budget 0 must be confined");
         };

@@ -326,7 +326,7 @@ fn label_searches_pin_answers_and_label_counts() {
             }
         }
     }
-    assert_eq!(h, 0xf25e_cfec_60d5_8ca0, "label-search digest {h:#018x}");
+    assert_eq!(h, 0x20e9_3abb_cc6f_5c18, "label-search digest {h:#018x}");
 }
 
 #[test]
