@@ -182,6 +182,32 @@ impl Graph {
         })
     }
 
+    /// The out-edges of `v` as parallel slices: targets, objective
+    /// weights and budget weights, in [`Self::out_edges`] order.
+    #[inline]
+    pub fn out_adjacency(&self, v: NodeId) -> (&[NodeId], &[f64], &[f64]) {
+        let lo = self.out_offsets[v.index()] as usize;
+        let hi = self.out_offsets[v.index() + 1] as usize;
+        (
+            &self.out_targets[lo..hi],
+            &self.out_objective[lo..hi],
+            &self.out_budget[lo..hi],
+        )
+    }
+
+    /// The in-edges of `v` as parallel slices: sources, objective
+    /// weights and budget weights, in [`Self::in_edges`] order.
+    #[inline]
+    pub fn in_adjacency(&self, v: NodeId) -> (&[NodeId], &[f64], &[f64]) {
+        let lo = self.in_offsets[v.index()] as usize;
+        let hi = self.in_offsets[v.index() + 1] as usize;
+        (
+            &self.in_sources[lo..hi],
+            &self.in_objective[lo..hi],
+            &self.in_budget[lo..hi],
+        )
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {

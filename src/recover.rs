@@ -130,8 +130,16 @@ pub fn run_recover(config: &RecoverConfig) -> Result<RecoverReport, String> {
             cp.display(),
         ));
     };
-    let snapshot =
+    let mut snapshot =
         kor_data::read_world_auto(&base).map_err(|e| format!("{}: {e}", base.display()))?;
+    if config.verify && snapshot.query_count() == 0 && base != config.dataset {
+        // The checkpoint `kor serve` writes when it seeds a journal
+        // holds the graph alone; the dataset file's canned queries ask
+        // about the same nodes and keywords.
+        snapshot.query_sets = kor_data::read_world_auto(&config.dataset)
+            .map_err(|e| format!("{}: {e}", config.dataset.display()))?
+            .query_sets;
+    }
     let (graph, _applied) = replay(&snapshot.graph, &recovered).map_err(|e| {
         format!(
             "journal {} does not extend {}: {e}",

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use kor_core::{Algo, KorError, KorQuery, RouteResult, SearchRequest};
@@ -33,8 +33,9 @@ pub struct ServerContext {
     pub journal_dir: Option<PathBuf>,
     /// Open journals keyed by dataset name, each with what its last
     /// recovery replayed. Replaced together with the registry entry
-    /// under [`Registry::mutation_guard`].
-    pub journals: Mutex<HashMap<String, JournalState>>,
+    /// under [`Registry::mutation_guard`]. Locked through
+    /// [`ServerContext::journals`].
+    journals: Mutex<HashMap<String, JournalState>>,
     /// When the server started (for `uptime_ms`).
     pub started: Instant,
     /// Worker pool size (reported by `stats`).
@@ -91,11 +92,26 @@ impl ServerContext {
     /// record, so this is a belt-and-suspenders pass on graceful
     /// shutdown — and the place sync errors get surfaced.
     pub fn sync_journals(&self) {
-        for (name, state) in self.journals.lock().unwrap().iter() {
+        for (name, state) in self.journals().iter() {
             if let Err(e) = state.journal.sync() {
                 eprintln!("kor serve: journal sync for {name:?} failed: {e}");
             }
         }
+    }
+
+    /// Locks the open journals. A panic while the lock was held (inside
+    /// an append, say) can leave a journal's file and its in-memory
+    /// chain out of step, so a poisoned map is emptied instead of
+    /// trusted: each dataset's next `update_edges` re-seeds its journal
+    /// through [`recovery::seed`], a checkpoint of the epoch it serves
+    /// plus a fresh journal.
+    pub(crate) fn journals(&self) -> MutexGuard<'_, HashMap<String, JournalState>> {
+        self.journals.lock().unwrap_or_else(|poisoned| {
+            let mut journals = poisoned.into_inner();
+            journals.clear();
+            self.journals.clear_poison();
+            journals
+        })
     }
 }
 
@@ -159,7 +175,7 @@ fn stats(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
         Some(name) => vec![resolve(&ctx.registry, Some(name))?],
         None => ctx.registry.all(),
     };
-    let journals = ctx.journals.lock().unwrap();
+    let journals = ctx.journals();
     let per_dataset: Vec<JsonValue> = datasets
         .iter()
         .map(|d| {
@@ -268,7 +284,7 @@ fn load_dataset(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
             let (dataset, state) = recovery::attach(dir, &name, std::path::Path::new(path))
                 .map_err(|e| WireError::new(ErrorCode::LoadFailed, e))?;
             let info = state.recovered;
-            ctx.journals.lock().unwrap().insert(name.clone(), state);
+            ctx.journals().insert(name.clone(), state);
             (dataset, Some(info))
         }
         None => {
@@ -438,7 +454,7 @@ fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
     // `journal_error`, the dataset still serves the old epoch, and the
     // batch is safe to retry.
     let journaled = if let Some(dir) = &ctx.journal_dir {
-        let mut journals = ctx.journals.lock().unwrap();
+        let mut journals = ctx.journals();
         let state = match journals.entry(dataset.name().to_string()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             // First journaled batch for a dataset that was loaded

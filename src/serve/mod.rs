@@ -191,11 +191,7 @@ impl Server {
             Some(dir) => {
                 let (dataset, state) = recovery::attach(dir, name, path)?;
                 let info = state.recovered;
-                self.ctx
-                    .journals
-                    .lock()
-                    .unwrap()
-                    .insert(name.to_string(), state);
+                self.ctx.journals().insert(name.to_string(), state);
                 self.ctx.registry.insert(dataset);
                 Ok(Some(info))
             }

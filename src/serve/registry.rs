@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use kor_core::{KorEngine, MutationReport};
 use kor_data::Snapshot;
@@ -184,8 +184,10 @@ impl Registry {
     /// Takes the registry-wide mutation lock; hold the guard across
     /// resolve → [`Dataset::with_mutations`] → [`Registry::insert`] so
     /// concurrent mutation batches serialize instead of losing updates.
+    /// The lock guards no data, so a batch that panicked while holding
+    /// it leaves nothing to repair and its poison is ignored.
     pub fn mutation_guard(&self) -> MutexGuard<'_, ()> {
-        self.mutation.lock().unwrap()
+        self.mutation.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// All loaded datasets, sorted by name (stable stats output).

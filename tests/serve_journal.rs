@@ -12,11 +12,15 @@
 //! * `update_edges` racing `load_dataset` on the same name never tears
 //!   state: epochs stay monotone per name, every answer matches the
 //!   epoch it claims, and the journal ends at exactly the number of
-//!   acknowledged batches.
+//!   acknowledged batches;
+//! * a panic inside a journal append fails only its own batch: later
+//!   batches are journaled again, `stats` answers, a graceful stop
+//!   exits 0, and the journal directory still recovers exactly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use kor::json::JsonValue;
@@ -299,5 +303,107 @@ fn update_edges_racing_load_dataset_keeps_epochs_monotone() {
     });
 
     handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kills a `kor serve` child on drop, so a failing assertion never
+/// leaks a listening process.
+struct ChildGuard(Child);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `kor serve --journal` with `journal-append:panic:1` armed: the first
+/// `update_edges` panics while it holds the journal map and the
+/// registry's mutation lock. Neither lock may stay poisoned.
+#[test]
+fn panicked_journal_append_poisons_no_later_request() {
+    let dir = temp_dir("append-panic");
+    let world = generate_world(&GenConfig::grid(6, 5, 3));
+    let world_path = dir.join("world.korbin");
+    write_snapshot(&world_path, &world).unwrap();
+    let jdir = dir.join("journal");
+    let dataset = format!("world={}", world_path.display());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kor"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
+        .arg("--journal")
+        .arg(&jdir)
+        .args(["--dataset", &dataset])
+        .env(kor::data::faultpoint::ENV_VAR, "journal-append:panic:1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn kor serve");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let mut server = ChildGuard(child);
+    let mut line = String::new();
+    BufReader::new(stdout).read_line(&mut line).unwrap();
+    let addr: SocketAddr = line
+        .trim()
+        .rsplit(' ')
+        .next()
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected announcement {line:?}"));
+    let (mut conn, mut reader) = connect(addr);
+
+    let failed = roundtrip(&mut conn, &mut reader, &scale_line(&world.graph, 2.0));
+    let code = failed.get("error").and_then(|e| e.get("code"));
+    assert_eq!(
+        code.and_then(JsonValue::as_str),
+        Some("internal_error"),
+        "the injected panic answers its own request: {failed:?}"
+    );
+
+    let resp = roundtrip(&mut conn, &mut reader, &scale_line(&world.graph, 0.5));
+    assert_ok(&resp, "update_edges after the panic");
+    let result = resp.get("result").unwrap();
+    assert_eq!(result.get("journaled"), Some(&JsonValue::Bool(true)));
+    assert_eq!(
+        result_u64(&resp, "epoch"),
+        Some(1),
+        "the panicked batch was not applied"
+    );
+
+    let stats = roundtrip(&mut conn, &mut reader, r#"{"id":"s","method":"stats"}"#);
+    assert_ok(&stats, "stats after the panic");
+    let ds = &stats
+        .get("result")
+        .unwrap()
+        .get("datasets")
+        .unwrap()
+        .as_arr()
+        .unwrap()[0];
+    let journal = ds.get("journal").expect("the dataset is journaled again");
+    assert_eq!(journal.get("epoch").and_then(JsonValue::as_u64), Some(1));
+
+    assert_ok(
+        &roundtrip(
+            &mut conn,
+            &mut reader,
+            r#"{"id":"bye","method":"shutdown"}"#,
+        ),
+        "shutdown",
+    );
+    drop(conn);
+    let status = server.0.wait().expect("wait for kor serve");
+    assert!(status.success(), "graceful stop must exit 0, got {status}");
+
+    let recover = Command::new(env!("CARGO_BIN_EXE_kor"))
+        .arg("recover")
+        .arg(&world_path)
+        .arg("--journal")
+        .arg(&jdir)
+        .args(["--name", "world", "--verify"])
+        .output()
+        .expect("run kor recover");
+    assert!(
+        recover.status.success(),
+        "kor recover --verify failed: {}",
+        String::from_utf8_lossy(&recover.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
