@@ -6,7 +6,7 @@
 //! numbers differ from the paper's 2012 testbed; the *shapes* — which
 //! algorithm wins, by what factor, how curves trend — are the
 //! reproduction target. No committed record of the results exists yet;
-//! writing one is ROADMAP item 5.
+//! writing one is an open ROADMAP item.
 //!
 //! Run everything:
 //!

@@ -424,6 +424,69 @@ pub fn checkpoint_path(dir: &Path, name: &str, epoch: u64) -> PathBuf {
     dir.join(format!("{name}.{epoch}.korbin"))
 }
 
+/// The base world the journal for `name` in `dir` extends, given the
+/// `base_epoch` from its header: the checkpoint
+/// [`checkpoint_path`]`(dir, name, base_epoch)` if it is on disk, else
+/// the `dataset` file itself while `base_epoch` is 0 (no checkpoint was
+/// ever taken). `kor serve --journal` and `kor recover` both resolve
+/// through here.
+///
+/// # Errors
+///
+/// [`MissingCheckpoint`] when the journal was compacted but its
+/// checkpoint is gone: the dataset file is then an older world than the
+/// one the journal extends.
+pub fn resolve_base(
+    dir: &Path,
+    name: &str,
+    base_epoch: u64,
+    dataset: &Path,
+) -> Result<PathBuf, MissingCheckpoint> {
+    let checkpoint = checkpoint_path(dir, name, base_epoch);
+    if checkpoint.exists() {
+        Ok(checkpoint)
+    } else if base_epoch == 0 {
+        Ok(dataset.to_path_buf())
+    } else {
+        Err(MissingCheckpoint {
+            journal: journal_path(dir, name),
+            base_epoch,
+            checkpoint,
+            dataset: dataset.to_path_buf(),
+        })
+    }
+}
+
+/// A compacted journal whose checkpoint is not on disk; see
+/// [`resolve_base`]. The message tells the operator both ways out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MissingCheckpoint {
+    /// The journal file.
+    pub journal: PathBuf,
+    /// The journal's base epoch.
+    pub base_epoch: u64,
+    /// The checkpoint that epoch names.
+    pub checkpoint: PathBuf,
+    /// The dataset file a fresh start would load.
+    pub dataset: PathBuf,
+}
+
+impl fmt::Display for MissingCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "journal {} starts at epoch {} but its checkpoint {} is missing — \
+             restore the checkpoint or delete the journal to start fresh from {}",
+            self.journal.display(),
+            self.base_epoch,
+            self.checkpoint.display(),
+            self.dataset.display(),
+        )
+    }
+}
+
+impl std::error::Error for MissingCheckpoint {}
+
 fn write_file_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
     // temp-then-rename so a crash never leaves a half file under the
     // final name; fsync file and directory so the rename is durable.

@@ -56,8 +56,8 @@ pub use io::{
     LoadError,
 };
 pub use journal::{
-    checkpoint_path, graph_digest, journal_path, read_journal, read_journal_bytes, replay, Journal,
-    JournalError, RecoveredJournal,
+    checkpoint_path, graph_digest, journal_path, read_journal, read_journal_bytes, replay,
+    resolve_base, Journal, JournalError, MissingCheckpoint, RecoveredJournal,
 };
 pub use queries::{
     generate_workload, CannedQuery, CannedQuerySet, QuerySet, QuerySpec, WorkloadConfig,

@@ -183,8 +183,15 @@ impl GraphBuilder {
         Ok((e1, e2))
     }
 
-    /// Finalizes the graph: sorts edges into CSR form (forward and
-    /// backward) and computes weight extrema.
+    /// Finalizes the graph: sorts edges into forward CSR form and hands
+    /// it to [`Graph::from_csr_parts`], which derives the backward CSR and
+    /// weight extrema.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::TooLarge`] past `u32::MAX` nodes, and
+    /// [`GraphError::InvalidCsr`] for a keyword id (from
+    /// [`Self::add_node_ids`]) outside the vocabulary.
     pub fn build(self) -> Result<Graph, GraphError> {
         if self.node_keywords.len() >= u32::MAX as usize {
             return Err(GraphError::TooLarge);
@@ -212,64 +219,20 @@ impl GraphBuilder {
             out_budget[slot] = e.budget;
         }
 
-        // Backward CSR, remembering the forward edge id of each in-edge.
-        let mut in_offsets = vec![0u32; n + 1];
-        for t in &out_targets {
-            in_offsets[t.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![NodeId(0); m];
-        let mut in_objective = vec![0.0f64; m];
-        let mut in_budget = vec![0.0f64; m];
-        let mut in_edge_ids = vec![EdgeId(0); m];
-        for v in 0..n {
-            let (lo, hi) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
-            for slot in lo..hi {
-                let t = out_targets[slot];
-                let dst = cursor[t.index()] as usize;
-                cursor[t.index()] += 1;
-                in_sources[dst] = NodeId(v as u32);
-                in_objective[dst] = out_objective[slot];
-                in_budget[dst] = out_budget[slot];
-                in_edge_ids[dst] = EdgeId(slot as u32);
-            }
-        }
-
-        let mut o_min = f64::INFINITY;
-        let mut o_max = 0.0f64;
-        let mut b_min = f64::INFINITY;
-        let mut b_max = 0.0f64;
-        for e in &self.edges {
-            o_min = o_min.min(e.objective);
-            o_max = o_max.max(e.objective);
-            b_min = b_min.min(e.budget);
-            b_max = b_max.max(e.budget);
-        }
-
         let keywords = self
             .node_keywords
             .into_iter()
             .map(KeywordSet::new)
             .collect();
-
-        Ok(Graph::from_parts(
+        Graph::from_csr_parts(
             out_offsets,
             out_targets,
             out_objective,
             out_budget,
-            in_offsets,
-            in_sources,
-            in_objective,
-            in_budget,
-            in_edge_ids,
             keywords,
             self.has_positions.then_some(self.positions),
             self.vocab,
-            [o_min, o_max, b_min, b_max],
-        ))
+        )
     }
 }
 
@@ -378,5 +341,13 @@ mod tests {
         let v0 = b.add_node(["a"]);
         let g = b.build().unwrap();
         assert_eq!(g.position(v0), None);
+    }
+
+    #[test]
+    fn rejects_keyword_ids_outside_the_vocabulary() {
+        let mut b = GraphBuilder::new();
+        b.add_node(["a"]);
+        b.add_node_ids(vec![KeywordId(1)]);
+        assert!(matches!(b.build(), Err(GraphError::InvalidCsr(_))));
     }
 }

@@ -46,7 +46,6 @@ pub struct CsrView<'a> {
 ///
 /// Construct with [`crate::GraphBuilder`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     out_offsets: Vec<u32>,
     out_targets: Vec<NodeId>,
@@ -66,7 +65,6 @@ pub struct Graph {
     /// Mutation generation counter — bumped by
     /// [`Graph::apply_mutations`]. Runtime-only: snapshots do not store
     /// it, so a freshly loaded or deserialized graph is always epoch 0.
-    #[cfg_attr(feature = "serde", serde(skip))]
     epoch: u64,
 }
 
@@ -80,40 +78,6 @@ impl AsRef<Graph> for Graph {
 }
 
 impl Graph {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        out_offsets: Vec<u32>,
-        out_targets: Vec<NodeId>,
-        out_objective: Vec<f64>,
-        out_budget: Vec<f64>,
-        in_offsets: Vec<u32>,
-        in_sources: Vec<NodeId>,
-        in_objective: Vec<f64>,
-        in_budget: Vec<f64>,
-        in_edge_ids: Vec<EdgeId>,
-        keywords: Vec<KeywordSet>,
-        positions: Option<Vec<(f64, f64)>>,
-        vocab: Vocab,
-        extrema: [f64; 4],
-    ) -> Self {
-        Self {
-            out_offsets,
-            out_targets,
-            out_objective,
-            out_budget,
-            in_offsets,
-            in_sources,
-            in_objective,
-            in_budget,
-            in_edge_ids,
-            keywords,
-            positions,
-            vocab,
-            extrema,
-            epoch: 0,
-        }
-    }
-
     /// Mutation generation of this graph value: 0 for a freshly built or
     /// loaded graph, incremented once per applied mutation batch.
     #[inline]
@@ -295,12 +259,6 @@ impl Graph {
             .flat_map(move |v| self.keywords(v).iter().map(move |t| (v, t)))
     }
 
-    /// Restores internal lookup tables after deserialization.
-    #[cfg(feature = "serde")]
-    pub fn rebuild_after_deserialize(&mut self) {
-        self.vocab.rebuild_lookup();
-    }
-
     /// Borrowed view of the forward CSR arrays (see [`CsrView`]).
     pub fn csr(&self) -> CsrView<'_> {
         CsrView {
@@ -438,8 +396,7 @@ impl Graph {
             }
         }
 
-        // Backward CSR, remembering the forward edge id of each in-edge
-        // (the same derivation as GraphBuilder::build).
+        // Backward CSR, remembering the forward edge id of each in-edge.
         let mut in_offsets = vec![0u32; n + 1];
         for t in &out_targets {
             in_offsets[t.index() + 1] += 1;
@@ -465,7 +422,7 @@ impl Graph {
             }
         }
 
-        Ok(Graph::from_parts(
+        Ok(Graph {
             out_offsets,
             out_targets,
             out_objective,
@@ -478,8 +435,9 @@ impl Graph {
             keywords,
             positions,
             vocab,
-            [o_min, o_max, b_min, b_max],
-        ))
+            extrema: [o_min, o_max, b_min, b_max],
+            epoch: 0,
+        })
     }
 }
 
@@ -716,18 +674,5 @@ mod tests {
             ),
             Err(GraphError::InvalidCsr(_))
         ));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn graph_clone_preserves_structure() {
-        let g = diamond();
-        let g2 = g.clone();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(
-            g2.out_edges(NodeId(0)).collect::<Vec<_>>(),
-            g.out_edges(NodeId(0)).collect::<Vec<_>>()
-        );
     }
 }

@@ -9,7 +9,6 @@ use std::fmt;
 ///
 /// Ids are dense: a graph with `n` nodes uses exactly `NodeId(0..n)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 /// Identifier of a directed edge in a [`crate::Graph`].
@@ -17,12 +16,10 @@ pub struct NodeId(pub u32);
 /// Edge ids index the forward CSR arrays; they are assigned in
 /// source-major order when the graph is built.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(pub u32);
 
 /// Identifier of an interned keyword in a [`crate::Vocab`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeywordId(pub u32);
 
 impl NodeId {

@@ -10,10 +10,8 @@ use crate::ids::KeywordId;
 /// words appearing in the descriptions of nodes"; this is the in-memory
 /// form shared by the graph and by index structures.
 #[derive(Debug, Default, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vocab {
     terms: Vec<String>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     lookup: HashMap<String, KeywordId>,
 }
 
@@ -61,17 +59,6 @@ impl Vocab {
             .enumerate()
             .map(|(i, t)| (KeywordId(i as u32), t.as_str()))
     }
-
-    /// Rebuilds the reverse lookup table; required after deserialization
-    /// (the lookup map is not serialized).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), KeywordId(i as u32)))
-            .collect();
-    }
 }
 
 /// An immutable, sorted, deduplicated set of keywords attached to a node.
@@ -79,7 +66,6 @@ impl Vocab {
 /// Node keyword sets are small (a handful of tags per location), so a
 /// sorted boxed slice beats a hash set on both memory and lookup speed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeywordSet {
     ids: Box<[KeywordId]>,
 }
@@ -172,19 +158,6 @@ mod tests {
         v.intern("b");
         let collected: Vec<_> = v.iter().map(|(id, t)| (id.0, t.to_owned())).collect();
         assert_eq!(collected, vec![(0, "a".to_owned()), (1, "b".to_owned())]);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut v = Vocab::new();
-        v.intern("x");
-        let mut stripped = Vocab {
-            terms: v.terms.clone(),
-            lookup: HashMap::new(),
-        };
-        assert_eq!(stripped.get("x"), None);
-        stripped.rebuild_lookup();
-        assert_eq!(stripped.get("x"), Some(KeywordId(0)));
     }
 
     #[test]

@@ -51,9 +51,6 @@ pub use graph::{CsrView, EdgeRef, Graph};
 pub use ids::{EdgeId, KeywordId, NodeId};
 pub use keyword::{KeywordSet, Vocab};
 pub use mutate::{EdgeMutation, MutationCodecError, MutationError, MutationKind};
-pub use query::{
-    subsets_of, supersets_of, QueryKeywords, QueryKeywordsError, SubsetIter, SupersetIter,
-    MAX_QUERY_KEYWORDS,
-};
+pub use query::{QueryKeywords, QueryKeywordsError, MAX_QUERY_KEYWORDS};
 pub use route::{Route, RouteError};
 pub use stats::GraphStats;

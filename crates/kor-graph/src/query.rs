@@ -157,79 +157,6 @@ impl QueryKeywords {
     }
 }
 
-/// Enumerates all masks `μ ⊇ λ` within `universe` (including `λ` itself).
-///
-/// Used for dominance checks: a label with coverage `λ` can only be
-/// dominated by labels whose coverage is a superset of `λ` (Definition 6).
-pub fn supersets_of(lambda: u64, universe: u64) -> SupersetIter {
-    SupersetIter {
-        lambda,
-        free: universe & !lambda,
-        sub: universe & !lambda,
-        done: false,
-    }
-}
-
-/// Enumerates all masks `μ ⊆ λ` (including `λ` itself and 0).
-pub fn subsets_of(lambda: u64) -> SubsetIter {
-    SubsetIter {
-        lambda,
-        sub: lambda,
-        done: false,
-    }
-}
-
-/// Iterator over supersets; see [`supersets_of`].
-#[derive(Debug, Clone)]
-pub struct SupersetIter {
-    lambda: u64,
-    free: u64,
-    sub: u64,
-    done: bool,
-}
-
-impl Iterator for SupersetIter {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.done {
-            return None;
-        }
-        let out = self.lambda | self.sub;
-        if self.sub == 0 {
-            self.done = true;
-        } else {
-            self.sub = (self.sub - 1) & self.free;
-        }
-        Some(out)
-    }
-}
-
-/// Iterator over subsets; see [`subsets_of`].
-#[derive(Debug, Clone)]
-pub struct SubsetIter {
-    lambda: u64,
-    sub: u64,
-    done: bool,
-}
-
-impl Iterator for SubsetIter {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.done {
-            return None;
-        }
-        let out = self.sub;
-        if self.sub == 0 {
-            self.done = true;
-        } else {
-            self.sub = (self.sub - 1) & self.lambda;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,33 +242,5 @@ mod tests {
             assert_eq!(q.bit(q.id_at(b)), Some(b));
         }
         assert_eq!(q.bit(KeywordId(77)), None);
-    }
-
-    #[test]
-    fn supersets_enumerate_exactly() {
-        let got: std::collections::BTreeSet<u64> = supersets_of(0b010, 0b111).collect();
-        let want: std::collections::BTreeSet<u64> =
-            [0b010, 0b011, 0b110, 0b111].into_iter().collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn supersets_of_full_mask_is_self() {
-        let got: Vec<u64> = supersets_of(0b11, 0b11).collect();
-        assert_eq!(got, vec![0b11]);
-    }
-
-    #[test]
-    fn subsets_enumerate_exactly() {
-        let got: std::collections::BTreeSet<u64> = subsets_of(0b101).collect();
-        let want: std::collections::BTreeSet<u64> =
-            [0b101, 0b100, 0b001, 0b000].into_iter().collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn subsets_of_zero_is_zero() {
-        let got: Vec<u64> = subsets_of(0).collect();
-        assert_eq!(got, vec![0]);
     }
 }

@@ -41,7 +41,6 @@ impl std::error::Error for RouteError {}
 /// Routes need not be simple: the paper explicitly notes that restricting
 /// the search to simple paths is insufficient for KOR, so nodes may repeat.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Route {
     nodes: Vec<NodeId>,
 }

@@ -184,7 +184,7 @@ fn parse_flags(args: &[String], accepted: &str) -> Result<ParsedArgs, String> {
             }
             if matches!(
                 name,
-                "small" | "quiet" | "smoke" | "canned" | "verify" | "no-reopen" | "compact"
+                "small" | "quiet" | "canned" | "verify" | "no-reopen" | "compact"
             ) {
                 // boolean flags
                 flags.push((name.to_string(), "true".to_string()));

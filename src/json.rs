@@ -249,6 +249,81 @@ impl From<Vec<JsonValue>> for JsonValue {
     }
 }
 
+/// A field of a request-shaped object that is missing, mistyped or not
+/// allowed. Its message is the serve protocol's `bad_request` text: the
+/// handler and the mutation codec both read fields through the readers
+/// below, so the wire and a mutation script reject a field in the same
+/// words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(pub String);
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// Rejects keys outside `allowed`: a typo fails loudly instead of being
+/// silently ignored. Non-objects pass; their readers fail instead.
+pub(crate) fn check_keys(obj: &JsonValue, allowed: &[&str]) -> Result<(), FieldError> {
+    if let JsonValue::Obj(fields) = obj {
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(FieldError(format!("unknown parameter {key:?}")));
+        }
+    }
+    Ok(())
+}
+
+pub(crate) fn opt_str<'a>(obj: &'a JsonValue, key: &str) -> Result<Option<&'a str>, FieldError> {
+    match obj.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| FieldError(format!("\"{key}\" must be a string"))),
+    }
+}
+
+pub(crate) fn req_str<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a str, FieldError> {
+    opt_str(obj, key)?.ok_or_else(|| missing(key))
+}
+
+pub(crate) fn opt_f64(obj: &JsonValue, key: &str) -> Result<Option<f64>, FieldError> {
+    match obj.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| FieldError(format!("\"{key}\" must be a number"))),
+    }
+}
+
+pub(crate) fn req_f64(obj: &JsonValue, key: &str) -> Result<f64, FieldError> {
+    opt_f64(obj, key)?.ok_or_else(|| missing(key))
+}
+
+pub(crate) fn opt_u64(obj: &JsonValue, key: &str) -> Result<Option<u64>, FieldError> {
+    match obj.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| FieldError(format!("\"{key}\" must be a non-negative integer"))),
+    }
+}
+
+/// A required node id: a non-negative integer within `u32`.
+pub(crate) fn req_u32(obj: &JsonValue, key: &str) -> Result<u32, FieldError> {
+    let v = opt_u64(obj, key)?.ok_or_else(|| missing(key))?;
+    u32::try_from(v).map_err(|_| FieldError(format!("\"{key}\" exceeds the node id range")))
+}
+
+fn missing(key: &str) -> FieldError {
+    FieldError(format!("missing \"{key}\""))
+}
+
 /// Appends `s` quoted and escaped per RFC 8259.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');

@@ -20,10 +20,11 @@
 //!    bit, or the run fails — a live check of the byte-identity
 //!    contract in `docs/ARCHITECTURE.md`.
 //!
-//! Scripts serialize to JSON mirroring the wire format of
-//! `update_edges` (`{"phases": [[{"from": .., "to": .., "op": ..}]]}`),
-//! so a script emitted by `kor mutate --emit-script` replays both
-//! offline and over a socket.
+//! Scripts serialize to JSON in the wire format of `update_edges`
+//! (`{"phases": [[{"from": .., "to": .., "op": ..}]]}`), so a script
+//! emitted by `kor mutate --emit-script` replays both offline and over
+//! a socket. [`mutation_to_json`] and [`mutation_from_json`] own that
+//! shape for both front ends.
 
 use std::sync::Arc;
 
@@ -32,7 +33,7 @@ use kor_data::snapshot::Snapshot;
 use kor_graph::{EdgeMutation, Graph, MutationKind, NodeId};
 
 use crate::batch::{digest_outcomes, QueryOutcome};
-use crate::json::JsonValue;
+use crate::json::{check_keys, req_f64, req_str, req_u32, FieldError, JsonValue};
 
 /// Knobs for one [`run_mutate`] replay.
 #[derive(Debug, Clone)]
@@ -93,15 +94,8 @@ impl MutateReport {
                 let mut fields = vec![
                     ("applied", JsonValue::from(p.applied)),
                     ("epoch", p.report.epoch.into()),
-                    ("contexts_retained", p.report.contexts_retained.into()),
-                    ("contexts_evicted", p.report.contexts_evicted.into()),
-                    ("opt2_retained", p.report.opt2_retained.into()),
-                    ("opt2_evicted", p.report.opt2_evicted.into()),
-                    ("pair_trees_retained", p.report.pair_trees_retained.into()),
-                    ("pair_trees_evicted", p.report.pair_trees_evicted.into()),
-                    ("trees_repaired", p.report.trees_repaired.into()),
-                    ("trees_rebuilt", p.report.trees_rebuilt.into()),
                 ];
+                fields.extend(report_fields(&p.report));
                 if let Some(d) = p.warm_digest {
                     fields.push(("warm_digest", format!("{d:016x}").into()));
                 }
@@ -208,41 +202,95 @@ pub(crate) fn replay_digest<G: AsRef<Graph>>(
     Ok(digest_outcomes(&outcomes))
 }
 
+/// The eight carry-over counters of a [`MutationReport`] as JSON
+/// fields, in the order both `kor mutate` and `update_edges` print them.
+pub(crate) fn report_fields(report: &MutationReport) -> [(&'static str, JsonValue); 8] {
+    [
+        ("contexts_retained", report.contexts_retained.into()),
+        ("contexts_evicted", report.contexts_evicted.into()),
+        ("opt2_retained", report.opt2_retained.into()),
+        ("opt2_evicted", report.opt2_evicted.into()),
+        ("pair_trees_retained", report.pair_trees_retained.into()),
+        ("pair_trees_evicted", report.pair_trees_evicted.into()),
+        ("trees_repaired", report.trees_repaired.into()),
+        ("trees_rebuilt", report.trees_rebuilt.into()),
+    ]
+}
+
+/// Renders one mutation in the `update_edges` wire shape:
+/// `{"from", "to", "op"}`, plus `"objective"` and `"budget"` for
+/// `reopen` and `scale`.
+pub fn mutation_to_json(m: &EdgeMutation) -> JsonValue {
+    let mut fields = vec![
+        ("from", JsonValue::from(u64::from(m.from.0))),
+        ("to", u64::from(m.to.0).into()),
+        ("op", m.kind.op_name().into()),
+    ];
+    match m.kind {
+        MutationKind::Close => {}
+        MutationKind::Reopen { objective, budget } | MutationKind::Scale { objective, budget } => {
+            fields.push(("objective", objective.into()));
+            fields.push(("budget", budget.into()));
+        }
+    }
+    JsonValue::obj(fields)
+}
+
+/// Parses one mutation in the `update_edges` wire shape — the only
+/// parser of that shape, used by the wire and by scripts alike. Strict:
+/// unknown keys, wrong types, missing weights and weights on `close`
+/// are errors, answered `bad_request` on the wire.
+pub fn mutation_from_json(item: &JsonValue) -> Result<EdgeMutation, FieldError> {
+    if !matches!(item, JsonValue::Obj(_)) {
+        return Err(FieldError("each mutation must be an object".into()));
+    }
+    check_keys(item, &["from", "to", "op", "objective", "budget"])?;
+    let from = NodeId(req_u32(item, "from")?);
+    let to = NodeId(req_u32(item, "to")?);
+    match req_str(item, "op")? {
+        "close" => {
+            if let Some(key) = ["objective", "budget"]
+                .into_iter()
+                .find(|key| item.get(key).is_some())
+            {
+                return Err(FieldError(format!(
+                    "\"{key}\" does not apply to op \"close\""
+                )));
+            }
+            Ok(EdgeMutation::close(from, to))
+        }
+        "reopen" => Ok(EdgeMutation::reopen(
+            from,
+            to,
+            req_f64(item, "objective")?,
+            req_f64(item, "budget")?,
+        )),
+        "scale" => Ok(EdgeMutation::scale(
+            from,
+            to,
+            req_f64(item, "objective")?,
+            req_f64(item, "budget")?,
+        )),
+        other => Err(FieldError(format!(
+            "unknown op {other:?} (expected close, reopen, or scale)"
+        ))),
+    }
+}
+
 /// Renders a script as JSON: `{"phases": [[mutation, ...], ...]}`, each
-/// mutation in the `update_edges` wire shape.
+/// mutation in the `update_edges` wire shape ([`mutation_to_json`]).
 pub fn script_to_json(script: &[Vec<EdgeMutation>]) -> String {
     let phases: Vec<JsonValue> = script
         .iter()
-        .map(|batch| {
-            JsonValue::Arr(
-                batch
-                    .iter()
-                    .map(|m| {
-                        let mut fields = vec![
-                            ("from", JsonValue::from(u64::from(m.from.0))),
-                            ("to", u64::from(m.to.0).into()),
-                            ("op", m.kind.op_name().into()),
-                        ];
-                        match m.kind {
-                            MutationKind::Close => {}
-                            MutationKind::Reopen { objective, budget }
-                            | MutationKind::Scale { objective, budget } => {
-                                fields.push(("objective", objective.into()));
-                                fields.push(("budget", budget.into()));
-                            }
-                        }
-                        JsonValue::obj(fields)
-                    })
-                    .collect(),
-            )
-        })
+        .map(|batch| JsonValue::Arr(batch.iter().map(mutation_to_json).collect()))
         .collect();
     JsonValue::obj([("phases", JsonValue::Arr(phases))]).render()
 }
 
 /// Parses a script produced by [`script_to_json`] (or written by hand
-/// in the same shape). Strict like the wire layer: unknown ops, missing
-/// weights, and weights on `close` are errors, not warnings.
+/// in the same shape). Each mutation goes through
+/// [`mutation_from_json`], so a script is exactly as strict as the
+/// wire.
 pub fn script_from_json(text: &str) -> Result<Vec<Vec<EdgeMutation>>, String> {
     let root = JsonValue::parse(text).map_err(|e| format!("script: {e}"))?;
     let phases = root
@@ -258,50 +306,10 @@ pub fn script_from_json(text: &str) -> Result<Vec<Vec<EdgeMutation>>, String> {
                 .ok_or_else(|| format!("script phase {i}: not an array"))?;
             batch
                 .iter()
-                .map(|m| parse_script_mutation(m).map_err(|e| format!("script phase {i}: {e}")))
+                .map(|m| mutation_from_json(m).map_err(|e| format!("script phase {i}: {e}")))
                 .collect()
         })
         .collect()
-}
-
-fn parse_script_mutation(m: &JsonValue) -> Result<EdgeMutation, String> {
-    let node = |key: &str| -> Result<NodeId, String> {
-        m.get(key)
-            .and_then(JsonValue::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .map(NodeId)
-            .ok_or_else(|| format!("mutation needs a u32 {key:?}"))
-    };
-    let weight = |key: &str| -> Result<f64, String> {
-        m.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("op needs a numeric {key:?}"))
-    };
-    let (from, to) = (node("from")?, node("to")?);
-    match m.get("op").and_then(JsonValue::as_str) {
-        Some("close") => {
-            if m.get("objective").is_some() || m.get("budget").is_some() {
-                return Err("weights do not apply to op \"close\"".into());
-            }
-            Ok(EdgeMutation::close(from, to))
-        }
-        Some("reopen") => Ok(EdgeMutation::reopen(
-            from,
-            to,
-            weight("objective")?,
-            weight("budget")?,
-        )),
-        Some("scale") => Ok(EdgeMutation::scale(
-            from,
-            to,
-            weight("objective")?,
-            weight("budget")?,
-        )),
-        Some(other) => Err(format!(
-            "unknown op {other:?} (expected close, reopen, or scale)"
-        )),
-        None => Err("mutation needs a string \"op\"".into()),
-    }
 }
 
 #[cfg(test)]

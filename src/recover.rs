@@ -25,9 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use kor_core::{Algo, KorEngine};
-use kor_data::journal::{
-    checkpoint_path, graph_digest, journal_path, read_journal, replay, Journal,
-};
+use kor_data::journal::{graph_digest, journal_path, read_journal, replay, resolve_base, Journal};
 use kor_data::Snapshot;
 
 use crate::json::JsonValue;
@@ -38,8 +36,8 @@ use crate::mutate::replay_digest;
 pub struct RecoverConfig {
     /// The dataset file the journal extends (used when the journal was
     /// never compacted; afterwards the checkpoint in the journal
-    /// directory takes precedence, exactly as serve-side recovery
-    /// resolves it).
+    /// directory takes precedence, see
+    /// [`kor_data::journal::resolve_base`]).
     pub dataset: PathBuf,
     /// Directory holding the `.korj` journal and its checkpoints.
     pub journal_dir: PathBuf,
@@ -114,22 +112,13 @@ pub fn run_recover(config: &RecoverConfig) -> Result<RecoverReport, String> {
     let recovered =
         read_journal(&jpath).map_err(|e| format!("journal {}: {e}", jpath.display()))?;
 
-    // Base resolution mirrors serve-side recovery: the checkpoint the
-    // journal was restarted from wins; the dataset file itself is only
-    // a valid base while no checkpoint was ever taken (base epoch 0).
-    let cp = checkpoint_path(&config.journal_dir, &name, recovered.base_epoch);
-    let base = if cp.exists() {
-        cp
-    } else if recovered.base_epoch == 0 {
-        config.dataset.clone()
-    } else {
-        return Err(format!(
-            "journal {} starts at epoch {} but its checkpoint {} is missing",
-            jpath.display(),
-            recovered.base_epoch,
-            cp.display(),
-        ));
-    };
+    let base = resolve_base(
+        &config.journal_dir,
+        &name,
+        recovered.base_epoch,
+        &config.dataset,
+    )
+    .map_err(|e| e.to_string())?;
     let mut snapshot =
         kor_data::read_world_auto(&base).map_err(|e| format!("{}: {e}", base.display()))?;
     if config.verify && snapshot.query_count() == 0 && base != config.dataset {

@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 use kor_core::{Algo, KorError, KorQuery, RouteResult, SearchRequest};
 use kor_data::FaultAction;
 
-use crate::json::JsonValue;
+use crate::json::{check_keys, opt_f64, opt_str, opt_u64, req_f64, req_str, req_u32, JsonValue};
+use crate::mutate::{mutation_from_json, report_fields};
 use crate::serve::protocol::{ErrorCode, Request, WireError};
 use crate::serve::recovery::{self, JournalState};
 use crate::serve::registry::{Dataset, Registry, ResolveError};
@@ -441,7 +442,21 @@ fn query(ctx: &ServerContext, req: &Request, received: Instant) -> Result<JsonVa
 /// thread before the swap.
 fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireError> {
     check_keys(&req.params, &["dataset", "mutations"])?;
-    let mutations = parse_mutations(&req.params)?;
+    let items = match req.params.get("mutations") {
+        Some(JsonValue::Arr(items)) if !items.is_empty() => items,
+        other => {
+            let message = match other {
+                Some(JsonValue::Arr(_)) => "\"mutations\" must contain at least one mutation",
+                Some(_) => "\"mutations\" must be an array",
+                None => "missing \"mutations\"",
+            };
+            return Err(WireError::new(ErrorCode::BadRequest, message));
+        }
+    };
+    let mutations: Vec<_> = items
+        .iter()
+        .map(mutation_from_json)
+        .collect::<Result<_, _>>()?;
     // Serialize batches registry-wide: two batches rebuilding from the
     // same base would silently lose one of them on insert.
     let _guard = ctx.registry.mutation_guard();
@@ -488,91 +503,8 @@ fn update_edges(ctx: &ServerContext, req: &Request) -> Result<JsonValue, WireErr
         ("edges", edges.into()),
         ("applied", (mutations.len() as u64).into()),
         ("journaled", journaled.into()),
-        (
-            "invalidation",
-            JsonValue::obj([
-                ("contexts_retained", report.contexts_retained.into()),
-                ("contexts_evicted", report.contexts_evicted.into()),
-                ("opt2_retained", report.opt2_retained.into()),
-                ("opt2_evicted", report.opt2_evicted.into()),
-                ("pair_trees_retained", report.pair_trees_retained.into()),
-                ("pair_trees_evicted", report.pair_trees_evicted.into()),
-                ("trees_repaired", report.trees_repaired.into()),
-                ("trees_rebuilt", report.trees_rebuilt.into()),
-            ]),
-        ),
+        ("invalidation", JsonValue::obj(report_fields(&report))),
     ]))
-}
-
-/// Parses the `mutations` array of an `update_edges` request. Strict:
-/// unknown keys, wrong types, missing weights, and weights on `close`
-/// all fail loudly before anything touches the dataset.
-fn parse_mutations(params: &JsonValue) -> Result<Vec<kor_graph::EdgeMutation>, WireError> {
-    let items = match params.get("mutations") {
-        Some(JsonValue::Arr(items)) => items,
-        Some(_) => {
-            return Err(WireError::new(
-                ErrorCode::BadRequest,
-                "\"mutations\" must be an array",
-            ))
-        }
-        None => {
-            return Err(WireError::new(
-                ErrorCode::BadRequest,
-                "missing \"mutations\"",
-            ))
-        }
-    };
-    if items.is_empty() {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "\"mutations\" must contain at least one mutation",
-        ));
-    }
-    items
-        .iter()
-        .map(|item| {
-            if !matches!(item, JsonValue::Obj(_)) {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    "each mutation must be an object",
-                ));
-            }
-            check_keys(item, &["from", "to", "op", "objective", "budget"])?;
-            let from = kor_graph::NodeId(req_u32(item, "from")?);
-            let to = kor_graph::NodeId(req_u32(item, "to")?);
-            let op = req_str(item, "op")?;
-            match op {
-                "close" => {
-                    for key in ["objective", "budget"] {
-                        if item.get(key).is_some() {
-                            return Err(WireError::new(
-                                ErrorCode::BadRequest,
-                                format!("\"{key}\" does not apply to op \"close\""),
-                            ));
-                        }
-                    }
-                    Ok(kor_graph::EdgeMutation::close(from, to))
-                }
-                "reopen" => Ok(kor_graph::EdgeMutation::reopen(
-                    from,
-                    to,
-                    req_f64(item, "objective")?,
-                    req_f64(item, "budget")?,
-                )),
-                "scale" => Ok(kor_graph::EdgeMutation::scale(
-                    from,
-                    to,
-                    req_f64(item, "objective")?,
-                    req_f64(item, "budget")?,
-                )),
-                other => Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    format!("unknown op {other:?} (expected close, reopen, or scale)"),
-                )),
-            }
-        })
-        .collect()
 }
 
 /// Renders one route: node ids in order plus exact scores (numbers use
@@ -632,73 +564,6 @@ fn resolve(registry: &Registry, name: Option<&str>) -> Result<Arc<Dataset>, Wire
 
 fn millis(d: Duration) -> u64 {
     d.as_millis().min(u128::from(u64::MAX)) as u64
-}
-
-/// Rejects unknown parameter keys (strict protocol: typos fail loudly
-/// instead of being silently ignored).
-fn check_keys(params: &JsonValue, allowed: &[&str]) -> Result<(), WireError> {
-    if let JsonValue::Obj(fields) = params {
-        for (key, _) in fields {
-            if !allowed.contains(&key.as_str()) {
-                return Err(WireError::new(
-                    ErrorCode::BadRequest,
-                    format!("unknown parameter {key:?}"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn req_str<'a>(params: &'a JsonValue, key: &str) -> Result<&'a str, WireError> {
-    opt_str(params, key)?
-        .ok_or_else(|| WireError::new(ErrorCode::BadRequest, format!("missing \"{key}\"")))
-}
-
-fn opt_str<'a>(params: &'a JsonValue, key: &str) -> Result<Option<&'a str>, WireError> {
-    match params.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| {
-            WireError::new(ErrorCode::BadRequest, format!("\"{key}\" must be a string"))
-        }),
-    }
-}
-
-fn opt_f64(params: &JsonValue, key: &str) -> Result<Option<f64>, WireError> {
-    match params.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-            WireError::new(ErrorCode::BadRequest, format!("\"{key}\" must be a number"))
-        }),
-    }
-}
-
-fn req_f64(params: &JsonValue, key: &str) -> Result<f64, WireError> {
-    opt_f64(params, key)?
-        .ok_or_else(|| WireError::new(ErrorCode::BadRequest, format!("missing \"{key}\"")))
-}
-
-fn opt_u64(params: &JsonValue, key: &str) -> Result<Option<u64>, WireError> {
-    match params.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            WireError::new(
-                ErrorCode::BadRequest,
-                format!("\"{key}\" must be a non-negative integer"),
-            )
-        }),
-    }
-}
-
-fn req_u32(params: &JsonValue, key: &str) -> Result<u32, WireError> {
-    let v = opt_u64(params, key)?
-        .ok_or_else(|| WireError::new(ErrorCode::BadRequest, format!("missing \"{key}\"")))?;
-    u32::try_from(v).map_err(|_| {
-        WireError::new(
-            ErrorCode::BadRequest,
-            format!("\"{key}\" exceeds the node id range"),
-        )
-    })
 }
 
 #[cfg(test)]
@@ -883,6 +748,27 @@ mod tests {
         ] {
             let err = run(&ctx, line).unwrap_err();
             assert_eq!(err.code, code, "{line} -> {}", err.message);
+        }
+    }
+
+    #[test]
+    fn scripts_and_update_edges_reject_a_mutation_in_the_same_words() {
+        let ctx = ctx_with_figure1();
+        for mutation in [
+            r#"{"from":5,"to":7,"op":"close","typo":1}"#,
+            r#"{"from":5,"to":7,"op":"close","budget":1}"#,
+            r#"{"from":5,"to":7,"op":"scale","objective":2}"#,
+            r#"{"from":5,"op":"close"}"#,
+            r#"{"from":5,"to":7,"op":"demolish"}"#,
+        ] {
+            let line =
+                format!(r#"{{"method":"update_edges","params":{{"mutations":[{mutation}]}}}}"#);
+            let wire = run(&ctx, &line).unwrap_err();
+            assert_eq!(wire.code, ErrorCode::BadRequest, "{mutation}");
+            let script =
+                crate::mutate::script_from_json(&format!(r#"{{"phases":[[{mutation}]]}}"#))
+                    .unwrap_err();
+            assert_eq!(script, format!("script phase 0: {}", wire.message));
         }
     }
 

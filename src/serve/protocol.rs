@@ -7,7 +7,7 @@
 //! is documented in `docs/PROTOCOL.md`; this module is its executable
 //! counterpart.
 
-use crate::json::JsonValue;
+use crate::json::{FieldError, JsonValue};
 
 /// Machine-readable error classes carried in the `error.code` field of
 /// a failure response. Stable strings — clients switch on them.
@@ -78,6 +78,13 @@ impl WireError {
             code,
             message: message.into(),
         }
+    }
+}
+
+/// A malformed request field is the client's error: `bad_request`.
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> WireError {
+        WireError::new(ErrorCode::BadRequest, e.0)
     }
 }
 

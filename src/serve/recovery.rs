@@ -22,7 +22,7 @@
 
 use std::path::Path;
 
-use kor_data::journal::{graph_digest, journal_path, read_journal, replay, Journal};
+use kor_data::journal::{graph_digest, journal_path, read_journal, replay, resolve_base, Journal};
 use kor_data::Snapshot;
 
 use super::registry::Dataset;
@@ -55,12 +55,9 @@ pub struct JournalState {
 /// previous process journaled, and returns the recovered dataset with
 /// its journal open for further appends.
 ///
-/// Resolution order for the base world the journal extends:
-///
-/// 1. a checkpoint `{name}.{base_epoch}.korbin` in `dir`, if present —
-///    the compacted base the journal was restarted from;
-/// 2. otherwise the dataset file itself (only valid while the journal's
-///    base epoch is 0, i.e. no checkpoint was ever taken).
+/// The base world the journal extends comes from
+/// [`kor_data::journal::resolve_base`]: its checkpoint if present, else
+/// the dataset file while no checkpoint was ever taken.
 ///
 /// A journal whose header digest does not match the resolved base is a
 /// hard error, not a silent skip: it means the journal belongs to a
@@ -90,30 +87,14 @@ pub fn attach(dir: &Path, name: &str, path: &Path) -> Result<(Dataset, JournalSt
         ));
     }
 
-    // Peek at the journal header to learn which base world it extends,
-    // then resolve that base: prefer its checkpoint, fall back to the
-    // dataset file for a never-compacted journal.
+    // Peek at the journal header to learn which base world it extends.
     let peek = read_journal(&jpath).map_err(|e| {
         format!(
             "journal {}: {e} (delete it to start fresh)",
             jpath.display()
         )
     })?;
-    let cp = kor_data::checkpoint_path(dir, name, peek.base_epoch);
-    let base = if cp.exists() {
-        cp
-    } else if peek.base_epoch == 0 {
-        path.to_path_buf()
-    } else {
-        return Err(format!(
-            "journal {} starts at epoch {} but its checkpoint {} is missing — \
-             restore the checkpoint or delete the journal to start fresh from {}",
-            jpath.display(),
-            peek.base_epoch,
-            cp.display(),
-            path.display(),
-        ));
-    };
+    let base = resolve_base(dir, name, peek.base_epoch, path).map_err(|e| e.to_string())?;
     let snapshot =
         kor_data::read_world_auto(&base).map_err(|e| format!("{}: {e}", base.display()))?;
     let digest = graph_digest(&snapshot.graph);

@@ -203,3 +203,33 @@ fn compacted_journal_recovery_reports_the_checkpoint_epoch() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A compacted journal whose checkpoint was deleted: `kor recover` and
+/// `kor serve --journal` refuse it with one message, which names both
+/// ways out.
+#[test]
+fn missing_checkpoint_fails_recover_and_attach_alike() {
+    let dir = temp_dir("missing-cp");
+    let world = generate_world(&worlds()[0]);
+    let dataset = dir.join("w.korbin");
+    write_snapshot(&dataset, &world).unwrap();
+    // Base epoch 3 names the checkpoint `w.3.korbin`, which is absent.
+    Journal::create(&journal_path(&dir, "w"), 3, graph_digest(&world.graph)).unwrap();
+
+    let recover = kor::recover::run_recover(&kor::recover::RecoverConfig {
+        dataset: dataset.clone(),
+        journal_dir: dir.clone(),
+        name: Some("w".into()),
+        verify: false,
+        compact: false,
+        algo: Algo::BucketBound(BucketBoundParams::default()),
+    })
+    .unwrap_err();
+    let attach = kor::serve::recovery::attach(&dir, "w", &dataset).unwrap_err();
+    assert_eq!(recover, attach);
+    assert!(
+        recover.contains("checkpoint") && recover.contains("delete the journal"),
+        "{recover}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
